@@ -46,6 +46,7 @@ from .linsys import (
     DEFAULT_SEARCH_STRATEGY,
     ExactRational,
     FatPointScheme,
+    alpha_search,
     alpha_sequence,
     parse_strategy,
     system_dim,
@@ -494,10 +495,8 @@ def _run_alpha_cell(points, cell, warm: dict):
     k = cell["k"]
     scheme = FatPointScheme.uniform(points, k)
     start = warm.get(k - 1)
-    from .linsys import _alpha_search  # internal reuse of the warm-start search
-
-    av = _alpha_search(scheme, DEFAULT_SEARCH_STRATEGY, True,
-                       start=None if start is None else start + 1)
+    av = alpha_search(scheme, DEFAULT_SEARCH_STRATEGY, True,
+                      start=None if start is None else start + 1)
     warm[k] = av.value
     value = av.value
     cert = f"existence={av.existence}; below=full-rank"

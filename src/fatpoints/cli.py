@@ -26,11 +26,11 @@ from .analysis import (
     repro_all,
 )
 from .cache import ResultCache
-from .configs import ConfigSpec, generate
+from .configs import FAMILIES, ConfigSpec, generate
 from .geometry import detect_line_arrangement, is_star_configuration, spanned_lines
 from .linsys import (
     FatPointScheme,
-    _alpha_search,
+    alpha_search,
     alpha_sequence,
     kernel_basis,
     parse_strategy,
@@ -64,11 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_io(p, points=True):
         if points:
             p.add_argument("--points", help="point-set JSON file")
-            p.add_argument("--family", choices=[
-                "collinear", "on_conic", "general", "star", "star_minus_one",
-                "dual_hesse", "type9", "nagata16", "nodal_curve_nodes",
-                "two_nodal_union",
-            ])
+            p.add_argument("--family", choices=FAMILIES)
             p.add_argument("--r", type=int)
             p.add_argument("--p", type=int, help="line count for star families")
             p.add_argument("--d1", type=int)
@@ -107,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class SystemExit2(Exception):
+class UsageError(Exception):
     """Usage error surfaced with exit code 1 and a message."""
 
 
@@ -119,7 +115,7 @@ def _convert_field(points, args):
     if want == have:
         return points
     if have != QQ:
-        raise SystemExit2(
+        raise UsageError(
             f"cannot move points from {have!r} to {want!r}; prime-field "
             "configurations stay in their field"
         )
@@ -130,12 +126,12 @@ def _convert_field(points, args):
             make_point(want, *(want.of(c) for c in P.coords)) for P in points
         )
     except Exception as exc:
-        raise SystemExit2(f"reduction mod {want.p} failed: {exc}")
+        raise UsageError(f"reduction mod {want.p} failed: {exc}")
 
 
 def resolve_points(args, command=""):
     if args.points and args.family:
-        raise SystemExit2("pass either --points or --family, not both")
+        raise UsageError("pass either --points or --family, not both")
     if args.points:
         return _convert_field(points_from_json_dict(load_json_file(args.points)), args)
     if args.family:
@@ -146,7 +142,7 @@ def resolve_points(args, command=""):
         if args.family in ("star_minus_one", "nodal_curve_nodes"):
             if command in ("dim", "kernel"):
                 if args.p is None:
-                    raise SystemExit2(
+                    raise UsageError(
                         f"--d means the system degree for {command}; pass the "
                         f"{args.family} size as --p, or generate a points file first"
                     )
@@ -158,7 +154,7 @@ def resolve_points(args, command=""):
             d2=args.d2, prime=args.prime, seed=args.seed, height=args.height,
         )
         return _convert_field(generate(spec), args)
-    raise SystemExit2("one of --points or --family is required")
+    raise UsageError("one of --points or --family is required")
 
 
 def resolve_mults(args, npoints: int):
@@ -168,7 +164,7 @@ def resolve_mults(args, npoints: int):
     if len(parts) == 1:
         return (parts[0],) * npoints
     if len(parts) != npoints:
-        raise SystemExit2(
+        raise UsageError(
             f"--mults has {len(parts)} entries for {npoints} points"
         )
     return tuple(parts)
@@ -178,7 +174,7 @@ def resolve_cache(args):
     root = args.cache or os.environ.get("FATPOINTS_CACHE")
     if not root:
         if args.verify_cache:
-            raise SystemExit2("--verify-cache needs a cache directory")
+            raise UsageError("--verify-cache needs a cache directory")
         return None
     return ResultCache(root, verify=args.verify_cache)
 
@@ -215,7 +211,7 @@ def cmd_alpha(args) -> int:
     if strategy is not None:
         kwargs["strategy"] = strategy
         kwargs["certify_existence"] = False
-    av = _alpha_search(scheme, **kwargs)
+    av = alpha_search(scheme, **kwargs)
     warnings = []
     if not av.fully_certified:
         warnings.append("existence side certified only modulo primes")
@@ -234,7 +230,7 @@ def cmd_alpha(args) -> int:
 
 def cmd_alphaseq(args) -> int:
     if not args.kmax or args.kmax < 1:
-        raise SystemExit2("--kmax >= 1 is required")
+        raise UsageError("--kmax >= 1 is required")
     pts = resolve_points(args)
     strategy = parse_strategy(args.strategy) if args.strategy else None
     cache = resolve_cache(args)
@@ -261,7 +257,7 @@ def cmd_alphaseq(args) -> int:
 
 def cmd_dim(args) -> int:
     if args.d is None:
-        raise SystemExit2("--d is required")
+        raise UsageError("--d is required")
     pts = resolve_points(args, "dim")
     mults = resolve_mults(args, len(pts))
     scheme = FatPointScheme(pts, mults)
@@ -279,7 +275,7 @@ def cmd_dim(args) -> int:
 
 def cmd_kernel(args) -> int:
     if args.d is None:
-        raise SystemExit2("--d is required")
+        raise UsageError("--d is required")
     pts = resolve_points(args, "kernel")
     mults = resolve_mults(args, len(pts))
     scheme = FatPointScheme(pts, mults)
@@ -315,7 +311,7 @@ def cmd_repro(args) -> int:
             return 1
         reports = [repro(args.id, registry)]
     else:
-        raise SystemExit2("pass --id ID or --all")
+        raise UsageError("pass --id ID or --all")
     payload = {
         "schema": "fatpoints/1",
         "kind": "repro_run",
@@ -331,7 +327,7 @@ def cmd_repro(args) -> int:
 
 def cmd_search(args) -> int:
     if args.trials < 1:
-        raise SystemExit2("--trials must be at least 1")
+        raise UsageError("--trials must be at least 1")
     rep = conjecture_search(
         trials=args.trials,
         r_range=(args.r_min, args.r_max),
@@ -395,10 +391,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError, AlgebraError, CacheVerificationError) as exc:
+    except (UsageError, ValueError, KeyError, OSError, AlgebraError,
+            CacheVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-import numpy as np
-
 from .algebra import (
     QQ,
     HomoPoly,
-    monomial_basis,
     order_of_vanishing,
     point,
     poly_from_vector,
@@ -31,7 +28,7 @@ from .geometry import (
     rational_points_on_curve,
     singular_points_over_Fp,
 )
-from .linsys import modp_nullspace
+from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
 
 DEFAULT_HEIGHT = 10**4
 
@@ -297,22 +294,14 @@ def _implicitize_parameterization(forms, d: int, p: int) -> Optional[HomoPoly]:
     forms vanishing on the image, and demands a one-dimensional kernel.
     """
     F = prime_field(p)
-    mons = monomial_basis(d)
     images = set()
     for s, u in [(t, 1) for t in range(p)] + [(1, 0)]:
         c = tuple(_binary_form_values(f, s, u, p) for f in forms)
         if any(c):
             images.add(point(F, *c))
-    if len(images) < len(mons):
+    if len(images) < comb(d + 2, 2):
         return None
-    rows = []
-    for P in images:
-        x, y, z = (int(v) for v in P.coords)
-        row = [
-            pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p for (a, b, c) in mons
-        ]
-        rows.append(row)
-    A = np.array(rows, dtype=np.int64)
+    A = condition_matrix_mod_p(FatPointScheme.uniform(images, 1), d, p)
     kernel = modp_nullspace(A, p)
     if len(kernel) != 1:
         return None
@@ -349,18 +338,11 @@ def rational_nodal_nodes(d: int, p: int, seed: int, max_retries: int = 60):
 def _random_curve_through(points, d: int, p: int, rng) -> Optional[HomoPoly]:
     """A seeded random member of the degree-d forms through the given points."""
     F = prime_field(p)
-    mons = monomial_basis(d)
-    rows = []
-    for P in points:
-        x, y, z = (int(v) for v in P.coords)
-        rows.append(
-            [pow(x, a, p) * pow(y, b, p) * pow(z, c, p) % p for (a, b, c) in mons]
-        )
-    A = np.array(rows, dtype=np.int64)
+    A = condition_matrix_mod_p(FatPointScheme.uniform(points, 1), d, p)
     kernel = modp_nullspace(A, p)
     if not kernel:
         return None
-    vec = [0] * len(mons)
+    vec = [0] * A.shape[1]
     for kv in kernel:
         c = rng.randrange(p)
         vec = [(a + c * b) % p for a, b in zip(vec, kv)]

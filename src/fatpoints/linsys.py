@@ -11,12 +11,11 @@ exact recomputation or a dimension count.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 from typing import Optional
 
 import numpy as np
@@ -36,6 +35,11 @@ from .algebra import (
 
 class CertificationError(AlgebraError):
     """An exact post-check of a computed kernel or rank failed."""
+
+
+class PrimeTooLargeError(AlgebraError):
+    """A prime too large for elimination in 64-bit residues."""
+
 
 
 # ---------------------------------------------------------------------------
@@ -137,89 +141,68 @@ class ConditionMatrix:
         return comb(self.degree + 2, 2)
 
 
-def _falling(a: int, k: int) -> int:
-    r = 1
-    for i in range(k):
-        r *= a - i
-    return r
+def _derivative_rows(scheme: FatPointScheme, d: int, p: Optional[int] = None):
+    """The condition matrix as a numpy array, from one formula.
 
-
-def build_condition_matrix(scheme: FatPointScheme, d: int) -> ConditionMatrix:
-    """Exact condition matrix; entry = (beta-partial of monomial) at P_i."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    _check_characteristic(scheme, d)
-    fld = scheme.field
-    mons = monomial_basis(d)
-    modulus = None if fld == QQ else fld.p
-    rows = []
-    labels = []
-    for i, (P, m) in enumerate(zip(scheme.points, scheme.multiplicities)):
-        if m == 0:
-            continue
-        coords = P.integer_coords()
-        for beta in monomial_basis(m - 1):
-            row = []
-            for mu in mons:
-                if mu[0] < beta[0] or mu[1] < beta[1] or mu[2] < beta[2]:
-                    row.append(0)
-                    continue
-                v = (
-                    _falling(mu[0], beta[0])
-                    * _falling(mu[1], beta[1])
-                    * _falling(mu[2], beta[2])
-                    * coords[0] ** (mu[0] - beta[0])
-                    * coords[1] ** (mu[1] - beta[1])
-                    * coords[2] ** (mu[2] - beta[2])
-                )
-                row.append(v if modulus is None else v % modulus)
-            rows.append(tuple(row))
-            labels.append((i, beta))
-    return ConditionMatrix(d, fld, tuple(labels), tuple(rows))
-
-
-def condition_matrix_mod_p(scheme: FatPointScheme, d: int, p: int) -> np.ndarray:
-    """The condition matrix reduced mod a 31-bit prime, built vectorized.
-
-    For rational schemes this is the integer matrix mod p; reduction can
-    only lower the rank, which keeps full-rank verdicts sound.
+    The row of (P, beta) at monomial mu is the beta-partial of x^mu at the
+    integer representative of P: prod_c perm(mu_c, beta_c) * P_c^(mu_c - beta_c),
+    where perm(e, j) = e (e-1) ... (e-j+1) is 0 for j > e.  With a prime the
+    entries are int64 residues mod p; without one they are exact Python ints
+    (object dtype).
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
     _check_characteristic(scheme, d)
-    mons = monomial_basis(d)
-    A = np.array([m[0] for m in mons], dtype=np.int64)
-    B = np.array([m[1] for m in mons], dtype=np.int64)
-    C = np.array([m[2] for m in mons], dtype=np.int64)
-    maxm = scheme.max_multiplicity
-    # falling factorial table: fall[e, j] = e (e-1) ... (e-j+1) mod p
-    fall = np.ones((d + 1, maxm + 1), dtype=np.int64)
-    for j in range(1, maxm + 1):
-        for e in range(d + 1):
-            fall[e, j] = fall[e, j - 1] * ((e - j + 1) % p) % p
-    rows = []
-    for P, m in zip(scheme.points, scheme.multiplicities):
-        if m == 0:
-            continue
-        coords = P.integer_coords()
-        pows = []
-        for c in coords:
-            base = int(c) % p
-            col = np.ones(d + 1, dtype=np.int64)
-            for e in range(1, d + 1):
-                col[e] = col[e - 1] * base % p
-            pows.append(col)
-        for beta in monomial_basis(m - 1):
-            ea, eb, ec = A - beta[0], B - beta[1], C - beta[2]
-            ok = (ea >= 0) & (eb >= 0) & (ec >= 0)
-            row = fall[A, beta[0]] * fall[B, beta[1]] % p * fall[C, beta[2]] % p
-            row = row * pows[0][np.where(ok, ea, 0)] % p
-            row = row * pows[1][np.where(ok, eb, 0)] % p
-            row = row * pows[2][np.where(ok, ec, 0)] % p
-            rows.append(np.where(ok, row, 0))
-    if not rows:
-        return np.zeros((0, len(mons)), dtype=np.int64)
-    return np.vstack(rows)
+    if p is not None and p >= 2**31:  # int64 products of two residues
+        raise PrimeTooLargeError(
+            f"F_{p} is too large for 64-bit residue elimination; need p < 2^31"
+        )
+    dtype = object if p is None else np.int64
+
+    def reduce(a):
+        return a if p is None else a % p
+
+    used = [(P, m) for P, m in zip(scheme.points, scheme.multiplicities) if m]
+    mons = np.array(monomial_basis(d), dtype=np.int64)
+    betas = np.array(
+        [beta for _, m in used for beta in monomial_basis(m - 1)], dtype=np.int64
+    ).reshape(-1, 3)
+    owner = np.repeat(np.arange(len(used)), [comb(m + 1, 2) for _, m in used])
+    fall = np.array([[reduce(perm(e, j)) for j in range(scheme.max_multiplicity)]
+                     for e in range(d + 1)], dtype=dtype)
+    coords = np.array(
+        [[reduce(c) for c in P.integer_coords()] for P, _ in used], dtype=dtype
+    ).reshape(-1, 3)
+    pows = np.ones((len(used), 3, d + 1), dtype=dtype)
+    for e in range(1, d + 1):
+        pows[:, :, e] = reduce(pows[:, :, e - 1] * coords)
+    rows = np.ones((len(betas), len(mons)), dtype=dtype)
+    for c in range(3):
+        mu, beta = mons[None, :, c], betas[:, None, c]
+        rows = reduce(rows * fall[mu, beta])
+        rows = reduce(rows * pows[owner[:, None], c, np.maximum(mu - beta, 0)])
+    return rows
+
+
+def build_condition_matrix(scheme: FatPointScheme, d: int) -> ConditionMatrix:
+    """Exact condition matrix; entry = (beta-partial of monomial) at P_i."""
+    fld = scheme.field
+    rows = _derivative_rows(scheme, d, None if fld == QQ else fld.p)
+    labels = tuple(
+        (i, beta)
+        for i, m in enumerate(scheme.multiplicities) if m
+        for beta in monomial_basis(m - 1)
+    )
+    return ConditionMatrix(d, fld, labels, tuple(map(tuple, rows.tolist())))
+
+
+def condition_matrix_mod_p(scheme: FatPointScheme, d: int, p: int) -> np.ndarray:
+    """The condition matrix reduced mod a prime p < 2^31, as int64 residues.
+
+    For rational schemes this is the integer matrix mod p; reduction can
+    only lower the rank, which keeps full-rank verdicts sound.
+    """
+    return _derivative_rows(scheme, d, p)
 
 
 # ---------------------------------------------------------------------------
@@ -582,37 +565,16 @@ def _verify_kernel(scheme: FatPointScheme, polys) -> None:
                 )
 
 
-def _exact_report(scheme, d, want_kernel):
-    mat = build_condition_matrix(scheme, d)
-    ncols = mat.ncols
-    fld = scheme.field
-    if fld == QQ:
-        rank, pivots, ech = bareiss_echelon(mat.rows)
-        kernel = None
-        if want_kernel:
-            vectors = rational_nullspace(list(mat.rows), ncols)
-            kernel = tuple(poly_from_vector(QQ, d, v) for v in vectors)
-            _verify_kernel(scheme, kernel)
-        certification = "EXACT_RATIONAL"
-        primes = ()
-    else:
-        p = fld.p
-        A = np.array([[x % p for x in r] for r in mat.rows], dtype=np.int64)
-        if A.size == 0:
-            A = A.reshape(0, ncols)
-        rank, pivots, R = modp_rref(A, p)
-        kernel = None
-        if want_kernel:
-            vectors = modp_nullspace(A, p)
-            kernel = tuple(poly_from_vector(fld, d, v) for v in vectors)
-            _verify_kernel(scheme, kernel)
-        certification = "SINGLE_PRIME"
-        primes = (p,)
+def _report(scheme, d, rank, nrows, certification, primes=(), kernel=None,
+            witness=None):
+    """A report for one rank; ``witness`` names the existence certificate
+    of a nonzero dimension that the dimension count does not prove."""
+    ncols = comb(d + 2, 2)
     exp = expected_dim(scheme, d)
     actual = ncols - rank
     existence = None
     if actual > 0:
-        existence = "expected_dim" if exp > 0 else "kernel" if want_kernel else "rank"
+        existence = "expected_dim" if exp > 0 else witness
     return LinearSystemReport(
         degree=d,
         expected_dim=exp,
@@ -620,7 +582,7 @@ def _exact_report(scheme, d, want_kernel):
         superabundance=actual - max(exp, 0),
         certification=certification,
         rank=rank,
-        nrows=mat.nrows,
+        nrows=nrows,
         ncols=ncols,
         primes=primes,
         kernel=kernel,
@@ -628,37 +590,43 @@ def _exact_report(scheme, d, want_kernel):
     )
 
 
+def _exact_report(scheme, d, want_kernel):
+    # One elimination per call: a kernel's size gives the rank.
+    fld = scheme.field
+    ncols = comb(d + 2, 2)
+    if fld == QQ:
+        rows = build_condition_matrix(scheme, d).rows
+        if want_kernel:
+            vectors = rational_nullspace(rows, ncols)
+        else:
+            rank = bareiss_echelon(rows)[0]
+        certification, primes = "EXACT_RATIONAL", ()
+    else:
+        rows = condition_matrix_mod_p(scheme, d, fld.p)
+        if want_kernel:
+            vectors = modp_nullspace(rows, fld.p)
+        else:
+            rank = modp_rref(rows, fld.p)[0]
+        certification, primes = "SINGLE_PRIME", (fld.p,)
+    kernel = None
+    if want_kernel:
+        kernel = tuple(poly_from_vector(fld, d, v) for v in vectors)
+        _verify_kernel(scheme, kernel)
+        rank = ncols - len(vectors)
+    return _report(scheme, d, rank, len(rows), certification, primes, kernel,
+                   "kernel" if want_kernel else "rank")
+
+
 def _modular_report(scheme, d, strategy):
     primes = strategy_primes(strategy)
-    ncols = comb(d + 2, 2)
-    ranks = []
+    ranks = set()
     for p in primes:
         A = condition_matrix_mod_p(scheme, d, p)
-        rank, _, _ = modp_rref(A, p)
-        ranks.append(rank)
-        nrows = A.shape[0]
-    if len(set(ranks)) > 1:
+        ranks.add(modp_rref(A, p)[0])
+    if len(ranks) > 1:
         # primes disagree: escalate to the exact computation
         return _exact_report(scheme, d, want_kernel=False)
-    rank = ranks[0]
-    exp = expected_dim(scheme, d)
-    actual = ncols - rank
-    existence = None
-    if actual > 0 and exp > 0:
-        existence = "expected_dim"
-    return LinearSystemReport(
-        degree=d,
-        expected_dim=exp,
-        actual_dim=actual,
-        superabundance=actual - max(exp, 0),
-        certification=strategy.label(),
-        rank=rank,
-        nrows=nrows,
-        ncols=ncols,
-        primes=primes,
-        kernel=None,
-        existence_certified=existence,
-    )
+    return _report(scheme, d, ranks.pop(), len(A), strategy.label(), primes)
 
 
 def system_dim(
@@ -737,13 +705,15 @@ class AlphaValue:
         return self.existence in ("expected_dim", "kernel", "rank")
 
 
-def _alpha_search(
+def alpha_search(
     scheme: FatPointScheme,
     strategy=DEFAULT_SEARCH_STRATEGY,
     certify_existence: bool = False,
     start: Optional[int] = None,
     cache=None,
 ) -> AlphaValue:
+    """Alpha with its certificate and the degrees tried, climbing from
+    ``start`` when that exceeds max(max m, 1)."""
     if scheme.max_multiplicity == 0:
         raise ValueError("alpha needs at least one positive multiplicity")
     d = max(scheme.max_multiplicity, 1)
@@ -782,7 +752,7 @@ def alpha(
     cache=None,
 ) -> int:
     """Least degree with a nonzero form in the fat-point ideal."""
-    return _alpha_search(scheme, strategy, certify_existence, cache=cache).value
+    return alpha_search(scheme, strategy, certify_existence, cache=cache).value
 
 
 def alpha_certified(scheme: FatPointScheme, cache=None) -> AlphaValue:
@@ -793,7 +763,7 @@ def alpha_certified(scheme: FatPointScheme, cache=None) -> AlphaValue:
     dimension count or by an exact kernel that passes the multiplicity
     post-check.
     """
-    return _alpha_search(scheme, DEFAULT_SEARCH_STRATEGY, True, cache=cache)
+    return alpha_search(scheme, DEFAULT_SEARCH_STRATEGY, True, cache=cache)
 
 
 def alpha_sequence(
@@ -813,7 +783,7 @@ def alpha_sequence(
     start = None
     for k in range(1, k_max + 1):
         scheme = FatPointScheme.uniform(points, k)
-        av = _alpha_search(scheme, strategy, certify_existence, start=start, cache=cache)
+        av = alpha_search(scheme, strategy, certify_existence, start=start, cache=cache)
         alphas.append(av.value)
         entries.append(
             {
@@ -860,10 +830,6 @@ def alpha_diff(
     hi = _vector_alpha(points, m_vec, strategy, certify_existence, cache)
     lo = _vector_alpha(points, n_vec, strategy, certify_existence, cache)
     return hi - lo
-
-
-def report_to_json(report) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def report_from_json_dict(d: dict, field) -> LinearSystemReport:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import HomoPoly, field_from_string, field_to_string, point, poly
+from .algebra import HomoPoly, field_from_string, field_to_string, point
 
 SCHEMA = "fatpoints/1"
 
@@ -40,11 +40,6 @@ def poly_to_json_dict(f: HomoPoly) -> dict:
         "degree": f.degree,
         "terms": [[list(m), f.field.format(c)] for m, c in f.terms],
     }
-
-
-def poly_from_json_dict(d: dict) -> HomoPoly:
-    fld = field_from_string(d["field"])
-    return poly(fld, d["degree"], {tuple(m): fld.parse(c) for m, c in d["terms"]})
 
 
 def dump_json(obj: dict) -> str:

@@ -161,13 +161,23 @@ def test_render_svg_point_at_infinity():
 
 
 def test_field_reduction_flag(capsys):
-    # the conic example runs natively mod 31 with the same alpha table
-    code, out, _ = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6",
-                       "--kmax", "4", "--field", "prime:31")
-    assert code in (0, 2)
-    data = json.loads(out)
-    assert data["alphas"] == [2, 4, 6, 8]
-    assert all(e["certification"] == "SINGLE_PRIME" for e in data["entries"])
+    # the conic example runs natively mod p with the same alpha table, up to
+    # the largest prime that 64-bit residue elimination allows
+    for field in ("prime:31", "prime:2147483647"):
+        code, out, _ = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6",
+                           "--kmax", "4", "--field", field)
+        assert code in (0, 2)
+        data = json.loads(out)
+        assert data["alphas"] == [2, 4, 6, 8]
+        assert all(e["certification"] == "SINGLE_PRIME" for e in data["entries"])
+
+
+def test_field_prime_too_large_is_refused(capsys):
+    # int64 elimination would overflow and print wrong alphas
+    code, out, err = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6",
+                         "--kmax", "4", "--field", "prime:2305843009213693951")
+    assert code == 1 and out == ""
+    assert "need p < 2^31" in err
 
 
 def test_field_reduction_rejected_from_prime_field(capsys):

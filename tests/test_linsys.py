@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from helpers import enumeration_dimension
+from fatpoints import linsys
 from fatpoints.algebra import (
     QQ,
     CharacteristicTooSmallError,
+    evaluate,
     linear_form,
     monomial_basis,
     order_of_vanishing,
+    partial_derivative,
     point,
     poly,
     prime_field,
@@ -37,6 +40,7 @@ from fatpoints.linsys import (
     modp_rref,
     parse_strategy,
     rational_nullspace,
+    rref_in_field,
     strategy_primes,
     system_dim,
 )
@@ -210,6 +214,53 @@ def test_modular_matrix_matches_exact_reduction():
     assert modular.shape == (exact.nrows, exact.ncols)
     for i, row in enumerate(exact.rows):
         assert [x % p for x in row] == list(modular[i])
+
+
+def test_condition_rows_match_formal_derivatives():
+    # independent oracle: differentiate each monomial as a form, evaluate
+    # at the point and eliminate over Q with the generic field engine
+    rng = random.Random(29)
+    for _ in range(8):
+        r = rng.randint(1, 4)
+        pts = []
+        while len(pts) < r:
+            c = (rng.randint(-6, 6), rng.randint(-6, 6), rng.choice((0, 1, 1, 2)))
+            if any(c) and point(QQ, *c) not in pts:
+                pts.append(point(QQ, *c))
+        mults = (rng.randint(1, 3),) + tuple(rng.randint(0, 3) for _ in range(r - 1))
+        d = rng.randint(max(mults), max(mults) + 3)
+        rows = []
+        for P, m in zip(pts, mults):
+            for beta in monomial_basis(m - 1) if m else ():
+                row = []
+                for mu in monomial_basis(d):
+                    g = poly(QQ, d, {mu: 1})
+                    for var, times in enumerate(beta):
+                        for _ in range(times):
+                            g = partial_derivative(g, var)
+                    row.append(evaluate(g, P))
+                rows.append(row)
+        scheme = FatPointScheme(tuple(pts), mults)
+        rep = system_dim(scheme, d, ExactRational())
+        assert rref_in_field(rows, QQ)[0] == rep.rank
+
+
+def test_exact_kernel_eliminates_once(monkeypatch):
+    calls = {"bareiss_echelon": 0, "modp_rref": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(linsys, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(linsys, name, counting)
+    rational = FatPointScheme.uniform(conic_points(6), 2)
+    rep = system_dim(rational, 4, ExactRational(), want_kernel=True)
+    assert (rep.rank, len(rep.kernel)) == (14, 1)
+    assert calls == {"bareiss_echelon": 1, "modp_rref": 0}
+    modular = FatPointScheme.uniform(conic_points(6, prime_field(101)), 2)
+    rep = system_dim(modular, 4, ExactRational(), want_kernel=True)
+    assert (rep.rank, len(rep.kernel)) == (14, 1)
+    assert calls == {"bareiss_echelon": 1, "modp_rref": 1}
 
 
 # ---------------------------------------------------------------------------
