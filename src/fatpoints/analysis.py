@@ -1,7 +1,8 @@
 """Classification checkers and the reproduction/search harnesses.
 
-Each checker turns one proved implication about slow growth of the
-initial-degree sequence into a testable verdict on computed data:
+Each row of ``IMPLICATIONS`` turns one proved implication about slow
+growth of the initial-degree sequence into a testable verdict on computed
+data:
 
 * minimal gap      alpha_{k,1} = k-1 (k >= 3)      => collinear
 * unit step        alpha_{k,k-1} = 1 (k >= 2)      => collinear or the
@@ -23,7 +24,7 @@ import json
 import random
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import QQ, HomoPoly, order_of_vanishing
 from .configs import (
@@ -43,6 +44,7 @@ from .geometry import (
     spanned_lines,
 )
 from .linsys import (
+    CERTIFIED_EXISTENCE,
     DEFAULT_SEARCH_STRATEGY,
     ExactRational,
     FatPointScheme,
@@ -103,31 +105,108 @@ def _certified_alphas(points, k_max):
     """
     rep = alpha_sequence(points, k_max, certify_existence=True)
     certified = all(
-        e["existence_certified"] in ("expected_dim", "kernel", "rank")
-        for e in rep.entries
+        e["existence_certified"] in CERTIFIED_EXISTENCE for e in rep.entries
     )
     return rep.alphas, certified
+
+
+def _collinear(points):
+    line = are_collinear(points)
+    return line is not None, {"line": repr(line) if line else None}
+
+
+def _collinear_or_arrangement(points):
+    if are_collinear(points) is not None:
+        return True, {"collinear": True}
+    witness = detect_line_arrangement(points)
+    if witness is not None:
+        return True, {"arrangement": witness.to_json_dict()}
+    exhaustive = len(spanned_lines(points)) <= EXHAUSTIVE_CANDIDATE_LIMIT
+    return False, {"collinear": False, "arrangement": None,
+                   "search_exhaustive": exhaustive}
+
+
+def _on_conic(points):
+    conic = common_conic(points)
+    return conic is not None, {"conic": str(conic) if conic else None}
+
+
+def _undecided_past_exhaustive_limit(points, k, witness):
+    # the arrangement detector is sound but only complete on small pools
+    return (INCONSISTENT if witness["search_exhaustive"] else UNDECIDED), witness
+
+
+def _triangle_plus_exception(points, k, witness):
+    if k == 4 and len(points) == 6 and is_type9(points):
+        return EXCEPTION, {**witness, "exception": "triangle-plus-one-per-line"}
+    return INCONSISTENT, witness
+
+
+@dataclass(frozen=True)
+class Implication:
+    """One proved implication: a hypothesis on alpha(Z), ..., alpha(kZ)
+    and a geometric conclusion, with an optional rule that turns an
+    apparent violation into a documented status."""
+
+    key: str
+    theorem: str
+    k_name: str
+    k_min: int
+    hypothesis: Callable  # (alphas, k) -> bool
+    conclusion: Callable  # points -> (holds, witness)
+    exception: Optional[Callable] = None  # (points, k, witness) -> (status, witness)
+
+    def check(self, points, k: int, strategy=DEFAULT_SEARCH_STRATEGY,
+              alphas=None) -> TheoremVerdict:
+        """Verdict of this implication on one configuration; a violation is
+        rechecked with certified alphas before the exception rule sees it."""
+        if k < self.k_min:
+            raise ValueError(f"need {self.k_name} >= {self.k_min}")
+        points = tuple(points)
+        alphas, cert = _alphas_for(points, k, strategy, alphas)
+        context = {self.k_name: k, "alphas": list(alphas), "r": len(points)}
+        if not self.hypothesis(alphas, k):
+            return TheoremVerdict(self.theorem, False, None, VACUOUS, cert, {}, context)
+        holds, witness = self.conclusion(points)
+        if holds:
+            return TheoremVerdict(self.theorem, True, True, CONSISTENT, cert,
+                                  witness, context)
+        if cert != "EXACT_RATIONAL":
+            exact, certified = _certified_alphas(points, k)
+            context["alphas_certified"] = list(exact)
+            if not self.hypothesis(exact, k):
+                context["escalated"] = "hypothesis failed certified recheck"
+                return TheoremVerdict(self.theorem, False, None, VACUOUS,
+                                      "EXACT_RATIONAL", {}, context)
+            if certified:
+                cert = "EXACT_RATIONAL"
+        status = INCONSISTENT
+        if self.exception is not None:
+            status, witness = self.exception(points, k, witness)
+        return TheoremVerdict(self.theorem, True, False, status, cert, witness, context)
+
+
+# keyed by the ``fatpoints check --theorem`` name
+IMPLICATIONS = {row.key: row for row in (
+    Implication("minimal-gap", "minimal-gap-collinear", "k", 3,
+                lambda a, k: a[k - 1] - a[0] == k - 1, _collinear),
+    Implication("unit-step", "unit-step-arrangement", "k", 2,
+                lambda a, k: a[k - 1] - a[k - 2] == 1,
+                _collinear_or_arrangement, _undecided_past_exhaustive_limit),
+    Implication("double-unit-step", "double-unit-step-collinear", "k", 3,
+                lambda a, k: a[k - 1] - a[k - 2] == 1 and a[k - 2] - a[k - 3] == 1,
+                _collinear),
+    Implication("uniform-step-two", "uniform-step-two-conic", "k_max", 4,
+                lambda a, k: all(y - x == 2 for x, y in zip(a, a[1:])),
+                _on_conic, _triangle_plus_exception),
+)}
 
 
 def check_minimal_gap_collinear(
     points, k: int, strategy=DEFAULT_SEARCH_STRATEGY, alphas=None
 ) -> TheoremVerdict:
     """Gap alpha(kZ) - alpha(Z) at its k-1 floor forces collinear points."""
-    if k < 3:
-        raise ValueError("need k >= 3")
-    points = tuple(points)
-    alphas, cert = _alphas_for(points, k, strategy, alphas)
-    hyp = alphas[k - 1] - alphas[0] == k - 1
-
-    def conclusion():
-        line = are_collinear(points)
-        return line is not None, {"line": repr(line) if line else None}
-
-    return _resolve(
-        "minimal-gap-collinear", points, hyp, conclusion, cert,
-        {"k": k, "alphas": list(alphas)},
-        exact_hyp=lambda a: a[k - 1] - a[0] == k - 1, k_max=k,
-    )
+    return IMPLICATIONS["minimal-gap"].check(points, k, strategy, alphas)
 
 
 def check_unit_step_arrangement(
@@ -139,59 +218,14 @@ def check_unit_step_arrangement(
     pool is small enough for the exhaustive subset search, so a failed
     detection past that limit downgrades to UNDECIDED.
     """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    points = tuple(points)
-    alphas, cert = _alphas_for(points, k, strategy, alphas)
-    hyp = alphas[k - 1] - alphas[k - 2] == 1
-
-    def conclusion():
-        line = are_collinear(points)
-        if line is not None:
-            return True, {"collinear": True}
-        witness = detect_line_arrangement(points)
-        if witness is not None:
-            return True, {"arrangement": witness.to_json_dict()}
-        exhaustive = len(spanned_lines(points)) <= EXHAUSTIVE_CANDIDATE_LIMIT
-        return False, {"collinear": False, "arrangement": None,
-                       "search_exhaustive": exhaustive}
-
-    verdict = _resolve(
-        "unit-step-arrangement", points, hyp, conclusion, cert,
-        {"k": k, "alphas": list(alphas)},
-        exact_hyp=lambda a: a[k - 1] - a[k - 2] == 1, k_max=k,
-    )
-    if verdict.status == INCONSISTENT and not verdict.witness.get("search_exhaustive", True):
-        return TheoremVerdict(
-            verdict.theorem, verdict.hypothesis_holds, verdict.conclusion_holds,
-            UNDECIDED, verdict.certification, verdict.witness, verdict.context,
-        )
-    return verdict
+    return IMPLICATIONS["unit-step"].check(points, k, strategy, alphas)
 
 
 def check_double_unit_step_collinear(
     points, k: int, strategy=DEFAULT_SEARCH_STRATEGY, alphas=None
 ) -> TheoremVerdict:
     """Two consecutive unit steps force collinear points (k >= 3)."""
-    if k < 3:
-        raise ValueError("need k >= 3")
-    points = tuple(points)
-    alphas, cert = _alphas_for(points, k, strategy, alphas)
-    hyp = (
-        alphas[k - 1] - alphas[k - 2] == 1
-        and alphas[k - 2] - alphas[k - 3] == 1
-    )
-
-    def conclusion():
-        line = are_collinear(points)
-        return line is not None, {"line": repr(line) if line else None}
-
-    return _resolve(
-        "double-unit-step-collinear", points, hyp, conclusion, cert,
-        {"k": k, "alphas": list(alphas)},
-        exact_hyp=lambda a: a[k - 1] - a[k - 2] == 1
-        and a[k - 2] - a[k - 3] == 1, k_max=k,
-    )
+    return IMPLICATIONS["double-unit-step"].check(points, k, strategy, alphas)
 
 
 def check_uniform_step_two_conic(
@@ -203,57 +237,7 @@ def check_uniform_step_two_conic(
     configuration is the documented sharp exception and is reported as
     CONSISTENT_EXCEPTION rather than a failure.
     """
-    if k_max < 4:
-        raise ValueError("need k_max >= 4")
-    points = tuple(points)
-    alphas, cert = _alphas_for(points, k_max, strategy, alphas)
-    hyp = all(b - a == 2 for a, b in zip(alphas, alphas[1:]))
-
-    def conclusion():
-        conic = common_conic(points)
-        return conic is not None, {"conic": str(conic) if conic else None}
-
-    verdict = _resolve(
-        "uniform-step-two-conic", points, hyp, conclusion, cert,
-        {"k_max": k_max, "alphas": list(alphas)},
-        exact_hyp=lambda a: all(y - x == 2 for x, y in zip(a, a[1:])),
-        k_max=k_max,
-    )
-    if (
-        verdict.status == INCONSISTENT
-        and k_max == 4
-        and len(points) == 6
-        and is_type9(points)
-    ):
-        return TheoremVerdict(
-            verdict.theorem, verdict.hypothesis_holds, False, EXCEPTION,
-            verdict.certification,
-            {**verdict.witness, "exception": "triangle-plus-one-per-line"},
-            verdict.context,
-        )
-    return verdict
-
-
-def _resolve(theorem, points, hyp, conclusion, cert, context, exact_hyp, k_max):
-    context = dict(context)
-    context["r"] = len(points)
-    if not hyp:
-        return TheoremVerdict(theorem, False, None, VACUOUS, cert, {}, context)
-    holds, witness = conclusion()
-    if holds:
-        return TheoremVerdict(theorem, True, True, CONSISTENT, cert, witness, context)
-    # a proved implication appears violated: recheck the hypothesis with
-    # certificates on both sides before calling it inconsistent
-    if cert != "EXACT_RATIONAL":
-        exact, certified = _certified_alphas(points, k_max)
-        context["alphas_certified"] = list(exact)
-        if not exact_hyp(exact):
-            context["escalated"] = "hypothesis failed certified recheck"
-            return TheoremVerdict(theorem, False, None, VACUOUS,
-                                  "EXACT_RATIONAL", {}, context)
-        if certified:
-            cert = "EXACT_RATIONAL"
-    return TheoremVerdict(theorem, True, False, INCONSISTENT, cert, witness, context)
+    return IMPLICATIONS["uniform-step-two"].check(points, k_max, strategy, alphas)
 
 
 # ---------------------------------------------------------------------------

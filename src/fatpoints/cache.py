@@ -5,7 +5,8 @@ canonical JSON, so hits are byte-identical to recomputation.  Writes go
 through a temporary file and an atomic rename, which tolerates concurrent
 readers and a single writer per key.  In verify mode every lookup misses
 on purpose and the subsequent store compares against what is already on
-disk, failing loudly on any divergence.
+disk, failing loudly on any divergence.  An entry that no longer decodes
+as a report is named as corrupt, with its key and path.
 """
 
 from __future__ import annotations
@@ -16,13 +17,17 @@ import os
 import tempfile
 from pathlib import Path
 
-from .algebra import field_to_string
+from .algebra import AlgebraError, field_to_string
 from .linsys import report_from_json_dict
 from .serialize import dump_json
 
 
 class CacheVerificationError(Exception):
     """A cached report differs from its recomputation."""
+
+
+class CacheCorruptionError(CacheVerificationError):
+    """A cache entry is not a readable report (truncated or malformed)."""
 
 
 def _strategy_tag(strategy) -> str:
@@ -49,6 +54,15 @@ def cache_key(scheme, d: int, strategy, want_kernel: bool) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _decode(key, path, text, field):
+    try:
+        return report_from_json_dict(json.loads(text), field)
+    except (AlgebraError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CacheCorruptionError(
+            f"cache entry {key} at {path} is corrupt: {exc!r}"
+        ) from exc
+
+
 class ResultCache:
     def __init__(self, root, verify: bool = False):
         self.root = Path(root)
@@ -67,9 +81,9 @@ class ResultCache:
             self.misses += 1
             return None
         with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
+            report = _decode(key, path, fh.read(), scheme.field)
         self.hits += 1
-        return report_from_json_dict(stored, scheme.field)
+        return report
 
     def put_report(self, scheme, d, strategy, want_kernel, report):
         key = cache_key(scheme, d, strategy, want_kernel)
@@ -79,6 +93,7 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as fh:
                 existing = fh.read()
             if existing != blob:
+                _decode(key, path, existing, scheme.field)  # unreadable: corrupt
                 raise CacheVerificationError(
                     f"cache entry {key} disagrees with recomputation"
                 )

@@ -14,12 +14,9 @@ import sys
 from .algebra import AlgebraError, QQ, field_from_string
 from .cache import CacheVerificationError
 from .analysis import (
+    IMPLICATIONS,
     INCONSISTENT,
     UNDECIDED,
-    check_double_unit_step_collinear,
-    check_minimal_gap_collinear,
-    check_uniform_step_two_conic,
-    check_unit_step_arrangement,
     conjecture_search,
     load_registry,
     repro,
@@ -29,6 +26,8 @@ from .cache import ResultCache
 from .configs import FAMILIES, ConfigSpec, generate
 from .geometry import detect_line_arrangement, is_star_configuration, spanned_lines
 from .linsys import (
+    CERTIFIED_EXISTENCE,
+    DEFAULT_SEARCH_STRATEGY,
     FatPointScheme,
     alpha_search,
     alpha_sequence,
@@ -45,14 +44,6 @@ from .serialize import (
     write_json_file,
 )
 from .svgplot import render_svg
-
-CHECKERS = {
-    "minimal-gap": (check_minimal_gap_collinear, "k"),
-    "unit-step": (check_unit_step_arrangement, "k"),
-    "double-unit-step": (check_double_unit_step_collinear, "k"),
-    "uniform-step-two": (check_uniform_step_two_conic, "k_max"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -88,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_io(sub.add_parser(name))
     pc = sub.add_parser("check")
     add_io(pc)
-    pc.add_argument("--theorem", required=True, choices=sorted(CHECKERS))
+    pc.add_argument("--theorem", required=True, choices=sorted(IMPLICATIONS))
     pc.add_argument("--k", type=int, required=True)
     pr = sub.add_parser("repro")
     add_io(pr, points=False)
@@ -244,7 +235,7 @@ def cmd_alphaseq(args) -> int:
     warnings = [
         f"k={e['k']}: existence side certified only modulo primes"
         for e in rep.entries
-        if e["existence_certified"] not in ("expected_dim", "kernel", "rank")
+        if e["existence_certified"] not in CERTIFIED_EXISTENCE
     ]
     payload["warnings"] = warnings
     pretty = "k  alpha  diff\n" + "\n".join(
@@ -294,8 +285,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_check(args) -> int:
     pts = resolve_points(args)
-    checker, _ = CHECKERS[args.theorem]
-    verdict = checker(pts, args.k)
+    strategy = parse_strategy(args.strategy) if args.strategy else DEFAULT_SEARCH_STRATEGY
+    verdict = IMPLICATIONS[args.theorem].check(pts, args.k, strategy)
     payload = verdict.to_json_dict()
     emit(args, payload, f"{verdict.theorem}: {verdict.status}")
     return 2 if verdict.status in (UNDECIDED, INCONSISTENT) else 0

@@ -41,6 +41,10 @@ class PrimeTooLargeError(AlgebraError):
     """A prime too large for elimination in 64-bit residues."""
 
 
+# existence certificates that hold over the rationals (or the scheme's own
+# prime field), as opposed to agreement modulo search primes
+CERTIFIED_EXISTENCE = ("expected_dim", "kernel", "rank")
+
 
 # ---------------------------------------------------------------------------
 # schemes
@@ -276,13 +280,6 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows:
-        basis = []
-        for f in range(ncols):
-            v = [0] * ncols
-            v[f] = 1
-            basis.append(tuple(v))
-        return basis
     rank, pivots, ech = bareiss_echelon(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -327,19 +324,25 @@ def modp_rref(A: np.ndarray, p: int):
     return rank, pivots, A
 
 
-def modp_nullspace(A: np.ndarray, p: int):
-    """Kernel basis mod p, one vector per free column of the RREF."""
-    nc = A.shape[1]
-    rank, pivots, R = modp_rref(A, p)
-    free = [c for c in range(nc) if c not in pivots]
+def _rref_kernel(pivots, rref, ncols, neg, zero, one):
+    """Kernel basis read off a reduced echelon form, one vector per free
+    column: the free entry is 1 and each pivot entry is minus its row's."""
     basis = []
-    for f in free:
-        v = [0] * nc
-        v[f] = 1
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
         for i, pc in enumerate(pivots):
-            v[pc] = int(-R[i, f]) % p
+            v[pc] = neg(rref[i][f])
         basis.append(tuple(v))
     return basis
+
+
+def modp_nullspace(A: np.ndarray, p: int):
+    """Kernel basis mod p, one vector per free column of the RREF."""
+    _, pivots, R = modp_rref(A, p)
+    return _rref_kernel(pivots, R.tolist(), A.shape[1], lambda x: -x % p, 0, 1)
 
 
 def rref_in_field(rows, fld):
@@ -379,19 +382,8 @@ def nullspace_in_field(rows, fld, ncols: Optional[int] = None):
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows:
-        rank, pivots, rref = 0, [], []
-    else:
-        rank, pivots, rref = rref_in_field(rows, fld)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [fld.zero] * ncols
-        v[f] = fld.one
-        for i, pc in enumerate(pivots):
-            v[pc] = fld.neg(rref[i][f])
-        basis.append(tuple(v))
-    return basis
+    _, pivots, rref = rref_in_field(rows, fld)
+    return _rref_kernel(pivots, rref, ncols, fld.neg, fld.zero, fld.one)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +694,7 @@ class AlphaValue:
     def fully_certified(self) -> bool:
         # Degrees below the value are always certified empty (full modular
         # column rank bounds the exact rank from below).
-        return self.existence in ("expected_dim", "kernel", "rank")
+        return self.existence in CERTIFIED_EXISTENCE
 
 
 def alpha_search(

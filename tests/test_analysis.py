@@ -3,10 +3,13 @@
 import pytest
 
 from fatpoints.algebra import QQ, linear_form, poly, point, prime_field
+from fatpoints import analysis
 from fatpoints.analysis import (
     CONSISTENT,
     EXCEPTION,
+    IMPLICATIONS,
     INCONSISTENT,
+    UNDECIDED,
     VACUOUS,
     check_double_unit_step_collinear,
     check_genus_bound,
@@ -27,7 +30,7 @@ from fatpoints.configs import (
     star,
     type9,
 )
-from fatpoints.linsys import alpha_sequence
+from fatpoints.linsys import AlphaReport, alpha_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,55 @@ def test_checkers_accept_precomputed_alphas():
     assert v.status == CONSISTENT
     with pytest.raises(ValueError):
         check_uniform_step_two_conic(pts, k_max=5, alphas=rep.alphas[:3])
+
+
+# ---------------------------------------------------------------------------
+# the certified recheck and the exception rules
+
+def _fake_engine(alphas):
+    """An alpha_sequence stand-in whose values all carry kernel certificates."""
+    def engine(points, k_max, **kwargs):
+        entries = tuple({"k": i + 1, "alpha": a, "existence_certified": "kernel",
+                         "certification": "EXACT_RATIONAL"}
+                        for i, a in enumerate(alphas))
+        diffs = tuple(b - a for a, b in zip(alphas, alphas[1:]))
+        return AlphaReport(tuple(alphas), diffs, entries)
+    return engine
+
+
+def test_failed_conclusion_escalates_to_vacuous():
+    # precomputed alphas claim a minimal gap; the certified recheck refutes it
+    v = check_minimal_gap_collinear(on_conic(6), 3, alphas=(1, 2, 3))
+    assert v.status == VACUOUS and not v.hypothesis_holds
+    assert v.certification == "EXACT_RATIONAL"
+    assert v.context["alphas_certified"] == [2, 4, 6]
+    assert v.context["escalated"] == "hypothesis failed certified recheck"
+
+
+def test_certified_violation_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(analysis, "alpha_sequence", _fake_engine((1, 2, 3)))
+    v = check_minimal_gap_collinear(on_conic(6), 3, alphas=(1, 2, 3))
+    assert v.status == INCONSISTENT and v.hypothesis_holds
+    assert v.conclusion_holds is False
+    assert v.certification == "EXACT_RATIONAL"
+
+
+def test_non_exhaustive_arrangement_search_is_undecided(monkeypatch):
+    # six general points span 15 lines, past the exhaustive-search limit
+    monkeypatch.setattr(analysis, "alpha_sequence", _fake_engine((2, 3)))
+    v = check_unit_step_arrangement(general(6, seed=42), 2, alphas=(2, 3))
+    assert v.status == UNDECIDED
+    assert v.witness["search_exhaustive"] is False
+
+
+def test_implication_table_drives_the_checkers():
+    assert sorted(IMPLICATIONS) == [
+        "double-unit-step", "minimal-gap", "uniform-step-two", "unit-step"]
+    pts = collinear(4)
+    v = IMPLICATIONS["minimal-gap"].check(pts, 3)
+    assert v == check_minimal_gap_collinear(pts, 3)
+    with pytest.raises(ValueError, match="need k_max >= 4"):
+        IMPLICATIONS["uniform-step-two"].check(pts, 3)
 
 
 def test_verdict_json_shape():

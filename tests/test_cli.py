@@ -81,6 +81,13 @@ def test_check_exception_status(capsys):
     assert json.loads(out)["status"] == "CONSISTENT_EXCEPTION"
 
 
+def test_check_honours_strategy(capsys):
+    code, out, _ = run(capsys, "check", "--theorem", "minimal-gap", "--k", "3",
+                       "--family", "collinear", "--r", "4", "--strategy", "exact")
+    assert code == 0
+    assert json.loads(out)["certification"] == "EXACT_RATIONAL"
+
+
 def test_repro_single_row(capsys):
     code, out, _ = run(capsys, "repro", "--id", "ex-type9")
     assert code == 0
@@ -225,3 +232,40 @@ def test_cache_verify_detects_corruption(tmp_path, capsys):
     victim.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
     code, _, err = run(capsys, *args, "--cache", str(cache), "--verify-cache")
     assert code == 1 and "disagrees" in err
+
+
+def _truncate_one_entry(cache):
+    victim = next(cache.glob("*.json"))
+    victim.write_text(victim.read_text()[:40])
+    return victim
+
+
+def test_cache_truncated_entry_is_named_corrupt(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("alphaseq", "--family", "on_conic", "--r", "5", "--kmax", "3")
+    run(capsys, *args, "--cache", str(cache))
+    victim = _truncate_one_entry(cache)
+    code, _, err = run(capsys, *args, "--cache", str(cache))
+    assert code == 1
+    assert "corrupt" in err and victim.stem in err and str(victim) in err
+
+
+def test_cache_verify_names_corruption(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("alphaseq", "--family", "on_conic", "--r", "5", "--kmax", "3")
+    run(capsys, *args, "--cache", str(cache))
+    victim = _truncate_one_entry(cache)
+    code, _, err = run(capsys, *args, "--cache", str(cache), "--verify-cache")
+    assert code == 1
+    assert "corrupt" in err and str(victim) in err and "disagrees" not in err
+
+
+def test_cache_entry_missing_fields_is_corrupt(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("dim", "--family", "collinear", "--r", "3", "--d", "2")
+    run(capsys, *args, "--cache", str(cache))
+    victim = next(cache.glob("*.json"))
+    victim.write_text('{"rank": 3}\n')
+    code, _, err = run(capsys, *args, "--cache", str(cache))
+    assert code == 1
+    assert "corrupt" in err and "'degree'" in err and str(victim) in err

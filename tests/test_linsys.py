@@ -38,6 +38,7 @@ from fatpoints.linsys import (
     kernel_basis,
     modp_nullspace,
     modp_rref,
+    nullspace_in_field,
     parse_strategy,
     rational_nullspace,
     rref_in_field,
@@ -133,6 +134,29 @@ def test_modp_nullspace_annihilates():
         for v in modp_nullspace(A, p):
             w = np.array(v, dtype=np.int64)
             assert (A @ w % p == 0).all()
+
+
+def test_kernel_readers_agree_across_engines():
+    # Bareiss back-substitution, the RREF over Q and the RREF mod p give
+    # the same kernel up to scaling (mod p: when no pivot is lost)
+    rng = random.Random(5)
+    p = 10007
+    for _ in range(25):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 7)
+        m = rand_int_matrix(rng, nr, nc, -3, 3)
+        exact = rational_nullspace(m, nc)
+        over_q = nullspace_in_field(m, QQ, nc)
+        assert len(exact) == len(over_q)
+        for u, v in zip(exact, over_q):
+            pivot = next(x for x in u if x)
+            scale = next(x for x in v if x) / pivot
+            assert tuple(x * scale for x in u) == v
+        A = np.array([[x % p for x in r] for r in m], dtype=np.int64).reshape(nr, nc)
+        mod = modp_nullspace(A, p)
+        if len(mod) == len(over_q):
+            reduced = [tuple(x.numerator * pow(x.denominator, -1, p) % p for x in v)
+                       for v in over_q]
+            assert mod == reduced
 
 
 # ---------------------------------------------------------------------------
