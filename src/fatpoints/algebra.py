@@ -8,9 +8,10 @@ normalized coordinate triples, and polynomials are sorted term tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 
 class AlgebraError(Exception):
@@ -223,6 +224,10 @@ class ProjectivePoint:
 
     field: object
     coords: tuple
+    # memo of integer_coords; not compared, so equality and hashing ignore it
+    _integer_coords: Optional[tuple] = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __repr__(self):
         f = self.field
@@ -235,12 +240,16 @@ class ProjectivePoint:
         denominators and divided by their gcd; the last nonzero entry stays
         positive.  Over a prime field the residues are returned unchanged.
         """
-        if self.field == QQ:
-            den = math.lcm(*(c.denominator for c in self.coords))
-            ints = [int(c * den) for c in self.coords]
-            g = math.gcd(*ints)
-            return tuple(v // g for v in ints)
-        return tuple(int(c) for c in self.coords)
+        if self._integer_coords is None:
+            if self.field == QQ:
+                den = math.lcm(*(c.denominator for c in self.coords))
+                ints = [int(c * den) for c in self.coords]
+                g = math.gcd(*ints)
+                ints = tuple(v // g for v in ints)
+            else:
+                ints = tuple(int(c) for c in self.coords)
+            object.__setattr__(self, "_integer_coords", ints)
+        return self._integer_coords
 
 
 def point(field, a, b=None, c=None) -> ProjectivePoint:

@@ -52,7 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, points=True):
+    # Each command gets only the options it reads: --strategy where it reads
+    # args.strategy, --cache and --verify-cache where it calls resolve_cache.
+    def add_io(p, points=True, strategy=False, cache=False):
         if points:
             p.add_argument("--points", help="point-set JSON file")
             p.add_argument("--family", choices=FAMILIES)
@@ -68,17 +70,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mults", help="comma-separated multiplicities, or one value for all")
         p.add_argument("--kmax", type=int)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--strategy", default=None,
-                       help="exact | prime | multiprime:K")
-        p.add_argument("--cache", help="cache directory (or FATPOINTS_CACHE)")
-        p.add_argument("--verify-cache", action="store_true")
+        if strategy:
+            p.add_argument("--strategy", default=None,
+                           help="exact | prime | multiprime:K")
+        if cache:
+            p.add_argument("--cache", help="cache directory (or FATPOINTS_CACHE)")
+            p.add_argument("--verify-cache", action="store_true")
         p.add_argument("--out", help="output file (.json, .csv for tables, .svg for plots)")
         p.add_argument("--pretty", action="store_true")
 
     for name in ("generate", "alpha", "alphaseq", "dim", "kernel", "plot"):
-        add_io(sub.add_parser(name))
+        add_io(sub.add_parser(name),
+               strategy=name in ("alpha", "alphaseq", "dim", "kernel"),
+               cache=name in ("alpha", "alphaseq", "dim"))
     pc = sub.add_parser("check")
-    add_io(pc)
+    add_io(pc, strategy=True)
     pc.add_argument("--theorem", required=True, choices=sorted(IMPLICATIONS))
     pc.add_argument("--k", type=int, required=True)
     pr = sub.add_parser("repro")

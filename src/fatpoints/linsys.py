@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
 from typing import Optional
 
@@ -102,7 +103,16 @@ def expected_dim(scheme: FatPointScheme, d: int) -> int:
     return comb(d + 2, 2) - sum(comb(m + 1, 2) for m in scheme.multiplicities)
 
 
-def _check_characteristic(scheme: FatPointScheme, d: int):
+def _check_system(scheme: FatPointScheme, d: int, p: Optional[int]):
+    """Refuse a degree whose condition matrix mod ``p`` (exact when None)
+    cannot be built: d < 0, a characteristic too small for the derivative
+    rows, or a prime too large for 64-bit residue products."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    if p is not None and p >= 2**31:  # int64 products of two residues
+        raise PrimeTooLargeError(
+            f"F_{p} is too large for 64-bit residue elimination; need p < 2^31"
+        )
     # Derivative rows need p > max(d, max m).  Simple points (all m <= 1)
     # impose plain evaluation conditions, valid in every characteristic.
     fld = scheme.field
@@ -154,13 +164,7 @@ def _derivative_rows(scheme: FatPointScheme, d: int, p: Optional[int] = None):
     entries are int64 residues mod p; without one they are exact Python ints
     (object dtype).
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    _check_characteristic(scheme, d)
-    if p is not None and p >= 2**31:  # int64 products of two residues
-        raise PrimeTooLargeError(
-            f"F_{p} is too large for 64-bit residue elimination; need p < 2^31"
-        )
+    _check_system(scheme, d, p)
     dtype = object if p is None else np.int64
 
     def reduce(a):
@@ -299,7 +303,11 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
 
 
 def modp_rref(A: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (rank, pivot cols, rref)."""
+    """Reduced row echelon form mod p; returns (rank, pivot cols, rref).
+
+    Rows from the current rank down are zero left of the current column,
+    so each step updates only the columns from there on.
+    """
     A = A.copy() % p
     nr, nc = A.shape
     rank = 0
@@ -314,11 +322,13 @@ def modp_rref(A: np.ndarray, p: int):
         if r != rank:
             A[[rank, r]] = A[[r, rank]]
         inv = pow(int(A[rank, col]), -1, p)
-        A[rank] = A[rank] * inv % p
+        A[rank, col:] = A[rank, col:] * inv % p
         others = np.nonzero(A[:, col])[0]
         others = others[others != rank]
         if others.size:
-            A[others] = (A[others] - A[others, col][:, None] * A[rank][None, :]) % p
+            A[others, col:] = (
+                A[others, col:] - A[others, col][:, None] * A[rank, col:][None, :]
+            ) % p
         pivots.append(col)
         rank += 1
     return rank, pivots, A
@@ -438,6 +448,7 @@ def parse_strategy(s: str):
     raise ValueError(f"unknown strategy {s!r}")
 
 
+@lru_cache(maxsize=None)
 def strategy_primes(strategy) -> tuple:
     """The deterministic prime sequence a modular strategy will use."""
     if isinstance(strategy, SinglePrime):
@@ -688,7 +699,7 @@ class AlphaValue:
     value: int
     existence: Optional[str]  # "expected_dim" | "kernel" | None
     certification: str
-    reports: tuple  # (degree, LinearSystemReport) pairs seen by the search
+    reports: tuple  # (degree, LinearSystemReport or decision label) per try
 
     @property
     def fully_certified(self) -> bool:
@@ -705,15 +716,42 @@ def alpha_search(
     cache=None,
 ) -> AlphaValue:
     """Alpha with its certificate and the degrees tried, climbing from
-    ``start`` when that exceeds max(max m, 1)."""
+    ``start`` when that exceeds max(max m, 1).
+
+    Each degree asks only whether it is nonempty, with the cheapest
+    certificate the certification model accepts.  A positive dimension
+    count proves existence with no matrix and no cache lookup.  Without a
+    cache, a rational scheme under a modular strategy is eliminated modulo
+    its first prime, and full column rank proves the degree empty.  Every
+    other degree gets a full ``system_dim`` report.  ``reports`` holds one
+    ``(d, entry)`` pair per degree tried, in order, plus the exact recheck
+    of a certified search; ``entry`` is the report, or the label
+    ``"expected_dim"`` or ``"full_rank_mod_p"`` of a degree decided
+    without one.  Refuses what ``system_dim`` refuses.
+    """
     if scheme.max_multiplicity == 0:
         raise ValueError("alpha needs at least one positive multiplicity")
     d = max(scheme.max_multiplicity, 1)
     if start is not None:
         d = max(d, start)
     bound = scheme.total_multiplicity
+    rational = scheme.field == QQ
+    first_prime = None
+    if rational and cache is None and isinstance(strategy, (SinglePrime, MultiPrime)):
+        first_prime = strategy_primes(strategy)[0]
     trail = []
-    while True:
+    for d in range(d, max(d, bound) + 1):
+        _check_system(scheme, d, None if rational else scheme.field.p)
+        if expected_dim(scheme, d) > 0:
+            # the label system_dim gives when no prime split escalates
+            label = strategy.label() if rational else "SINGLE_PRIME"
+            trail.append((d, "expected_dim"))
+            return AlphaValue(d, "expected_dim", label, tuple(trail))
+        if first_prime is not None:
+            A = condition_matrix_mod_p(scheme, d, first_prime)
+            if modp_rref(A, first_prime)[0] == A.shape[1]:
+                trail.append((d, "full_rank_mod_p"))
+                continue
         report = system_dim(scheme, d, strategy=strategy, cache=cache)
         trail.append((d, report))
         if report.actual_dim >= 1:
@@ -729,12 +767,10 @@ def alpha_search(
             else:
                 return AlphaValue(d, report.existence_certified,
                                   report.certification, tuple(trail))
-        d += 1
-        if d > bound:
-            raise CertificationError(
-                "alpha search exceeded the product-of-lines bound; "
-                "this indicates an elimination bug"
-            )
+    raise CertificationError(
+        "alpha search exceeded the product-of-lines bound; "
+        "this indicates an elimination bug"
+    )
 
 
 def alpha(

@@ -88,6 +88,29 @@ def test_check_honours_strategy(capsys):
     assert json.loads(out)["certification"] == "EXACT_RATIONAL"
 
 
+def refused(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_check_refuses_cache(tmp_path, capsys):
+    # check never reads a cache, so it does not accept one
+    cache = tmp_path / "cache"
+    code, err = refused(capsys, "check", "--theorem", "minimal-gap", "--k", "3",
+                        "--family", "collinear", "--r", "4", "--cache", str(cache))
+    assert code != 0 and "--cache" in err
+    assert not cache.exists()
+
+
+def test_search_refuses_strategy_and_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    code, err = refused(capsys, "search", "--trials", "2", "--strategy", "exact",
+                        "--cache", str(cache))
+    assert code != 0 and "--strategy" in err and "--cache" in err
+    assert not cache.exists()
+
+
 def test_repro_single_row(capsys):
     code, out, _ = run(capsys, "repro", "--id", "ex-type9")
     assert code == 0

@@ -104,6 +104,20 @@ def test_rational_nullspace_annihilates():
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def rand_modp_matrices(rng, q):
+    """All-zero, dense, sparse and rank-2 int64 residue matrices, tall,
+    wide and square."""
+    for nr, nc in ((9, 4), (4, 9), (6, 6), (1, 5), (5, 1)):
+        yield np.zeros((nr, nc), dtype=np.int64)
+        dense = [[rng.randrange(q) for _ in range(nc)] for _ in range(nr)]
+        yield np.array(dense, dtype=np.int64)
+        sparse = [[x if rng.random() < 0.3 else 0 for x in r] for r in dense]
+        yield np.array(sparse, dtype=np.int64)
+        low = [[sum(rng.randrange(q) * b[j] for b in dense[:2]) % q
+                for j in range(nc)] for _ in range(nr)]
+        yield np.array(low, dtype=np.int64)
+
+
 def test_modp_rank_matches_exact_on_generic_input():
     rng = random.Random(7)
     p = 2**31 - 1
@@ -113,6 +127,12 @@ def test_modp_rank_matches_exact_on_generic_input():
         A = np.array([[x % p for x in r] for r in m], dtype=np.int64)
         rank, _, _ = modp_rref(A, p)
         assert rank == fraction_rank(m)
+    # the whole RREF is the generic field RREF over F_q
+    for q in (7, 10007, p):
+        F = prime_field(q)
+        for A in rand_modp_matrices(rng, q):
+            rank, pivots, R = modp_rref(A, q)
+            assert (rank, pivots, R.tolist()) == rref_in_field(A.tolist(), F)
 
 
 def test_modp_rank_is_only_a_lower_bound():
@@ -226,6 +246,17 @@ def test_characteristic_guard():
         build_condition_matrix(FatPointScheme((P,), (2,)), 3)
     # simple points are fine at any characteristic
     build_condition_matrix(FatPointScheme((P,), (1,)), 3)
+
+
+def test_alpha_search_refuses_what_system_dim_refuses():
+    # the first degree has a positive dimension count, so only the shared
+    # refusal checks stop a decided search
+    P = point(prime_field(2305843009213693951), 0, 0, 1)
+    with pytest.raises(linsys.PrimeTooLargeError):
+        linsys.alpha_search(FatPointScheme.uniform([P], 1))
+    Q = point(prime_field(5), 0, 0, 1)
+    with pytest.raises(CharacteristicTooSmallError):
+        linsys.alpha_search(FatPointScheme.uniform([Q], 5))
 
 
 def test_modular_matrix_matches_exact_reduction():

@@ -1,0 +1,116 @@
+"""Property tests: decided alpha searches against independent oracles.
+
+* the decision path of ``alpha_search`` against a climb over full
+  ``system_dim`` reports with the same strategy, with and without a cache;
+* alpha is invariant under point permutations and under invertible integer
+  linear transforms of the points;
+* alpha sequences satisfy the Chudnovsky bound alpha(kZ) >= k (alpha(Z) + 1) / 2.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from fatpoints.algebra import QQ, point  # noqa: E402
+from fatpoints.cache import ResultCache  # noqa: E402
+from fatpoints.linsys import (  # noqa: E402
+    ExactRational,
+    FatPointScheme,
+    MultiPrime,
+    SinglePrime,
+    alpha_search,
+    alpha_sequence,
+    system_dim,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+coordinate = st.integers(-30, 30)
+
+
+@st.composite
+def point_sets(draw, max_points=7):
+    """Distinct rational points of height at most 30."""
+    triples = draw(st.lists(st.tuples(coordinate, coordinate, coordinate)
+                            .filter(any), min_size=1, max_size=max_points))
+    return tuple(dict.fromkeys(point(QQ, *t) for t in triples))
+
+
+@st.composite
+def schemes(draw):
+    pts = draw(point_sets())
+    mults = draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
+                 .filter(any))
+    return FatPointScheme(pts, tuple(mults))
+
+
+search_strategies = st.sampled_from([MultiPrime(2), SinglePrime(), ExactRational()])
+
+
+def climb(scheme, strategy, certify, cache):
+    """alpha_search as it stood before the decision path: a full report
+    at every degree."""
+    d = max(scheme.max_multiplicity, 1)
+    while True:
+        report = system_dim(scheme, d, strategy=strategy, cache=cache)
+        if report.actual_dim >= 1:
+            if report.existence_certified is None and certify:
+                exact = system_dim(scheme, d, strategy=ExactRational(),
+                                   want_kernel=True, cache=cache)
+                if exact.actual_dim >= 1:
+                    return d, exact.existence_certified, exact.certification
+            else:
+                return d, report.existence_certified, report.certification
+        d += 1
+
+
+@pytest.fixture(scope="module")
+def cache_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cache")
+
+
+@SETTINGS
+@given(scheme=schemes(), strategy=search_strategies, certify=st.booleans())
+def test_decided_alpha_matches_the_report_climb(cache_dir, scheme, strategy, certify):
+    want = climb(scheme, strategy, certify, None)
+    for cache in (None, ResultCache(cache_dir)):
+        av = alpha_search(scheme, strategy, certify, cache=cache)
+        assert (av.value, av.existence, av.certification) == want
+        assert av.reports[-1][0] == av.value
+
+
+def transformed(points, matrix):
+    return tuple(
+        point(QQ, *(sum(a * c for a, c in zip(row, P.integer_coords())) for row in matrix))
+        for P in points
+    )
+
+
+def determinant(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+invertible = (st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                       min_size=3, max_size=3).filter(determinant))
+
+
+@SETTINGS
+@given(scheme=schemes(), matrix=invertible, data=st.data())
+def test_alpha_is_projectively_invariant(scheme, matrix, data):
+    want = alpha_search(scheme, certify_existence=True).value
+    order = data.draw(st.permutations(range(len(scheme.points))))
+    permuted = FatPointScheme(tuple(scheme.points[i] for i in order),
+                              tuple(scheme.multiplicities[i] for i in order))
+    assert alpha_search(permuted, certify_existence=True).value == want
+    moved = FatPointScheme(transformed(scheme.points, matrix), scheme.multiplicities)
+    assert alpha_search(moved, certify_existence=True).value == want
+
+
+@SETTINGS
+@given(points=point_sets(), k_max=st.integers(2, 4))
+def test_alpha_sequence_meets_the_chudnovsky_bound(points, k_max):
+    alphas = alpha_sequence(points, k_max, certify_existence=True).alphas
+    for k, a in enumerate(alphas, start=1):
+        assert 2 * a >= k * (alphas[0] + 1)
