@@ -100,11 +100,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero in QQ")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return Fraction(a) / b
-
     def format(self, a) -> str:
         return str(Fraction(a))
 
@@ -172,9 +167,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)
@@ -271,6 +263,12 @@ def point(field, a, b=None, c=None) -> ProjectivePoint:
     return ProjectivePoint(field, tuple(field.mul(x, inv) for x in coords))
 
 
+def reduce_points(points, field) -> tuple:
+    """The points reduced into a prime field through their primitive integer
+    representatives, so every rational point has an image."""
+    return tuple(point(field, P.integer_coords()) for P in points)
+
+
 # ---------------------------------------------------------------------------
 # homogeneous polynomials in x, y, z
 
@@ -310,26 +308,6 @@ class HomoPoly:
             if m == mono:
                 return c
         return self.field.zero
-
-    def coeff_vector(self) -> list:
-        """Coefficients against ``monomial_basis(degree)``, zeros included."""
-        lookup = dict(self.terms)
-        z = self.field.zero
-        return [lookup.get(m, z) for m in monomial_basis(self.degree)]
-
-    def __add__(self, other):
-        check_same_field(self.field, other.field)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        acc = dict(self.terms)
-        f = self.field
-        for m, c in other.terms:
-            acc[m] = f.add(acc.get(m, f.zero), c)
-        return poly(self.field, self.degree, acc)
 
     def __mul__(self, other):
         check_same_field(self.field, other.field)
@@ -388,17 +366,13 @@ def poly(field, degree: int, coeffs: dict) -> HomoPoly:
     return HomoPoly(field, degree, terms)
 
 
-def zero_poly(field, degree: int) -> HomoPoly:
-    return HomoPoly(field, degree, ())
-
-
 def linear_form(field, coeffs) -> HomoPoly:
     a, b, c = coeffs
     return poly(field, 1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
 
 
 def poly_from_vector(field, degree: int, vector) -> HomoPoly:
-    """Inverse of ``coeff_vector``: a form from coefficients in basis order."""
+    """A form from its coefficients against ``monomial_basis(degree)``."""
     mons = monomial_basis(degree)
     if len(vector) != len(mons):
         raise ValueError("coefficient vector has wrong length")

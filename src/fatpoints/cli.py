@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .algebra import AlgebraError, QQ, field_from_string
+from .algebra import AlgebraError, QQ, field_from_string, reduce_points
 from .cache import CacheVerificationError
 from .analysis import (
     IMPLICATIONS,
@@ -55,6 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command gets only the options it reads: --strategy where it reads
     # args.strategy, --cache and --verify-cache where it calls resolve_cache.
     def add_io(p, points=True, strategy=False, cache=False):
+        # main refuses an option the command does not take through this parser
+        p.set_defaults(command_parser=p)
         if points:
             p.add_argument("--points", help="point-set JSON file")
             p.add_argument("--family", choices=FAMILIES)
@@ -116,14 +118,7 @@ def _convert_field(points, args):
             f"cannot move points from {have!r} to {want!r}; prime-field "
             "configurations stay in their field"
         )
-    from .algebra import point as make_point
-
-    try:
-        return tuple(
-            make_point(want, *(want.of(c) for c in P.coords)) for P in points
-        )
-    except Exception as exc:
-        raise UsageError(f"reduction mod {want.p} failed: {exc}")
+    return reduce_points(points, want)
 
 
 def resolve_points(args, command=""):
@@ -176,6 +171,13 @@ def resolve_cache(args):
     return ResultCache(root, verify=args.verify_cache)
 
 
+def search_options(args) -> dict:
+    """Certify existence exactly unless ``--strategy`` names the strategy."""
+    if args.strategy:
+        return {"strategy": parse_strategy(args.strategy), "certify_existence": False}
+    return {"certify_existence": True}
+
+
 def emit(args, payload: dict, pretty_text: str = "") -> None:
     if args.out and args.out.endswith(".csv") and "csv" in payload:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -202,13 +204,7 @@ def cmd_alpha(args) -> int:
     pts = resolve_points(args)
     mults = resolve_mults(args, len(pts))
     scheme = FatPointScheme(pts, mults)
-    strategy = parse_strategy(args.strategy) if args.strategy else None
-    cache = resolve_cache(args)
-    kwargs = {"certify_existence": True, "cache": cache}
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-        kwargs["certify_existence"] = False
-    av = alpha_search(scheme, **kwargs)
+    av = alpha_search(scheme, **search_options(args), cache=resolve_cache(args))
     warnings = []
     if not av.fully_certified:
         warnings.append("existence side certified only modulo primes")
@@ -229,13 +225,8 @@ def cmd_alphaseq(args) -> int:
     if not args.kmax or args.kmax < 1:
         raise UsageError("--kmax >= 1 is required")
     pts = resolve_points(args)
-    strategy = parse_strategy(args.strategy) if args.strategy else None
-    cache = resolve_cache(args)
-    kwargs = {"certify_existence": True, "seed": args.seed, "cache": cache}
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-        kwargs["certify_existence"] = False
-    rep = alpha_sequence(pts, args.kmax, **kwargs)
+    rep = alpha_sequence(pts, args.kmax, **search_options(args), seed=args.seed,
+                         cache=resolve_cache(args))
     payload = rep.to_json_dict()
     payload["csv"] = rep.to_csv()
     warnings = [
@@ -384,8 +375,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return COMMANDS[args.command](args)
     except (UsageError, ValueError, KeyError, OSError, AlgebraError,

@@ -32,18 +32,29 @@ from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
 
 DEFAULT_HEIGHT = 10**4
 
-FAMILIES = (
-    "collinear",
-    "on_conic",
-    "general",
-    "star",
-    "star_minus_one",
-    "dual_hesse",
-    "type9",
-    "nagata16",
-    "nodal_curve_nodes",
-    "two_nodal_union",
-)
+
+def _found(result, what):
+    if result is None:
+        raise RuntimeError(f"{what} generation failed; try another seed")
+    return result
+
+
+# family -> its generator on a ConfigSpec, in the order ``--family`` lists them
+_GENERATORS = {
+    "collinear": lambda s: collinear(s.r),
+    "on_conic": lambda s: on_conic(s.r),
+    "general": lambda s: general(s.r, s.seed or 0, height=s.height or DEFAULT_HEIGHT),
+    "star": lambda s: star(s.p, s.seed or 0)[0],
+    "star_minus_one": lambda s: star_minus_one(s.d, s.seed or 0),
+    "dual_hesse": lambda s: dual_hesse(s.prime),
+    "type9": lambda s: type9(s.seed),
+    "nagata16": lambda s: general(16, s.seed or 0, height=s.height or DEFAULT_HEIGHT),
+    "nodal_curve_nodes": lambda s: _found(
+        rational_nodal_nodes(s.d, s.prime, s.seed or 0), "nodal")[1],
+    "two_nodal_union": lambda s: _found(
+        two_nodal_union(s.d1, s.d2, s.prime, s.seed or 0), "two-nodal"),
+}
+FAMILIES = tuple(_GENERATORS)
 
 
 @dataclass(frozen=True)
@@ -79,34 +90,7 @@ class ConfigSpec:
 
 def generate(spec: ConfigSpec):
     """Dispatch a ConfigSpec to its generator; returns the point tuple."""
-    fam = spec.family
-    if fam == "collinear":
-        return collinear(spec.r)
-    if fam == "on_conic":
-        return on_conic(spec.r)
-    if fam == "general":
-        return general(spec.r, spec.seed or 0, height=spec.height or DEFAULT_HEIGHT)
-    if fam == "star":
-        return star(spec.p, spec.seed or 0)[0]
-    if fam == "star_minus_one":
-        return star_minus_one(spec.d, spec.seed or 0)
-    if fam == "dual_hesse":
-        return dual_hesse(spec.prime)
-    if fam == "type9":
-        return type9(spec.seed)
-    if fam == "nagata16":
-        return general(16, spec.seed or 0, height=spec.height or DEFAULT_HEIGHT)
-    if fam == "nodal_curve_nodes":
-        result = rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0)
-        if result is None:
-            raise RuntimeError("nodal generation failed; try another seed")
-        return result[1]
-    if fam == "two_nodal_union":
-        result = two_nodal_union(spec.d1, spec.d2, spec.prime, spec.seed or 0)
-        if result is None:
-            raise RuntimeError("two-nodal generation failed; try another seed")
-        return result
-    raise ValueError(f"unknown family {fam!r}")
+    return _GENERATORS[spec.family](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +123,12 @@ def _no_three_collinear(pts) -> bool:
     return True
 
 
-def general(r: int, seed: int, height: int = DEFAULT_HEIGHT,
-            ensure_general_position: bool = True):
+def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
     """Seeded random rational points with integer coordinates in [-H, H].
 
-    Points are redrawn until pairwise distinct and, when requested, until
-    no three are collinear.  Genericity beyond that is certified downstream
-    by the exact rank computations themselves.
+    Points are redrawn until pairwise distinct with no three collinear.
+    Genericity beyond that is certified downstream by the exact rank
+    computations themselves.
     """
     if r < 1:
         raise ValueError("need r >= 1")
@@ -158,11 +141,8 @@ def general(r: int, seed: int, height: int = DEFAULT_HEIGHT,
             raise RuntimeError("rejection sampling failed; widen the height")
         c = (rng.randint(-height, height), rng.randint(-height, height), 1)
         q = point(QQ, *c)
-        if q in pts:
+        if q in pts or not _no_three_collinear(pts + [q]):
             continue
-        if ensure_general_position and len(pts) >= 2:
-            if not _no_three_collinear(pts + [q]):
-                continue
         pts.append(q)
     return tuple(pts)
 

@@ -129,19 +129,9 @@ def common_conic(points) -> Optional[HomoPoly]:
     if not points:
         raise ValueError("need at least one point")
     fld = points[0].field
-    mons = monomial_basis(2)
-    rows = []
-    for P in points:
-        x, y, z = P.coords
-        coords = {0: x, 1: y, 2: z}
-        row = []
-        for (a, b, c) in mons:
-            v = fld.one
-            for axis, e in ((0, a), (1, b), (2, c)):
-                for _ in range(e):
-                    v = fld.mul(v, coords[axis])
-            row.append(v)
-        rows.append(row)
+    # integer representatives only rescale rows, which leaves the RREF alone
+    rows = [[x**a * y**b * z**c for a, b, c in monomial_basis(2)]
+            for x, y, z in (P.integer_coords() for P in points)]
     basis = nullspace_in_field(rows, fld, 6)
     if not basis:
         return None
@@ -289,24 +279,12 @@ def is_type9(points) -> bool:
     rich = by_count.get(3, [])
     if len(rich) != 3:
         return False
-    (L1, i1), (L2, i2), (L3, i3) = rich
-    try:
-        vertices = {L1.intersect(L2), L2.intersect(L3), L1.intersect(L3)}
-    except ValueError:
-        return False
-    if len(vertices) != 3 or not vertices.issubset(set(points)):
-        return False
-    rest = [P for P in points if P not in vertices]
-    if len(rest) != 3:
-        return False
-    for P in rest:
-        if sum(1 for L in (L1, L2, L3) if L.contains(P)) != 1:
-            return False
-    # one extra point per line
-    for L in (L1, L2, L3):
-        if sum(1 for P in rest if L.contains(P)) != 1:
-            return False
-    return True
+    L1, L2, L3 = (L for L, _ in rich)
+    vertices = {L1.intersect(L2), L2.intersect(L3), L1.intersect(L3)}
+    # Each rich line then holds two vertices and exactly one other point,
+    # and no other point lies on two of them (they would meet there, so it
+    # would be a vertex): the three leftovers sit one per line.
+    return len(vertices) == 3 and vertices.issubset(points)
 
 
 # ---------------------------------------------------------------------------

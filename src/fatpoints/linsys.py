@@ -26,11 +26,13 @@ from .algebra import (
     AlgebraError,
     CharacteristicTooSmallError,
     HomoPoly,
+    PrimeField,
     check_same_field,
     monomial_basis,
     order_of_vanishing,
     poly_from_vector,
     random_prime_31,
+    reduce_points,
 )
 
 
@@ -474,11 +476,10 @@ class LinearSystemReport:
     """Outcome of one (scheme, degree) dimension computation.
 
     ``actual_dim`` is the vector-space dimension of the degree-d part of
-    the ideal.  ``emptiness_certified`` is true whenever ``actual_dim`` is 0:
-    a full column rank modulo any prime already bounds the exact rank from
-    below.  ``existence_certified`` names the certificate for a nonzero
-    dimension ("expected_dim", "kernel") or is None if only modular
-    evidence exists.
+    the ideal.  An ``actual_dim`` of 0 is always certified: full rank mod p
+    bounds the exact rank from below.  ``existence_certified`` names the
+    certificate for a nonzero dimension ("expected_dim", "kernel") or is
+    None if only modular evidence exists.
     """
 
     degree: int
@@ -492,10 +493,6 @@ class LinearSystemReport:
     primes: tuple = ()
     kernel: Optional[tuple] = None
     existence_certified: Optional[str] = None
-
-    @property
-    def emptiness_certified(self) -> bool:
-        return self.actual_dim == 0
 
     def to_json_dict(self) -> dict:
         d = {
@@ -620,16 +617,19 @@ def _exact_report(scheme, d, want_kernel):
                    "kernel" if want_kernel else "rank")
 
 
-def _modular_report(scheme, d, strategy):
+def _modular_report(scheme, d, strategy, first=None):
+    """The report of a modular strategy; ``first`` is the (rank, nrows)
+    already found modulo the strategy's first prime, if any."""
     primes = strategy_primes(strategy)
-    ranks = set()
-    for p in primes:
-        A = condition_matrix_mod_p(scheme, d, p)
-        ranks.add(modp_rref(A, p)[0])
-    if len(ranks) > 1:
-        # primes disagree: escalate to the exact computation
-        return _exact_report(scheme, d, want_kernel=False)
-    return _report(scheme, d, ranks.pop(), len(A), strategy.label(), primes)
+    if first is None:
+        A = condition_matrix_mod_p(scheme, d, primes[0])
+        first = (modp_rref(A, primes[0])[0], len(A))
+    rank, nrows = first
+    for p in primes[1:]:
+        if modp_rref(condition_matrix_mod_p(scheme, d, p), p)[0] != rank:
+            # primes disagree: escalate to the exact computation
+            return _exact_report(scheme, d, want_kernel=False)
+    return _report(scheme, d, rank, nrows, strategy.label(), primes)
 
 
 def system_dim(
@@ -667,19 +667,10 @@ def kernel_basis(scheme: FatPointScheme, d: int, strategy=ExactRational()):
     polynomials live over it.
     """
     if scheme.field == QQ and isinstance(strategy, SinglePrime):
-        from .algebra import PrimeField, point as make_point
-
-        p = strategy_primes(strategy)[0]
-        fld = PrimeField(p)
-        reduced = FatPointScheme(
-            tuple(
-                make_point(fld, *(c % p for c in P.integer_coords()))
-                for P in scheme.points
-            ),
-            scheme.multiplicities,
-        )
-        report = system_dim(reduced, d, want_kernel=True)
-        return list(report.kernel)
+        fld = PrimeField(strategy_primes(strategy)[0])
+        reduced = FatPointScheme(reduce_points(scheme.points, fld),
+                                 scheme.multiplicities)
+        return list(system_dim(reduced, d, want_kernel=True).kernel)
     if scheme.field == QQ and not isinstance(strategy, ExactRational):
         raise ValueError(
             "kernel bases over rational schemes need the exact strategy "
@@ -722,12 +713,13 @@ def alpha_search(
     certificate the certification model accepts.  A positive dimension
     count proves existence with no matrix and no cache lookup.  Without a
     cache, a rational scheme under a modular strategy is eliminated modulo
-    its first prime, and full column rank proves the degree empty.  Every
-    other degree gets a full ``system_dim`` report.  ``reports`` holds one
-    ``(d, entry)`` pair per degree tried, in order, plus the exact recheck
-    of a certified search; ``entry`` is the report, or the label
-    ``"expected_dim"`` or ``"full_rank_mod_p"`` of a degree decided
-    without one.  Refuses what ``system_dim`` refuses.
+    its first prime, and full column rank proves the degree empty; short of
+    that, the remaining primes complete from that elimination the report
+    ``system_dim`` would give.  Every other degree gets a full ``system_dim``
+    report.  ``reports`` holds one ``(d, entry)`` pair per degree tried, in
+    order, plus the exact recheck of a certified search; ``entry`` is the
+    report, or the label ``"expected_dim"`` or ``"full_rank_mod_p"`` of a
+    degree decided without one.  Refuses what ``system_dim`` refuses.
     """
     if scheme.max_multiplicity == 0:
         raise ValueError("alpha needs at least one positive multiplicity")
@@ -749,10 +741,13 @@ def alpha_search(
             return AlphaValue(d, "expected_dim", label, tuple(trail))
         if first_prime is not None:
             A = condition_matrix_mod_p(scheme, d, first_prime)
-            if modp_rref(A, first_prime)[0] == A.shape[1]:
+            rank = modp_rref(A, first_prime)[0]
+            if rank == A.shape[1]:
                 trail.append((d, "full_rank_mod_p"))
                 continue
-        report = system_dim(scheme, d, strategy=strategy, cache=cache)
+            report = _modular_report(scheme, d, strategy, (rank, len(A)))
+        else:
+            report = system_dim(scheme, d, strategy=strategy, cache=cache)
         trail.append((d, report))
         if report.actual_dim >= 1:
             if report.existence_certified is None and certify_existence:
@@ -781,17 +776,6 @@ def alpha(
 ) -> int:
     """Least degree with a nonzero form in the fat-point ideal."""
     return alpha_search(scheme, strategy, certify_existence, cache=cache).value
-
-
-def alpha_certified(scheme: FatPointScheme, cache=None) -> AlphaValue:
-    """Alpha with an exact certificate on the existence side.
-
-    Degrees below the result are certified empty by full modular column
-    rank; the result degree is certified nonzero either by a positive
-    dimension count or by an exact kernel that passes the multiplicity
-    post-check.
-    """
-    return alpha_search(scheme, DEFAULT_SEARCH_STRATEGY, True, cache=cache)
 
 
 def alpha_sequence(

@@ -25,7 +25,6 @@ from fatpoints.algebra import (
     poly,
     prime_field,
     recentered_at,
-    zero_poly,
 )
 
 
@@ -215,7 +214,7 @@ def test_order_point_off_curve():
 
 
 def test_order_zero_poly_is_infinite():
-    assert order_of_vanishing(zero_poly(QQ, 4), point(QQ, 1, 2, 3)) == math.inf
+    assert order_of_vanishing(poly(QQ, 4, {}), point(QQ, 1, 2, 3)) == math.inf
 
 
 def test_recentered_moves_point_to_origin_chart():

@@ -100,6 +100,7 @@ def test_check_refuses_cache(tmp_path, capsys):
     code, err = refused(capsys, "check", "--theorem", "minimal-gap", "--k", "3",
                         "--family", "collinear", "--r", "4", "--cache", str(cache))
     assert code != 0 and "--cache" in err
+    assert "usage: fatpoints check" in err and "fatpoints check: error" in err
     assert not cache.exists()
 
 
@@ -200,6 +201,16 @@ def test_field_reduction_flag(capsys):
         data = json.loads(out)
         assert data["alphas"] == [2, 4, 6, 8]
         assert all(e["certification"] == "SINGLE_PRIME" for e in data["entries"])
+
+
+def test_field_reduction_uses_integer_representatives(tmp_path, capsys):
+    # (1/3 : 1 : 1) = (1 : 3 : 3), which is (1 : 0 : 0) mod 3
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"schema": "fatpoints/1", "kind": "points",
+                               "field": "rational", "points": [["1/3", "1", "1"]]}))
+    code, out, _ = run(capsys, "generate", "--points", str(pts), "--field", "prime:3")
+    assert code == 0
+    assert json.loads(out)["points"] == [["1", "0", "0"]]
 
 
 def test_field_prime_too_large_is_refused(capsys):

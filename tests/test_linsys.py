@@ -28,7 +28,6 @@ from fatpoints.linsys import (
     MultiPrime,
     SinglePrime,
     alpha,
-    alpha_certified,
     alpha_diff,
     alpha_sequence,
     bareiss_echelon,
@@ -537,13 +536,30 @@ def test_single_prime_full_rank_matches_exact():
 
 
 def test_certified_alpha_reports_certificates():
-    av = alpha_certified(FatPointScheme.uniform(conic_points(6), 2))
+    av = linsys.alpha_search(FatPointScheme.uniform(conic_points(6), 2),
+                             certify_existence=True)
     assert av.value == 4
     assert av.existence == "kernel"
     assert av.fully_certified
 
-    av2 = alpha_certified(FatPointScheme.uniform(TRIANGLE, 1))
+    av2 = linsys.alpha_search(FatPointScheme.uniform(TRIANGLE, 1),
+                              certify_existence=True)
     assert av2.value == 2 and av2.existence == "expected_dim"
+
+
+def test_prime_split_escalates_to_exact(monkeypatch):
+    # five points on y = 0 and (0 : 7 : 1), which is (0 : 0 : 1) mod 7: mod 7
+    # all six are collinear and the conic conditions lose a rank
+    pts = tuple(point(QQ, x, 0, 1) for x in range(5)) + (point(QQ, 0, 7, 1),)
+    scheme = FatPointScheme.uniform(pts, 1)
+    assert modp_rref(condition_matrix_mod_p(scheme, 2, 7), 7)[0] == 3
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: (2**31 - 1, 7))
+    rep = system_dim(scheme, 2, MultiPrime(2))
+    assert rep.certification == "EXACT_RATIONAL" and rep.primes == ()
+    assert rep.rank == system_dim(scheme, 2, ExactRational()).rank == 4
+    av = linsys.alpha_search(scheme, MultiPrime(2))
+    assert av.certification == "EXACT_RATIONAL"
+    assert av.value == linsys.alpha_search(scheme, ExactRational()).value == 2
 
 
 def test_report_certification_labels():
