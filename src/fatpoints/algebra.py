@@ -27,7 +27,7 @@ class CharacteristicTooSmallError(AlgebraError):
 
 
 class ReductionError(AlgebraError):
-    """A rational value has no image in the requested prime field."""
+    """A value has no image in the requested prime field, or two points merge."""
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,17 @@ def point(field, a, b=None, c=None) -> ProjectivePoint:
 
 def reduce_points(points, field) -> tuple:
     """The points reduced into a prime field through their primitive integer
-    representatives, so every rational point has an image."""
-    return tuple(point(field, P.integer_coords()) for P in points)
+    representatives, so every rational point has an image.  A reduction
+    that merges two points is refused with ReductionError."""
+    images = {}
+    for P in points:
+        R = point(field, P.integer_coords())
+        if R in images:
+            raise ReductionError(
+                f"reduction mod {field.p} merges {images[R]!r} and {P!r} into {R!r}"
+            )
+        images[R] = P
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------

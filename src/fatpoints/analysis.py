@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-from .algebra import QQ, HomoPoly, order_of_vanishing
+from .algebra import QQ, HomoPoly, order_of_vanishing, point
 from .configs import (
     ConfigSpec,
     dual_hesse_lines,
@@ -53,6 +53,7 @@ from .linsys import (
     parse_strategy,
     system_dim,
 )
+from .serialize import record
 
 CONSISTENT = "CONSISTENT"
 VACUOUS = "CONSISTENT_VACUOUS"
@@ -74,17 +75,7 @@ class TheoremVerdict:
     context: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "fatpoints/1",
-            "kind": "theorem_verdict",
-            "theorem": self.theorem,
-            "hypothesis_holds": self.hypothesis_holds,
-            "conclusion_holds": self.conclusion_holds,
-            "status": self.status,
-            "certification": self.certification,
-            "witness": self.witness,
-            "context": self.context,
-        }
+        return record("theorem_verdict", self)
 
 
 def _alphas_for(points, k_max, strategy, alphas):
@@ -282,17 +273,11 @@ class SearchReport:
     inconsistent: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "fatpoints/1",
-            "kind": "search_report",
-            "difference": self.difference,
-            "trials": self.trials,
-            "seed": self.seed,
-            "r_range": list(self.r_range),
-            "k": self.k,
-            "hypothesis_true": [dict(h) for h in self.hypothesis_true],
-            "inconsistent": [dict(h) for h in self.inconsistent],
-        }
+        return record("search_report", self)
+
+
+# coordinate height of the random rational configurations searched
+SEARCH_HEIGHT = 999
 
 
 def _random_prime_field_points(field, r, rng):
@@ -302,8 +287,6 @@ def _random_prime_field_points(field, r, rng):
         guard += 1
         if guard > 5000:
             raise RuntimeError("could not sample distinct prime-field points")
-        from .algebra import point
-
         q = point(field, rng.randrange(field.p), rng.randrange(field.p), 1)
         if q not in pts:
             pts.append(q)
@@ -316,7 +299,6 @@ def conjecture_search(
     k: int = 5,
     seed: int = 0,
     difference: int = 2,
-    height: int = 999,
     field=QQ,
 ) -> SearchReport:
     """Test random configurations for four consecutive steps of a fixed size.
@@ -335,13 +317,16 @@ def conjecture_search(
         raise ValueError("need at least one trial")
     if difference not in (2, 3):
         raise ValueError("difference must be 2 or 3")
+    if field != QQ and r_range[1] > field.p ** 2:
+        raise ValueError(f"F_{field.p} has only {field.p ** 2} affine points; "
+                         f"need r <= {field.p ** 2}")
     rng = random.Random(f"fatpoints.search:{seed}")
     hits = []
     bad = []
     for t in range(trials):
         r = rng.randint(*r_range)
         if field == QQ:
-            pts = general(r, seed=rng.randrange(2**30), height=height)
+            pts = general(r, seed=rng.randrange(2**30), height=SEARCH_HEIGHT)
         else:
             pts = _random_prime_field_points(field, r, rng)
         # trials scan modulo two primes; candidates are escalated below
@@ -349,7 +334,7 @@ def conjecture_search(
         tail = rep.diffs[k - 5:]
         if not all(x == difference for x in tail):
             continue
-        record = {
+        hit = {
             "trial": t,
             "r": r,
             "alphas": list(rep.alphas),
@@ -358,19 +343,19 @@ def conjecture_search(
         }
         if difference == 2:
             ok = common_conic(pts) is not None
-            record["conic"] = ok
+            hit["conic"] = ok
         else:
             ok = rep.alphas[0] == 3
-            record["alpha1_is_3"] = ok
+            hit["alpha1_is_3"] = ok
         if not ok:
             exact, certified = _certified_alphas(pts, k)
             tail_exact = tuple(b - a for a, b in zip(exact, exact[1:]))[k - 5:]
-            record["alphas"] = list(exact)
-            record["certification"] = "EXACT_RATIONAL" if certified else "MIXED"
+            hit["alphas"] = list(exact)
+            hit["certification"] = "EXACT_RATIONAL" if certified else "MIXED"
             if not all(x == difference for x in tail_exact):
                 continue
-            bad.append(record)
-        hits.append(record)
+            bad.append(hit)
+        hits.append(hit)
     return SearchReport(
         difference, trials, seed, tuple(r_range), k, tuple(hits), tuple(bad)
     )
@@ -406,7 +391,7 @@ class ReproCell:
 
 @dataclass(frozen=True)
 class ReproReport:
-    example_id: str
+    id: str
     title: str
     config: dict
     cells: tuple
@@ -416,18 +401,11 @@ class ReproReport:
         return all(c.passed for c in self.cells)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "fatpoints/1",
-            "kind": "repro_report",
-            "id": self.example_id,
-            "title": self.title,
-            "config": self.config,
-            "cells": [c.to_json_dict() for c in self.cells],
-            "pass": self.passed,
-        }
+        return record("repro_report", self, cells=[c.to_json_dict() for c in self.cells],
+                      **{"pass": self.passed})
 
     def table(self) -> str:
-        rows = [f"{self.example_id}: {self.title}"]
+        rows = [f"{self.id}: {self.title}"]
         for c in self.cells:
             flag = "PASS" if c.passed else "FAIL"
             rows.append(

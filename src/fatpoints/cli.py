@@ -23,7 +23,7 @@ from .analysis import (
     repro_all,
 )
 from .cache import ResultCache
-from .configs import FAMILIES, ConfigSpec, generate
+from .configs import FAMILIES, ConfigSpec, generate, star
 from .geometry import detect_line_arrangement, is_star_configuration, spanned_lines
 from .linsys import (
     CERTIFIED_EXISTENCE,
@@ -41,6 +41,7 @@ from .serialize import (
     points_from_json_dict,
     points_to_json_dict,
     poly_to_json_dict,
+    record,
     write_json_file,
 )
 from .svgplot import render_svg
@@ -208,15 +209,9 @@ def cmd_alpha(args) -> int:
     warnings = []
     if not av.fully_certified:
         warnings.append("existence side certified only modulo primes")
-    payload = {
-        "schema": "fatpoints/1",
-        "kind": "alpha",
-        "value": av.value,
-        "existence_certified": av.existence,
-        "certification": av.certification,
-        "multiplicities": list(mults),
-        "warnings": warnings,
-    }
+    payload = record("alpha", value=av.value, existence_certified=av.existence,
+                     certification=av.certification, multiplicities=list(mults),
+                     warnings=warnings)
     emit(args, payload, f"alpha = {av.value}  [{av.certification}]")
     return 2 if warnings else 0
 
@@ -269,13 +264,8 @@ def cmd_kernel(args) -> int:
     scheme = FatPointScheme(pts, mults)
     strategy = parse_strategy(args.strategy or "exact")
     basis = kernel_basis(scheme, args.d, strategy=strategy)
-    payload = {
-        "schema": "fatpoints/1",
-        "kind": "kernel",
-        "degree": args.d,
-        "dimension": len(basis),
-        "basis": [poly_to_json_dict(g) for g in basis],
-    }
+    payload = record("kernel", degree=args.d, dimension=len(basis),
+                     basis=[poly_to_json_dict(g) for g in basis])
     emit(args, payload, "\n".join(str(g) for g in basis) or "(empty system)")
     return 0
 
@@ -300,12 +290,8 @@ def cmd_repro(args) -> int:
         reports = [repro(args.id, registry)]
     else:
         raise UsageError("pass --id ID or --all")
-    payload = {
-        "schema": "fatpoints/1",
-        "kind": "repro_run",
-        "reports": [r.to_json_dict() for r in reports],
-        "pass": all(r.passed for r in reports),
-    }
+    payload = record("repro_run", reports=[r.to_json_dict() for r in reports],
+                     **{"pass": all(r.passed for r in reports)})
     for r in reports:
         print(r.table())
     if args.out:
@@ -337,8 +323,6 @@ def cmd_plot(args) -> int:
     pts = resolve_points(args)
     lines = ()
     if args.family == "star" and args.p:
-        from .configs import star
-
         lines = star(args.p, args.seed)[1]
     elif args.family == "type9":
         lines = tuple(

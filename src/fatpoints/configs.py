@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import Optional
 
@@ -25,6 +25,7 @@ from .algebra import (
 from .geometry import (
     Line,
     enumerate_projective_plane,
+    is_type9,
     rational_points_on_curve,
     singular_points_over_Fp,
 )
@@ -35,24 +36,29 @@ DEFAULT_HEIGHT = 10**4
 
 def _found(result, what):
     if result is None:
-        raise RuntimeError(f"{what} generation failed; try another seed")
+        raise ValueError(f"{what} generation failed; try another seed")
     return result
 
 
-# family -> its generator on a ConfigSpec, in the order ``--family`` lists them
+def _general(s, r):
+    return general(r, s.seed or 0, DEFAULT_HEIGHT if s.height is None else s.height)
+
+
+# family -> (the ConfigSpec parameters it needs, its generator on a ConfigSpec),
+# in the order ``--family`` lists them
 _GENERATORS = {
-    "collinear": lambda s: collinear(s.r),
-    "on_conic": lambda s: on_conic(s.r),
-    "general": lambda s: general(s.r, s.seed or 0, height=s.height or DEFAULT_HEIGHT),
-    "star": lambda s: star(s.p, s.seed or 0)[0],
-    "star_minus_one": lambda s: star_minus_one(s.d, s.seed or 0),
-    "dual_hesse": lambda s: dual_hesse(s.prime),
-    "type9": lambda s: type9(s.seed),
-    "nagata16": lambda s: general(16, s.seed or 0, height=s.height or DEFAULT_HEIGHT),
-    "nodal_curve_nodes": lambda s: _found(
-        rational_nodal_nodes(s.d, s.prime, s.seed or 0), "nodal")[1],
-    "two_nodal_union": lambda s: _found(
-        two_nodal_union(s.d1, s.d2, s.prime, s.seed or 0), "two-nodal"),
+    "collinear": (("r",), lambda s: collinear(s.r)),
+    "on_conic": (("r",), lambda s: on_conic(s.r)),
+    "general": (("r",), lambda s: _general(s, s.r)),
+    "star": (("p",), lambda s: star(s.p, s.seed or 0)[0]),
+    "star_minus_one": (("d",), lambda s: star_minus_one(s.d, s.seed or 0)),
+    "dual_hesse": (("prime",), lambda s: dual_hesse(s.prime)),
+    "type9": ((), lambda s: type9(s.seed)),
+    "nagata16": ((), lambda s: _general(s, 16)),
+    "nodal_curve_nodes": (("d", "prime"), lambda s: _found(
+        rational_nodal_nodes(s.d, s.prime, s.seed or 0), "nodal")[1]),
+    "two_nodal_union": (("d1", "d2", "prime"), lambda s: _found(
+        two_nodal_union(s.d1, s.d2, s.prime, s.seed or 0), "two-nodal")),
 }
 FAMILIES = tuple(_GENERATORS)
 
@@ -74,14 +80,13 @@ class ConfigSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        missing = [n for n in _GENERATORS[self.family][0] if getattr(self, n) is None]
+        if missing:
+            raise ValueError(
+                f"family {self.family!r} needs the parameter(s) {', '.join(missing)}")
 
     def to_json_dict(self) -> dict:
-        d = {"family": self.family}
-        for key in ("r", "p", "d", "d1", "d2", "prime", "seed", "height"):
-            v = getattr(self, key)
-            if v is not None:
-                d[key] = v
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ConfigSpec":
@@ -90,7 +95,7 @@ class ConfigSpec:
 
 def generate(spec: ConfigSpec):
     """Dispatch a ConfigSpec to its generator; returns the point tuple."""
-    return _GENERATORS[spec.family](spec)
+    return _GENERATORS[spec.family][1](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +143,7 @@ def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
     while len(pts) < r:
         attempts += 1
         if attempts > 10000:
-            raise RuntimeError("rejection sampling failed; widen the height")
+            raise ValueError("rejection sampling failed; widen the height")
         c = (rng.randint(-height, height), rng.randint(-height, height), 1)
         q = point(QQ, *c)
         if q in pts or not _no_three_collinear(pts + [q]):
@@ -197,8 +202,7 @@ def dual_hesse(p: int):
     if p % 3 != 1 or p <= 10:
         raise ValueError("need a prime p = 1 mod 3 with p > 10")
     F = prime_field(p)
-    w = next(x for x in range(2, p) if pow(x, 3, p) == 1 and x != 1)
-    lines = dual_hesse_lines(p, w)
+    lines = dual_hesse_lines(p)
     pts = []
     for P in enumerate_projective_plane(F):
         n = sum(1 for L in lines if L.contains(P))
@@ -210,10 +214,9 @@ def dual_hesse(p: int):
     return tuple(pts)
 
 
-def dual_hesse_lines(p: int, w: Optional[int] = None):
+def dual_hesse_lines(p: int):
     F = prime_field(p)
-    if w is None:
-        w = next(x for x in range(2, p) if pow(x, 3, p) == 1 and x != 1)
+    w = next(x for x in range(2, p) if pow(x, 3, p) == 1 and x != 1)
     lines = []
     for a in range(3):
         lines.append(Line.from_coeffs(F, (1, -pow(w, a, p) % p, 0)))
@@ -234,8 +237,6 @@ def type9(seed: Optional[int] = None):
     vertices A(0:0:1), B(1:0:1), C(0:1:1) and extras D(0:2:1), E(2:0:1),
     F(3:-2:1).  A seed varies the extra points while keeping the shape.
     """
-    from .geometry import is_type9  # local import avoids a cycle at import time
-
     if seed is None:
         return tuple(point(QQ, *c) for c in _TYPE9_DEFAULT)
     for attempt in itertools.count():

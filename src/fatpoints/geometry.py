@@ -156,14 +156,6 @@ def spanned_lines(points):
     return list(seen.items())
 
 
-def _witness_from(lines, masks, points):
-    incidence = tuple(
-        tuple(i for i, mask in enumerate(masks) if mask >> k & 1)
-        for k in range(len(points))
-    )
-    return lines, incidence
-
-
 def detect_line_arrangement(points) -> Optional[ArrangementWitness]:
     """Search for line arrangements whose intersection set equals the points.
 
@@ -182,47 +174,44 @@ def detect_line_arrangement(points) -> Optional[ArrangementWitness]:
     # deterministic order: richest lines first, then by coefficient string
     cands.sort(key=lambda lc: (-len(lc[1]), repr(lc[0])))
     lines = [L for L, _ in cands]
+    masks = [sum(1 << k for k in inc) for _, inc in cands]
     n = len(lines)
-    masks = [
-        sum(1 << k for k, P in enumerate(points) if L.contains(P)) for L in lines
-    ]
     meet_inside = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             inside = lines[i].intersect(lines[j]) in point_set
             meet_inside[i][j] = meet_inside[j][i] = inside
     full = (1 << len(points)) - 1
+
+    def witness(chosen, exhaustive):
+        # the chosen candidates, if they put every point on two of them
+        once = twice = 0
+        for i in chosen:
+            twice |= once & masks[i]
+            once |= masks[i]
+        if twice != full:
+            return None
+        incidence = tuple(
+            tuple(a for a, i in enumerate(chosen) if masks[i] >> k & 1)
+            for k in range(len(points))
+        )
+        return ArrangementWitness(tuple(lines[i] for i in chosen), incidence,
+                                  exhaustive)
+
     if n <= EXHAUSTIVE_CANDIDATE_LIMIT:
         for size in range(2, n + 1):
             for combo in itertools.combinations(range(n), size):
-                if any(
-                    not meet_inside[i][j]
-                    for a, i in enumerate(combo)
-                    for j in combo[a + 1:]
-                ):
-                    continue
-                once = twice = 0
-                for i in combo:
-                    twice |= once & masks[i]
-                    once |= masks[i]
-                if twice == full:
-                    chosen = tuple(lines[i] for i in combo)
-                    ws, incidence = _witness_from(chosen, [masks[i] for i in combo], points)
-                    return ArrangementWitness(ws, incidence, True)
+                if all(meet_inside[i][j] for a, i in enumerate(combo)
+                       for j in combo[a + 1:]):
+                    found = witness(combo, True)
+                    if found is not None:
+                        return found
         return None
-    chosen_idx = []
+    chosen = []
     for i in range(n):
-        if all(meet_inside[i][j] for j in chosen_idx):
-            chosen_idx.append(i)
-    once = twice = 0
-    for i in chosen_idx:
-        twice |= once & masks[i]
-        once |= masks[i]
-    if len(chosen_idx) >= 2 and twice == full:
-        chosen = tuple(lines[i] for i in chosen_idx)
-        ws, incidence = _witness_from(chosen, [masks[i] for i in chosen_idx], points)
-        return ArrangementWitness(ws, incidence, False)
-    return None
+        if all(meet_inside[i][j] for j in chosen):
+            chosen.append(i)
+    return witness(chosen, False) if len(chosen) >= 2 else None
 
 
 def is_star_configuration(points) -> Optional[tuple]:
@@ -301,7 +290,7 @@ def enumerate_projective_plane(field):
     yield point(field, 1, 0, 0)
 
 
-def singular_points_over_Fp(f: HomoPoly, p: Optional[int] = None):
+def singular_points_over_Fp(f: HomoPoly):
     """All rational points where the three first partials vanish.
 
     Exhaustive scan; requires the field characteristic to exceed the
@@ -310,8 +299,6 @@ def singular_points_over_Fp(f: HomoPoly, p: Optional[int] = None):
     fld = f.field
     if fld == QQ:
         raise ValueError("the scan needs a prime-field polynomial")
-    if p is not None and p != fld.p:
-        raise ValueError(f"polynomial lives over F_{fld.p}, not F_{p}")
     if fld.p <= f.degree:
         raise ValueError(
             f"need p > degree for a faithful gradient scan (p={fld.p}, d={f.degree})"

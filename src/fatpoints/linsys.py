@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
@@ -25,15 +25,16 @@ from .algebra import (
     QQ,
     AlgebraError,
     CharacteristicTooSmallError,
-    HomoPoly,
     PrimeField,
     check_same_field,
     monomial_basis,
     order_of_vanishing,
+    poly,
     poly_from_vector,
     random_prime_31,
     reduce_points,
 )
+from .serialize import form_terms, record
 
 
 class CertificationError(AlgebraError):
@@ -138,9 +139,10 @@ class ConditionMatrix:
     """Rows of derivative conditions against the degree-d monomial basis.
 
     For each point with multiplicity m there is one row per derivative
-    multi-index of order m-1, so C(m+1, 2) rows per point.  Over the
-    rationals entries are integers (rows are evaluated at a primitive
-    integer representative, which only rescales each row).
+    multi-index of order m-1, so C(m+1, 2) rows per point, with m capped at
+    d+1 (see ``_imposed``).  Over the rationals entries are integers (rows
+    are evaluated at a primitive integer representative, which only
+    rescales each row).
     """
 
     degree: int
@@ -155,6 +157,15 @@ class ConditionMatrix:
     @property
     def ncols(self) -> int:
         return comb(self.degree + 2, 2)
+
+
+def _imposed(scheme: FatPointScheme, d: int):
+    """(index, point, m) per point with conditions in degree d, m capped at
+    d+1: by Euler's relation the order-(m-1) partials imply the lower ones
+    only when m-1 <= d, and the order-d partials, the rescaled coefficients,
+    vanish only on the zero form, the one form of order > d."""
+    return [(i, P, min(m, d + 1))
+            for i, (P, m) in enumerate(zip(scheme.points, scheme.multiplicities)) if m]
 
 
 def _derivative_rows(scheme: FatPointScheme, d: int, p: Optional[int] = None):
@@ -172,7 +183,7 @@ def _derivative_rows(scheme: FatPointScheme, d: int, p: Optional[int] = None):
     def reduce(a):
         return a if p is None else a % p
 
-    used = [(P, m) for P, m in zip(scheme.points, scheme.multiplicities) if m]
+    used = [(P, m) for _, P, m in _imposed(scheme, d)]
     mons = np.array(monomial_basis(d), dtype=np.int64)
     betas = np.array(
         [beta for _, m in used for beta in monomial_basis(m - 1)], dtype=np.int64
@@ -198,11 +209,8 @@ def build_condition_matrix(scheme: FatPointScheme, d: int) -> ConditionMatrix:
     """Exact condition matrix; entry = (beta-partial of monomial) at P_i."""
     fld = scheme.field
     rows = _derivative_rows(scheme, d, None if fld == QQ else fld.p)
-    labels = tuple(
-        (i, beta)
-        for i, m in enumerate(scheme.multiplicities) if m
-        for beta in monomial_basis(m - 1)
-    )
+    labels = tuple((i, beta) for i, _, m in _imposed(scheme, d)
+                   for beta in monomial_basis(m - 1))
     return ConditionMatrix(d, fld, labels, tuple(map(tuple, rows.tolist())))
 
 
@@ -495,30 +503,12 @@ class LinearSystemReport:
     existence_certified: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        d = {
-            "schema": "fatpoints/1",
-            "kind": "linear_system_report",
-            "degree": self.degree,
-            "expected_dim": self.expected_dim,
-            "actual_dim": self.actual_dim,
-            "superabundance": self.superabundance,
-            "certification": self.certification,
-            "rank": self.rank,
-            "nrows": self.nrows,
-            "ncols": self.ncols,
-            "primes": list(self.primes),
-            "existence_certified": self.existence_certified,
-        }
-        if self.kernel is not None:
-            d["kernel"] = [_poly_json(g) for g in self.kernel]
+        d = record("linear_system_report", self)
+        if self.kernel is None:
+            del d["kernel"]
+        else:
+            d["kernel"] = [form_terms(g) for g in self.kernel]
         return d
-
-
-def _poly_json(g: HomoPoly) -> dict:
-    return {
-        "degree": g.degree,
-        "terms": [[list(m), g.field.format(c)] for m, c in g.terms],
-    }
 
 
 @dataclass(frozen=True)
@@ -536,14 +526,7 @@ class AlphaReport:
             raise ValueError(f"alpha sequence must be strictly increasing: {a}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "fatpoints/1",
-            "kind": "alpha_report",
-            "alphas": list(self.alphas),
-            "diffs": list(self.diffs),
-            "seed": self.seed,
-            "entries": [dict(e) for e in self.entries],
-        }
+        return record("alpha_report", self)
 
     def to_csv(self) -> str:
         lines = ["k,alpha,diff"]
@@ -845,24 +828,14 @@ def alpha_diff(
 
 
 def report_from_json_dict(d: dict, field) -> LinearSystemReport:
-    from .algebra import poly  # deferred to keep module import light
-
-    kernel = None
-    if "kernel" in d:
-        kernel = tuple(
+    """The report of ``to_json_dict``; a missing required field raises
+    KeyError naming it."""
+    values = {f.name: d[f.name] if f.default is MISSING else d.get(f.name, f.default)
+              for f in fields(LinearSystemReport)}
+    values["primes"] = tuple(values["primes"])
+    if values["kernel"] is not None:
+        values["kernel"] = tuple(
             poly(field, g["degree"], {tuple(m): field.parse(c) for m, c in g["terms"]})
-            for g in d["kernel"]
+            for g in values["kernel"]
         )
-    return LinearSystemReport(
-        degree=d["degree"],
-        expected_dim=d["expected_dim"],
-        actual_dim=d["actual_dim"],
-        superabundance=d["superabundance"],
-        certification=d["certification"],
-        rank=d["rank"],
-        nrows=d["nrows"],
-        ncols=d["ncols"],
-        primes=tuple(d.get("primes", ())),
-        kernel=kernel,
-        existence_certified=d.get("existence_certified"),
-    )
+    return LinearSystemReport(**values)

@@ -1,28 +1,35 @@
-"""Point-set and report JSON: exact values travel as decimal strings."""
+"""The canonical JSON format: exact values travel as decimal strings."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .algebra import HomoPoly, field_from_string, field_to_string, point
 
 SCHEMA = "fatpoints/1"
 
 
-def points_to_json_dict(points, labels=None) -> dict:
+def record(kind: str, obj=None, **extra) -> dict:
+    """The JSON dict of one artifact: the schema and ``kind`` tags, then
+    every dataclass field of ``obj`` (tuples as lists), then ``extra``,
+    whose keys replace fields of the same name."""
+    d = {"schema": SCHEMA, "kind": kind}
+    if obj is not None:
+        for f in fields(obj):
+            v = getattr(obj, f.name)
+            d[f.name] = list(v) if isinstance(v, tuple) else v
+    d.update(extra)
+    return d
+
+
+def points_to_json_dict(points) -> dict:
     points = tuple(points)
     if not points:
         raise ValueError("need at least one point")
     fld = points[0].field
-    d = {
-        "schema": SCHEMA,
-        "kind": "points",
-        "field": field_to_string(fld),
-        "points": [[fld.format(c) for c in P.coords] for P in points],
-    }
-    if labels is not None:
-        d["labels"] = list(labels)
-    return d
+    return record("points", field=field_to_string(fld),
+                  points=[[fld.format(c) for c in P.coords] for P in points])
 
 
 def points_from_json_dict(d: dict):
@@ -32,14 +39,16 @@ def points_from_json_dict(d: dict):
     return tuple(point(fld, *(fld.parse(c) for c in coords)) for coords in d["points"])
 
 
-def poly_to_json_dict(f: HomoPoly) -> dict:
+def form_terms(f: HomoPoly) -> dict:
+    """A form's degree and its terms as [exponents, decimal coefficient]."""
     return {
-        "schema": SCHEMA,
-        "kind": "form",
-        "field": field_to_string(f.field),
         "degree": f.degree,
         "terms": [[list(m), f.field.format(c)] for m, c in f.terms],
     }
+
+
+def poly_to_json_dict(f: HomoPoly) -> dict:
+    return record("form", field=field_to_string(f.field), **form_terms(f))
 
 
 def dump_json(obj: dict) -> str:

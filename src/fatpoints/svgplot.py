@@ -7,8 +7,6 @@ so identical configurations render to identical files.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 CANVAS = 640
 MARGIN = 60
 POINT_RADIUS = 5
@@ -19,19 +17,11 @@ def _fmt(v: float) -> str:
 
 
 def _affine(P):
+    # scalars are Fractions or, mod p, residue ints: float() takes both
     x, y, z = P.coords
     if z == P.field.zero:
         return None
-    if P.field.characteristic == 0:
-        return float(Fraction(x)), float(Fraction(y))
-    return float(int(x)), float(int(y))
-
-
-def _line_affine(coeffs, field):
-    a, b, c = coeffs
-    if field.characteristic == 0:
-        return float(Fraction(a)), float(Fraction(b)), float(Fraction(c))
-    return float(int(a)), float(int(b)), float(int(c))
+    return float(x), float(y)
 
 
 def _clip_line(a, b, c, lo_x, hi_x, lo_y, hi_y):
@@ -63,14 +53,9 @@ def render_svg(points=(), lines=(), labels=None) -> str:
     lines = tuple(lines)
     if labels is None:
         labels = [f"P{i + 1}" for i in range(len(points))]
-    finite = []
-    infinite = []
-    for P in points:
-        aff = _affine(P)
-        if aff is None:
-            infinite.append(P)
-        else:
-            finite.append(aff)
+    affine = [_affine(P) for P in points]
+    finite = [aff for aff in affine if aff is not None]
+    infinite = [i for i, aff in enumerate(affine) if aff is None]
     if finite:
         xs = [p[0] for p in finite]
         ys = [p[1] for p in finite]
@@ -99,7 +84,7 @@ def render_svg(points=(), lines=(), labels=None) -> str:
         f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" fill="white"/>',
     ]
     for L in lines:
-        a, b, c = _line_affine(L.coeffs, L.field)
+        a, b, c = map(float, L.coeffs)
         seg = _clip_line(a, b, c, lo_x, hi_x, lo_y, hi_y)
         if seg is None:
             continue
@@ -110,11 +95,8 @@ def render_svg(points=(), lines=(), labels=None) -> str:
             f'<line x1="{_fmt(px1)}" y1="{_fmt(py1)}" x2="{_fmt(px2)}" '
             f'y2="{_fmt(py2)}" stroke="steelblue" stroke-width="1.5"/>'
         )
-    idx = 0
-    for P in points:
-        aff = _affine(P)
+    for idx, aff in enumerate(affine):
         if aff is None:
-            idx += 1
             continue
         px, py = to_px(*aff)
         parts.append(
@@ -124,19 +106,17 @@ def render_svg(points=(), lines=(), labels=None) -> str:
             f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 8)}" '
             f'font-family="monospace" font-size="14">{labels[idx]}</text>'
         )
-        idx += 1
     # points at infinity sit on a dashed band along the top edge
-    for j, P in enumerate(infinite):
+    for j, idx in enumerate(infinite):
         px = MARGIN + (j + 1) * span / (len(infinite) + 1)
         py = MARGIN / 2
-        label = labels[points.index(P)]
         parts.append(
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{POINT_RADIUS}" '
             f'fill="none" stroke="black" stroke-dasharray="2,2"/>'
         )
         parts.append(
             f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 8)}" '
-            f'font-family="monospace" font-size="14">{label} (inf)</text>'
+            f'font-family="monospace" font-size="14">{labels[idx]} (inf)</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

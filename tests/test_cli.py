@@ -303,3 +303,43 @@ def test_cache_entry_missing_fields_is_corrupt(tmp_path, capsys):
     code, _, err = run(capsys, *args, "--cache", str(cache))
     assert code == 1
     assert "corrupt" in err and "'degree'" in err and str(victim) in err
+
+
+def test_field_reduction_refuses_merged_points(capsys):
+    # two of these five rational points reduce to (2 : 2 : 1) mod 3
+    code, out, err = run(capsys, "generate", "--family", "general", "--r", "5",
+                         "--field", "prime:3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "reduction mod 3 merges" in err
+
+
+def test_family_missing_parameter_is_refused(capsys):
+    needs = {"collinear": "r", "on_conic": "r", "general": "r", "star": "p",
+             "star_minus_one": "d", "dual_hesse": "prime",
+             "nodal_curve_nodes": "d, prime", "two_nodal_union": "d1, d2, prime"}
+    for family, params in needs.items():
+        code, out, err = run(capsys, "generate", "--family", family)
+        assert code == 1 and out == "", family
+        assert err.startswith("error:") and err.rstrip().endswith(params), err
+
+
+def test_generator_failure_is_an_error(capsys):
+    code, out, err = run(capsys, "generate", "--family", "nodal_curve_nodes",
+                         "--d", "5", "--prime", "37", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nodal generation failed" in err
+
+
+def test_search_refuses_more_points_than_the_field_has(capsys):
+    # F_2 has 4 affine points and the default r range goes up to 9
+    code, out, err = run(capsys, "search", "--trials", "1", "--field", "prime:2")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "need r <= 4" in err
+
+
+def test_height_zero_is_not_the_default_height(capsys):
+    # height 0 leaves only (0 : 0 : 1) to draw from
+    code, out, err = run(capsys, "generate", "--family", "general", "--r", "3",
+                         "--height", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "widen the height" in err

@@ -12,6 +12,7 @@ from fatpoints import linsys
 from fatpoints.algebra import (
     QQ,
     CharacteristicTooSmallError,
+    ReductionError,
     evaluate,
     linear_form,
     monomial_basis,
@@ -216,6 +217,19 @@ def test_condition_matrix_shapes():
     mat = build_condition_matrix(six, 4)
     assert (mat.nrows, mat.ncols) == (18, 15)
     assert len(mat.row_labels) == 18
+
+
+def test_multiplicity_above_degree_leaves_only_zero():
+    # a nonzero degree-d form has order <= d everywhere; the order-(m-1)
+    # partials of a degree d < m-1 form all vanish, so m is capped at d+1
+    cases = ((FatPointScheme((TRIANGLE[2],), (2,)), 0, 1),
+             (FatPointScheme(TRIANGLE[:2], (3, 1)), 1, 3 + 1),
+             (FatPointScheme((point(prime_field(31), 1, 2, 3),), (5,)), 2, 6))
+    for scheme, d, nrows in cases:
+        assert build_condition_matrix(scheme, d).nrows == nrows
+        for strategy in (ExactRational(), MultiPrime(2)):
+            assert system_dim(scheme, d, strategy=strategy).actual_dim == 0
+        assert kernel_basis(scheme, d, strategy=SinglePrime()) == []
 
 
 def test_double_point_corank_exhaustive_over_F3():
@@ -475,6 +489,13 @@ def test_kernel_single_prime_acceptance_reduces_scheme():
                          strategy=SinglePrime())
     assert len(basis) == 1
     assert basis[0].field.p == strategy_primes(SinglePrime())[0]
+
+
+def test_kernel_single_prime_refuses_merged_points():
+    p = strategy_primes(SinglePrime())[0]
+    scheme = FatPointScheme((point(QQ, 0, 0, 1), point(QQ, p, 0, 1)), (1, 1))
+    with pytest.raises(ReductionError, match=f"reduction mod {p} merges"):
+        kernel_basis(scheme, 1, strategy=SinglePrime())
 
 
 def test_kernel_over_prime_field():

@@ -4,15 +4,19 @@
   ``system_dim`` reports with the same strategy, with and without a cache;
 * alpha is invariant under point permutations and under invertible integer
   linear transforms of the points;
-* alpha sequences satisfy the Chudnovsky bound alpha(kZ) >= k (alpha(Z) + 1) / 2.
+* alpha sequences satisfy the Chudnovsky bound alpha(kZ) >= k (alpha(Z) + 1) / 2;
+* a report survives its canonical JSON round trip, kernel included;
+* the rank of a condition matrix modulo any prime is at most its exact rank.
 """
+
+import json
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fatpoints.algebra import QQ, point  # noqa: E402
+from fatpoints.algebra import QQ, point, prime_field  # noqa: E402
 from fatpoints.cache import ResultCache  # noqa: E402
 from fatpoints.linsys import (  # noqa: E402
     ExactRational,
@@ -21,8 +25,14 @@ from fatpoints.linsys import (  # noqa: E402
     SinglePrime,
     alpha_search,
     alpha_sequence,
+    bareiss_echelon,
+    build_condition_matrix,
+    condition_matrix_mod_p,
+    modp_rref,
+    report_from_json_dict,
     system_dim,
 )
+from fatpoints.serialize import dump_json  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -30,16 +40,17 @@ coordinate = st.integers(-30, 30)
 
 
 @st.composite
-def point_sets(draw, max_points=7):
-    """Distinct rational points of height at most 30."""
+def point_sets(draw, max_points=7, field=QQ):
+    """Distinct points of height at most 30, nonzero in ``field``."""
     triples = draw(st.lists(st.tuples(coordinate, coordinate, coordinate)
-                            .filter(any), min_size=1, max_size=max_points))
-    return tuple(dict.fromkeys(point(QQ, *t) for t in triples))
+                            .filter(lambda t: any(field.of(c) for c in t)),
+                            min_size=1, max_size=max_points))
+    return tuple(dict.fromkeys(point(field, *t) for t in triples))
 
 
 @st.composite
-def schemes(draw):
-    pts = draw(point_sets())
+def schemes(draw, field=QQ):
+    pts = draw(point_sets(field=field))
     mults = draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
                  .filter(any))
     return FatPointScheme(pts, tuple(mults))
@@ -114,3 +125,22 @@ def test_alpha_sequence_meets_the_chudnovsky_bound(points, k_max):
     alphas = alpha_sequence(points, k_max, certify_existence=True).alphas
     for k, a in enumerate(alphas, start=1):
         assert 2 * a >= k * (alphas[0] + 1)
+
+
+@SETTINGS
+@given(data=st.data(), field=st.sampled_from([QQ, prime_field(31)]),
+       d=st.integers(0, 6), want_kernel=st.booleans())
+def test_report_survives_its_json_round_trip(data, field, d, want_kernel):
+    scheme = data.draw(schemes(field))
+    report = system_dim(scheme, d, strategy=ExactRational(), want_kernel=want_kernel)
+    assert (report.kernel is not None) == want_kernel
+    blob = dump_json(report.to_json_dict())
+    assert report_from_json_dict(json.loads(blob), field) == report
+
+
+@SETTINGS
+@given(scheme=schemes(), d=st.integers(0, 7),
+       p=st.sampled_from([2, 3, 5, 7, 31, 2**31 - 1]))
+def test_modular_rank_is_at_most_exact_rank(scheme, d, p):
+    exact = bareiss_echelon(build_condition_matrix(scheme, d).rows)[0]
+    assert modp_rref(condition_matrix_mod_p(scheme, d, p), p)[0] <= exact
