@@ -278,6 +278,13 @@ def reduce_points(points, field) -> tuple:
     return tuple(images)
 
 
+def det3(a, b, c):
+    """The determinant of the 3x3 matrix with rows ``a``, ``b``, ``c``: zero
+    exactly when the points of P^2 with these coordinates are collinear."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 # ---------------------------------------------------------------------------
 # homogeneous polynomials in x, y, z
 

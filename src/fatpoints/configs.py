@@ -17,6 +17,7 @@ from typing import Optional
 from .algebra import (
     QQ,
     HomoPoly,
+    det3,
     order_of_vanishing,
     point,
     poly_from_vector,
@@ -115,17 +116,12 @@ def on_conic(r: int):
     return tuple(point(QQ, 1, t, t * t) for t in range(r))
 
 
-def _no_three_collinear(pts) -> bool:
-    for a, b, c in itertools.combinations(pts, 3):
-        m = [a.integer_coords(), b.integer_coords(), c.integer_coords()]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if det == 0:
-            return False
-    return True
+def _no_three_collinear(pts, q) -> bool:
+    """Whether ``q`` lies on no line through two of ``pts``, so adding it to
+    points with no three collinear keeps them so."""
+    c = q.integer_coords()
+    return all(det3(a.integer_coords(), b.integer_coords(), c)
+               for a, b in itertools.combinations(pts, 2))
 
 
 def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
@@ -146,7 +142,7 @@ def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
             raise ValueError("rejection sampling failed; widen the height")
         c = (rng.randint(-height, height), rng.randint(-height, height), 1)
         q = point(QQ, *c)
-        if q in pts or not _no_three_collinear(pts + [q]):
+        if q in pts or not _no_three_collinear(pts, q):
             continue
         pts.append(q)
     return tuple(pts)

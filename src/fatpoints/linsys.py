@@ -27,6 +27,7 @@ from .algebra import (
     CharacteristicTooSmallError,
     PrimeField,
     check_same_field,
+    det3,
     monomial_basis,
     order_of_vanishing,
     poly,
@@ -159,42 +160,43 @@ class ConditionMatrix:
         return comb(self.degree + 2, 2)
 
 
-def _imposed(scheme: FatPointScheme, d: int):
-    """(index, point, m) per point with conditions in degree d, m capped at
-    d+1: by Euler's relation the order-(m-1) partials imply the lower ones
-    only when m-1 <= d, and the order-d partials, the rescaled coefficients,
-    vanish only on the zero form, the one form of order > d."""
-    return [(i, P, min(m, d + 1))
+def _imposed(scheme: FatPointScheme, d: int, p: Optional[int]):
+    """(index, integer coordinates, m) per point with conditions in degree
+    d, once ``_check_system`` accepts it, with m capped at d+1: by Euler's
+    relation the order-(m-1) partials imply the lower ones only when
+    m-1 <= d, and the order-d partials, the rescaled coefficients, vanish
+    only on the zero form, the one form of order > d."""
+    _check_system(scheme, d, p)
+    return [(i, P.integer_coords(), min(m, d + 1))
             for i, (P, m) in enumerate(zip(scheme.points, scheme.multiplicities)) if m]
 
 
-def _derivative_rows(scheme: FatPointScheme, d: int, p: Optional[int] = None):
-    """The condition matrix as a numpy array, from one formula.
+def _derivative_rows(imposed, d: int, p: Optional[int]):
+    """The condition matrix of ``_imposed`` entries as a numpy array, from
+    one formula.
 
     The row of (P, beta) at monomial mu is the beta-partial of x^mu at the
-    integer representative of P: prod_c perm(mu_c, beta_c) * P_c^(mu_c - beta_c),
+    integer coordinates of P: prod_c perm(mu_c, beta_c) * P_c^(mu_c - beta_c),
     where perm(e, j) = e (e-1) ... (e-j+1) is 0 for j > e.  With a prime the
     entries are int64 residues mod p; without one they are exact Python ints
     (object dtype).
     """
-    _check_system(scheme, d, p)
     dtype = object if p is None else np.int64
 
     def reduce(a):
         return a if p is None else a % p
 
-    used = [(P, m) for _, P, m in _imposed(scheme, d)]
     mons = np.array(monomial_basis(d), dtype=np.int64)
     betas = np.array(
-        [beta for _, m in used for beta in monomial_basis(m - 1)], dtype=np.int64
+        [beta for _, _, m in imposed for beta in monomial_basis(m - 1)], dtype=np.int64
     ).reshape(-1, 3)
-    owner = np.repeat(np.arange(len(used)), [comb(m + 1, 2) for _, m in used])
-    fall = np.array([[reduce(perm(e, j)) for j in range(scheme.max_multiplicity)]
-                     for e in range(d + 1)], dtype=dtype)
+    owner = np.repeat(np.arange(len(imposed)), [comb(m + 1, 2) for _, _, m in imposed])
+    fall = np.array([[reduce(perm(e, j)) for j in range(d + 1)] for e in range(d + 1)],
+                    dtype=dtype)
     coords = np.array(
-        [[reduce(c) for c in P.integer_coords()] for P, _ in used], dtype=dtype
+        [[reduce(c) for c in P] for _, P, _ in imposed], dtype=dtype
     ).reshape(-1, 3)
-    pows = np.ones((len(used), 3, d + 1), dtype=dtype)
+    pows = np.ones((len(imposed), 3, d + 1), dtype=dtype)
     for e in range(1, d + 1):
         pows[:, :, e] = reduce(pows[:, :, e - 1] * coords)
     rows = np.ones((len(betas), len(mons)), dtype=dtype)
@@ -208,9 +210,10 @@ def _derivative_rows(scheme: FatPointScheme, d: int, p: Optional[int] = None):
 def build_condition_matrix(scheme: FatPointScheme, d: int) -> ConditionMatrix:
     """Exact condition matrix; entry = (beta-partial of monomial) at P_i."""
     fld = scheme.field
-    rows = _derivative_rows(scheme, d, None if fld == QQ else fld.p)
-    labels = tuple((i, beta) for i, _, m in _imposed(scheme, d)
-                   for beta in monomial_basis(m - 1))
+    p = None if fld == QQ else fld.p
+    imposed = _imposed(scheme, d, p)
+    rows = _derivative_rows(imposed, d, p)
+    labels = tuple((i, beta) for i, _, m in imposed for beta in monomial_basis(m - 1))
     return ConditionMatrix(d, fld, labels, tuple(map(tuple, rows.tolist())))
 
 
@@ -220,7 +223,47 @@ def condition_matrix_mod_p(scheme: FatPointScheme, d: int, p: int) -> np.ndarray
     For rational schemes this is the integer matrix mod p; reduction can
     only lower the rank, which keeps full-rank verdicts sound.
     """
-    return _derivative_rows(scheme, d, p)
+    return _derivative_rows(_imposed(scheme, d, p), d, p)
+
+
+def _rank_mod_p(scheme: FatPointScheme, d: int, p: int):
+    """(rank, nrows) of a rational scheme's condition matrix mod p, with
+    only the rows off a standard frame eliminated.
+
+    Three non-collinear imposing points a, b, c move to the coordinate
+    vertices by X -> (det3(X, b, c), det3(a, X, c), det3(a, b, X)), the
+    integer adjugate of their coordinate matrix: a lands at (det, 0, 0).
+    The move is invertible over Q and, when p does not divide det, mod p,
+    so neither rank changes.  The row (beta) of a vertex with multiplicity
+    m on axis i is then zero except at the one monomial mu that agrees with
+    beta off axis i, where it is perm(mu_i, beta_i) beta_j! beta_k!
+    det^(d-m+1), a unit mod p once p > d too.  These rows cover the columns
+    U = {mu : mu_i > d - m at some vertex}, so the rank is |U| plus the
+    rank of the other rows on the remaining columns.  Without such a
+    triple, or when p <= d or p divides det, the unframed matrix is
+    eliminated.
+    """
+    imposed = _imposed(scheme, d, p)
+    nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
+    frame = _frame(imposed)
+    if frame is None or p <= d or frame[0] % p == 0:
+        return modp_rref(_derivative_rows(imposed, d, p), p, rank_only=True)[0], nrows
+    _, ((_, a, ma), (_, b, mb), (_, c, mc)), rest = frame
+    off = (np.array(monomial_basis(d)) <= [d - ma, d - mb, d - mc]).all(axis=1)
+    rest = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
+    R = _derivative_rows(rest, d, p)[:, off]
+    return int((~off).sum()) + modp_rref(R, p, rank_only=True)[0], nrows
+
+
+def _frame(imposed):
+    """(det, three non-collinear ``_imposed`` entries, the other entries),
+    highest multiplicities first; None when the points are collinear."""
+    order = sorted(imposed, key=lambda u: -u[2])
+    for k in range(2, len(order)):
+        det = det3(order[0][1], order[1][1], order[k][1])
+        if det:
+            return det, (order[0], order[1], order[k]), order[2:k] + order[k + 1:]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +355,13 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
     return basis
 
 
-def modp_rref(A: np.ndarray, p: int):
+def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
     """Reduced row echelon form mod p; returns (rank, pivot cols, rref).
 
     Rows from the current rank down are zero left of the current column,
-    so each step updates only the columns from there on.
+    so each step updates only the columns from there on.  ``rank_only``
+    clears only below each pivot (no back-substitution): the rank and
+    pivots are the same, the returned matrix is a row echelon form.
     """
     A = A.copy() % p
     nr, nc = A.shape
@@ -333,8 +378,11 @@ def modp_rref(A: np.ndarray, p: int):
             A[[rank, r]] = A[[r, rank]]
         inv = pow(int(A[rank, col]), -1, p)
         A[rank, col:] = A[rank, col:] * inv % p
-        others = np.nonzero(A[:, col])[0]
-        others = others[others != rank]
+        if rank_only:  # the swap moved a row that is zero at col to row r
+            others = rank + nz[1:]
+        else:
+            others = np.nonzero(A[:, col])[0]
+            others = others[others != rank]
         if others.size:
             A[others, col:] = (
                 A[others, col:] - A[others, col][:, None] * A[rank, col:][None, :]
@@ -589,7 +637,7 @@ def _exact_report(scheme, d, want_kernel):
         if want_kernel:
             vectors = modp_nullspace(rows, fld.p)
         else:
-            rank = modp_rref(rows, fld.p)[0]
+            rank = modp_rref(rows, fld.p, rank_only=True)[0]
         certification, primes = "SINGLE_PRIME", (fld.p,)
     kernel = None
     if want_kernel:
@@ -604,12 +652,9 @@ def _modular_report(scheme, d, strategy, first=None):
     """The report of a modular strategy; ``first`` is the (rank, nrows)
     already found modulo the strategy's first prime, if any."""
     primes = strategy_primes(strategy)
-    if first is None:
-        A = condition_matrix_mod_p(scheme, d, primes[0])
-        first = (modp_rref(A, primes[0])[0], len(A))
-    rank, nrows = first
+    rank, nrows = first or _rank_mod_p(scheme, d, primes[0])
     for p in primes[1:]:
-        if modp_rref(condition_matrix_mod_p(scheme, d, p), p)[0] != rank:
+        if _rank_mod_p(scheme, d, p)[0] != rank:
             # primes disagree: escalate to the exact computation
             return _exact_report(scheme, d, want_kernel=False)
     return _report(scheme, d, rank, nrows, strategy.label(), primes)
@@ -723,12 +768,11 @@ def alpha_search(
             trail.append((d, "expected_dim"))
             return AlphaValue(d, "expected_dim", label, tuple(trail))
         if first_prime is not None:
-            A = condition_matrix_mod_p(scheme, d, first_prime)
-            rank = modp_rref(A, first_prime)[0]
-            if rank == A.shape[1]:
+            first = _rank_mod_p(scheme, d, first_prime)
+            if first[0] == comb(d + 2, 2):
                 trail.append((d, "full_rank_mod_p"))
                 continue
-            report = _modular_report(scheme, d, strategy, (rank, len(A)))
+            report = _modular_report(scheme, d, strategy, first)
         else:
             report = system_dim(scheme, d, strategy=strategy, cache=cache)
         trail.append((d, report))

@@ -1,5 +1,7 @@
 """Generators: determinism, structure, and cross-detector behavior."""
 
+import itertools
+
 import pytest
 
 from fatpoints.algebra import QQ, order_of_vanishing, point, prime_field
@@ -53,10 +55,15 @@ def test_on_conic_family():
 
 
 def test_general_family_distinct_and_no_three_collinear():
-    for seed in range(30):
-        pts = general(3, seed=seed)
-        assert len(set(pts)) == 3
-        assert are_collinear(pts) is None
+    for r, seeds in ((3, 30), (6, 5), (9, 5)):
+        for seed in range(seeds):
+            pts = general(r, seed=seed, height=5)
+            assert len(set(pts)) == r
+            for triple in itertools.combinations(pts, 3):
+                assert are_collinear(triple) is None
+    # the draws themselves are fixed: cache keys and artifacts depend on them
+    assert [P.integer_coords() for P in general(5, seed=0, height=30)] == [
+        (10, 27, 1), (-15, -14, 1), (-16, 25, 1), (25, 24, 1), (9, -9, 1)]
 
 
 def test_general_respects_height():

@@ -45,6 +45,7 @@ from fatpoints.linsys import (
     strategy_primes,
     system_dim,
 )
+from fatpoints.serialize import dump_json
 
 TRIANGLE = (point(QQ, 1, 0, 0), point(QQ, 0, 1, 0), point(QQ, 0, 0, 1))
 
@@ -133,6 +134,7 @@ def test_modp_rank_matches_exact_on_generic_input():
         for A in rand_modp_matrices(rng, q):
             rank, pivots, R = modp_rref(A, q)
             assert (rank, pivots, R.tolist()) == rref_in_field(A.tolist(), F)
+            assert modp_rref(A, q, rank_only=True)[:2] == (rank, pivots)
 
 
 def test_modp_rank_is_only_a_lower_bound():
@@ -581,6 +583,50 @@ def test_prime_split_escalates_to_exact(monkeypatch):
     av = linsys.alpha_search(scheme, MultiPrime(2))
     assert av.certification == "EXACT_RATIONAL"
     assert av.value == linsys.alpha_search(scheme, ExactRational()).value == 2
+
+
+def _report_json(rank, nrows, ncols, d, exp, existence, primes):
+    return dump_json({
+        "actual_dim": ncols - rank, "certification": "MULTI_PRIME(2)", "degree": d,
+        "existence_certified": existence, "expected_dim": exp,
+        "kind": "linear_system_report", "ncols": ncols, "nrows": nrows,
+        "primes": list(primes), "rank": rank, "schema": "fatpoints/1",
+        "superabundance": ncols - rank - max(exp, 0)})
+
+
+DEFAULT_PRIMES = (2017713899, 1606961869)
+# (0 : 0 : 1), (1 : 0 : 1), (3 : 7 : 1) span a frame of determinant 7
+FRAME_DET_7 = tuple(point(QQ, *c) for c in ((0, 0, 1), (1, 0, 1), (3, 7, 1),
+                                            (2, 5, 1), (-1, 4, 1)))
+
+
+@pytest.mark.parametrize("scheme,d,primes,want", [
+    # collinear: no frame
+    (FatPointScheme.uniform(tuple(point(QQ, 0, i, 1) for i in range(5)), 2), 4,
+     DEFAULT_PRIMES, _report_json(9, 15, 15, 4, 0, None, DEFAULT_PRIMES)),
+    # two points: no frame
+    (FatPointScheme((point(QQ, 1, 2, 3), point(QQ, -1, 0, 1)), (3, 2)), 3,
+     DEFAULT_PRIMES, _report_json(8, 9, 10, 3, 1, "expected_dim", DEFAULT_PRIMES)),
+    # the first prime divides the frame determinant
+    (FatPointScheme.uniform(FRAME_DET_7, 2), 5, (7, 2**31 - 1),
+     _report_json(15, 15, 21, 5, 6, "expected_dim", (7, 2**31 - 1))),
+], ids=["collinear", "two_points", "prime_divides_det"])
+def test_frame_fallbacks_eliminate_the_unframed_matrix(monkeypatch, scheme, d,
+                                                       primes, want):
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: primes)
+    shapes = []
+    original = linsys.modp_rref
+
+    def spy(A, p, **kwargs):
+        shapes.append(A.shape)
+        return original(A, p, **kwargs)
+
+    monkeypatch.setattr(linsys, "modp_rref", spy)
+    rep = system_dim(scheme, d, MultiPrime(2))
+    A = condition_matrix_mod_p(scheme, d, primes[0])
+    assert shapes[0] == A.shape
+    assert rep.rank == original(A, primes[0])[0]
+    assert dump_json(rep.to_json_dict()) == want
 
 
 def test_report_certification_labels():

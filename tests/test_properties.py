@@ -6,7 +6,8 @@
   linear transforms of the points;
 * alpha sequences satisfy the Chudnovsky bound alpha(kZ) >= k (alpha(Z) + 1) / 2;
 * a report survives its canonical JSON round trip, kernel included;
-* the rank of a condition matrix modulo any prime is at most its exact rank.
+* the rank of a condition matrix modulo any prime is at most its exact rank,
+  and the framed rank-only elimination gives that same rank.
 """
 
 import json
@@ -16,13 +17,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fatpoints.algebra import QQ, point, prime_field  # noqa: E402
+from fatpoints.algebra import QQ, det3, point, prime_field  # noqa: E402
 from fatpoints.cache import ResultCache  # noqa: E402
 from fatpoints.linsys import (  # noqa: E402
     ExactRational,
     FatPointScheme,
     MultiPrime,
     SinglePrime,
+    _rank_mod_p,
     alpha_search,
     alpha_sequence,
     bareiss_echelon,
@@ -40,17 +42,18 @@ coordinate = st.integers(-30, 30)
 
 
 @st.composite
-def point_sets(draw, max_points=7, field=QQ):
-    """Distinct points of height at most 30, nonzero in ``field``."""
-    triples = draw(st.lists(st.tuples(coordinate, coordinate, coordinate)
+def point_sets(draw, max_points=7, field=QQ, first=coordinate):
+    """Distinct points nonzero in ``field``: first coordinates drawn from
+    ``first``, the others of height at most 30."""
+    triples = draw(st.lists(st.tuples(first, coordinate, coordinate)
                             .filter(lambda t: any(field.of(c) for c in t)),
                             min_size=1, max_size=max_points))
     return tuple(dict.fromkeys(point(field, *t) for t in triples))
 
 
 @st.composite
-def schemes(draw, field=QQ):
-    pts = draw(point_sets(field=field))
+def schemes(draw, field=QQ, first=coordinate):
+    pts = draw(point_sets(field=field, first=first))
     mults = draw(st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
                  .filter(any))
     return FatPointScheme(pts, tuple(mults))
@@ -98,13 +101,8 @@ def transformed(points, matrix):
     )
 
 
-def determinant(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 invertible = (st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-                       min_size=3, max_size=3).filter(determinant))
+                       min_size=3, max_size=3).filter(lambda m: det3(*m)))
 
 
 @SETTINGS
@@ -138,9 +136,21 @@ def test_report_survives_its_json_round_trip(data, field, d, want_kernel):
     assert report_from_json_dict(json.loads(blob), field) == report
 
 
+@st.composite
+def collinear_schemes(draw):
+    """Schemes with x in 210 Z, so on the line x = 0 modulo 2, 3, 5 and 7
+    (and over Q when every x is 0), moved by an invertible integer matrix."""
+    scheme = draw(schemes(first=st.integers(-1, 1).map(lambda t: 210 * t)))
+    return FatPointScheme(transformed(scheme.points, draw(invertible)),
+                          scheme.multiplicities)
+
+
 @SETTINGS
-@given(scheme=schemes(), d=st.integers(0, 7),
+@given(scheme=st.one_of(schemes(), collinear_schemes()), d=st.integers(0, 9),
        p=st.sampled_from([2, 3, 5, 7, 31, 2**31 - 1]))
 def test_modular_rank_is_at_most_exact_rank(scheme, d, p):
     exact = bareiss_echelon(build_condition_matrix(scheme, d).rows)[0]
-    assert modp_rref(condition_matrix_mod_p(scheme, d, p), p)[0] <= exact
+    A = condition_matrix_mod_p(scheme, d, p)
+    rank = modp_rref(A, p)[0]
+    assert rank <= exact
+    assert _rank_mod_p(scheme, d, p) == (rank, len(A))
