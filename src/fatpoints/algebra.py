@@ -39,7 +39,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -74,13 +74,10 @@ def random_prime_31(rng) -> int:
 class RationalField:
     """The rationals; scalars are ``Fraction`` (always in lowest terms)."""
 
-    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
     def of(self, v) -> Fraction:
-        if isinstance(v, str):
-            return Fraction(v.strip())
         return Fraction(v)
 
     def add(self, a, b):
@@ -103,9 +100,6 @@ class RationalField:
     def format(self, a) -> str:
         return str(Fraction(a))
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
-
     def __repr__(self):
         return "QQ"
 
@@ -124,26 +118,16 @@ class PrimeField:
     """The field with ``p`` elements; scalars are residues in ``[0, p)``."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def of(self, v) -> int:
         if isinstance(v, str):
-            v = Fraction(v.strip())
+            v = Fraction(v)
         if isinstance(v, Fraction):
             den = v.denominator % self.p
             if den == 0:
@@ -170,9 +154,6 @@ class PrimeField:
 
     def format(self, a) -> str:
         return str(a % self.p)
-
-    def parse(self, s: str) -> int:
-        return self.of(s)
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -334,11 +315,6 @@ class HomoPoly:
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
         return poly(f, self.degree + other.degree, acc)
-
-    def scaled(self, c) -> "HomoPoly":
-        f = self.field
-        c = f.of(c)
-        return poly(f, self.degree, {m: f.mul(v, c) for m, v in self.terms})
 
     def power(self, n: int) -> "HomoPoly":
         if n < 0:

@@ -46,7 +46,6 @@ from .geometry import (
 from .linsys import (
     CERTIFIED_EXISTENCE,
     DEFAULT_SEARCH_STRATEGY,
-    ExactRational,
     FatPointScheme,
     alpha_search,
     alpha_sequence,
@@ -315,6 +314,9 @@ def conjecture_search(
         raise ValueError("need k >= 5 to see four consecutive steps")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 1 <= r_range[0] <= r_range[1]:
+        raise ValueError(f"need 1 <= r_min <= r_max; got r_min={r_range[0]}, "
+                         f"r_max={r_range[1]}")
     if difference not in (2, 3):
         raise ValueError("difference must be 2 or 3")
     if field != QQ and r_range[1] > field.p ** 2:
@@ -464,10 +466,7 @@ def _run_alpha_cell(points, cell, warm: dict):
     cert = f"existence={av.existence}; below=full-rank"
     mode = cell.get("nonexistence")
     if mode and value > max(scheme.max_multiplicity, 1):
-        if mode == "exact":
-            below = system_dim(scheme, value - 1, strategy=ExactRational())
-        else:
-            below = system_dim(scheme, value - 1, strategy=parse_strategy(mode))
+        below = system_dim(scheme, value - 1, strategy=parse_strategy(mode))
         cert += f" ({below.certification} at {value - 1})"
         if below.actual_dim != 0:
             return (f"{value} (uncertified: dim {below.actual_dim} "

@@ -305,7 +305,7 @@ def cmd_search(args) -> int:
     rep = conjecture_search(
         trials=args.trials,
         r_range=(args.r_min, args.r_max),
-        k=max(args.kmax or 5, 5),
+        k=5 if args.kmax is None else args.kmax,
         seed=args.seed,
         difference=args.conjecture,
         field=field_from_string(args.field or "rational"),

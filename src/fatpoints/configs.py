@@ -25,8 +25,8 @@ from .algebra import (
 )
 from .geometry import (
     Line,
-    enumerate_projective_plane,
     is_type9,
+    plane_points_where,
     rational_points_on_curve,
     singular_points_over_Fp,
 )
@@ -197,14 +197,9 @@ def dual_hesse(p: int):
     """
     if p % 3 != 1 or p <= 10:
         raise ValueError("need a prime p = 1 mod 3 with p > 10")
-    F = prime_field(p)
     lines = dual_hesse_lines(p)
-    pts = []
-    for P in enumerate_projective_plane(F):
-        n = sum(1 for L in lines if L.contains(P))
-        if n >= 3:
-            pts.append(P)
-    pts.sort(key=lambda P: tuple(int(c) for c in P.coords))
+    pts = plane_points_where(prime_field(p),
+                             lambda P: sum(L.contains(P) for L in lines) >= 3)
     if len(pts) != 12:
         raise RuntimeError("cube-root line construction degenerated")
     return tuple(pts)

@@ -290,6 +290,11 @@ def enumerate_projective_plane(field):
     yield point(field, 1, 0, 0)
 
 
+def plane_points_where(field, keep):
+    """The points of P^2(F_p) where ``keep`` holds, sorted by coordinates."""
+    return sorted(filter(keep, enumerate_projective_plane(field)), key=lambda P: P.coords)
+
+
 def singular_points_over_Fp(f: HomoPoly):
     """All rational points where the three first partials vanish.
 
@@ -304,12 +309,8 @@ def singular_points_over_Fp(f: HomoPoly):
             f"need p > degree for a faithful gradient scan (p={fld.p}, d={f.degree})"
         )
     grads = [partial_derivative(f, v) for v in range(3)]
-    out = []
-    for P in enumerate_projective_plane(fld):
-        if all(g.is_zero() or evaluate(g, P) == 0 for g in grads):
-            out.append(P)
-    out.sort(key=lambda P: tuple(int(c) for c in P.coords))
-    return out
+    return plane_points_where(
+        fld, lambda P: all(g.is_zero() or evaluate(g, P) == 0 for g in grads))
 
 
 def rational_points_on_curve(f: HomoPoly):
@@ -317,6 +318,4 @@ def rational_points_on_curve(f: HomoPoly):
     fld = f.field
     if fld == QQ:
         raise ValueError("the scan needs a prime-field polynomial")
-    out = [P for P in enumerate_projective_plane(fld) if evaluate(f, P) == 0]
-    out.sort(key=lambda P: tuple(int(c) for c in P.coords))
-    return out
+    return plane_points_where(fld, lambda P: evaluate(f, P) == 0)

@@ -135,31 +135,6 @@ def _check_system(scheme: FatPointScheme, d: int, p: Optional[int]):
 # ---------------------------------------------------------------------------
 # condition matrices
 
-@dataclass(frozen=True)
-class ConditionMatrix:
-    """Rows of derivative conditions against the degree-d monomial basis.
-
-    For each point with multiplicity m there is one row per derivative
-    multi-index of order m-1, so C(m+1, 2) rows per point, with m capped at
-    d+1 (see ``_imposed``).  Over the rationals entries are integers (rows
-    are evaluated at a primitive integer representative, which only
-    rescales each row).
-    """
-
-    degree: int
-    field: object
-    row_labels: tuple  # (point index, derivative multi-index)
-    rows: tuple
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return comb(self.degree + 2, 2)
-
-
 def _imposed(scheme: FatPointScheme, d: int, p: Optional[int]):
     """(index, integer coordinates, m) per point with conditions in degree
     d, once ``_check_system`` accepts it, with m capped at d+1: by Euler's
@@ -207,14 +182,13 @@ def _derivative_rows(imposed, d: int, p: Optional[int]):
     return rows
 
 
-def build_condition_matrix(scheme: FatPointScheme, d: int) -> ConditionMatrix:
-    """Exact condition matrix; entry = (beta-partial of monomial) at P_i."""
-    fld = scheme.field
-    p = None if fld == QQ else fld.p
-    imposed = _imposed(scheme, d, p)
-    rows = _derivative_rows(imposed, d, p)
-    labels = tuple((i, beta) for i, _, m in imposed for beta in monomial_basis(m - 1))
-    return ConditionMatrix(d, fld, labels, tuple(map(tuple, rows.tolist())))
+def build_condition_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:
+    """The condition matrix over the scheme's own field, rows as in
+    ``_derivative_rows``: Python ints (object dtype) at primitive integer
+    representatives over Q, which only rescales each row; int64 residues
+    over F_p."""
+    p = None if scheme.field == QQ else scheme.field.p
+    return _derivative_rows(_imposed(scheme, d, p), d, p)
 
 
 def condition_matrix_mod_p(scheme: FatPointScheme, d: int, p: int) -> np.ndarray:
@@ -312,21 +286,6 @@ def bareiss_echelon(rows):
     return rank, pivots, m
 
 
-def _primitive(vec) -> tuple:
-    ints = [int(v) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
-
-
 def rational_nullspace(rows, ncols: Optional[int] = None):
     """Primitive integer basis of the right kernel of an integer matrix.
 
@@ -350,8 +309,11 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
                 if v[j]:
                     s += Fraction(ech[i][j]) * v[j]
             v[pc] = -s / ech[i][pc]
+        # v[f] = 1, so den * v has coprime entries: only the sign is chosen
         den = math.lcm(*(x.denominator for x in v))
-        basis.append(_primitive([x * den for x in v]))
+        if next(x for x in v if x) < 0:
+            den = -den
+        basis.append(tuple(int(x * den) for x in v))
     return basis
 
 
@@ -446,10 +408,7 @@ def rref_in_field(rows, fld):
     return rank, pivots, m
 
 
-def nullspace_in_field(rows, fld, ncols: Optional[int] = None):
-    rows = list(rows)
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def nullspace_in_field(rows, fld, ncols: int):
     _, pivots, rref = rref_in_field(rows, fld)
     return _rref_kernel(pivots, rref, ncols, fld.neg, fld.zero, fld.one)
 
@@ -625,15 +584,14 @@ def _exact_report(scheme, d, want_kernel):
     # One elimination per call: a kernel's size gives the rank.
     fld = scheme.field
     ncols = comb(d + 2, 2)
+    rows = build_condition_matrix(scheme, d)
     if fld == QQ:
-        rows = build_condition_matrix(scheme, d).rows
         if want_kernel:
-            vectors = rational_nullspace(rows, ncols)
+            vectors = rational_nullspace(rows.tolist(), ncols)
         else:
-            rank = bareiss_echelon(rows)[0]
+            rank = bareiss_echelon(rows.tolist())[0]
         certification, primes = "EXACT_RATIONAL", ()
     else:
-        rows = condition_matrix_mod_p(scheme, d, fld.p)
         if want_kernel:
             vectors = modp_nullspace(rows, fld.p)
         else:
@@ -879,7 +837,7 @@ def report_from_json_dict(d: dict, field) -> LinearSystemReport:
     values["primes"] = tuple(values["primes"])
     if values["kernel"] is not None:
         values["kernel"] = tuple(
-            poly(field, g["degree"], {tuple(m): field.parse(c) for m, c in g["terms"]})
+            poly(field, g["degree"], {tuple(m): c for m, c in g["terms"]})
             for g in values["kernel"]
         )
     return LinearSystemReport(**values)

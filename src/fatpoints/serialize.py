@@ -36,7 +36,7 @@ def points_from_json_dict(d: dict):
     if d.get("schema") not in (None, SCHEMA):
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     fld = field_from_string(d["field"])
-    return tuple(point(fld, *(fld.parse(c) for c in coords)) for coords in d["points"])
+    return tuple(point(fld, *map(fld.of, coords)) for coords in d["points"])
 
 
 def form_terms(f: HomoPoly) -> dict:

@@ -234,6 +234,9 @@ def test_search_rejects_bad_parameters():
         conjecture_search(trials=1, k=4)
     with pytest.raises(ValueError):
         conjecture_search(trials=1, difference=4)
+    for r_range in ((6, 4), (0, 4)):
+        with pytest.raises(ValueError, match="r_min"):
+            conjecture_search(trials=1, r_range=r_range)
 
 
 def test_search_small_run_no_inconsistencies():
@@ -246,6 +249,31 @@ def test_search_reproducible():
     a = conjecture_search(trials=8, seed=5)
     b = conjecture_search(trials=8, seed=5)
     assert a == b
+
+
+def test_search_reports_certified_counterexamples(monkeypatch):
+    # with the conclusion forced false, every hit is rechecked exactly
+    monkeypatch.setattr(analysis, "common_conic", lambda points: None)
+    rep = conjecture_search(trials=3, r_range=(4, 4), seed=0)
+    assert [h["trial"] for h in rep.hypothesis_true] == [0, 1, 2]
+    assert rep.inconsistent == rep.hypothesis_true
+    for hit in rep.inconsistent:
+        assert hit["conic"] is False
+        assert hit["certification"] == "EXACT_RATIONAL"
+        assert hit["alphas"] == [2, 4, 6, 8, 10]
+    # a certified tail that breaks the pattern drops the hit
+    monkeypatch.setattr(analysis, "_certified_alphas",
+                        lambda points, k: ((2, 4, 6, 8, 11), True))
+    rep = conjecture_search(trials=3, r_range=(4, 4), seed=0)
+    assert rep.hypothesis_true == () and rep.inconsistent == ()
+
+
+def test_search_step_three_checks_alpha_one():
+    rep = conjecture_search(trials=2, r_range=(9, 9), difference=3, seed=0)
+    assert len(rep.hypothesis_true) == 2 and rep.inconsistent == ()
+    for hit in rep.hypothesis_true:
+        assert hit["alpha1_is_3"] is True and "conic" not in hit
+        assert hit["alphas"] == [3, 6, 9, 12, 15]
 
 
 def test_search_hypothesis_controls():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fatpoints.algebra import QQ, point
 from fatpoints.cli import main
 from fatpoints.serialize import points_from_json_dict, points_to_json_dict
 from fatpoints.configs import general, type9
@@ -178,6 +179,23 @@ def test_plot_star_draws_lines(tmp_path, capsys):
     assert out.read_text().count("<line") == 4
 
 
+def test_plot_points_detects_lines(tmp_path, capsys):
+    # without --family, plot draws a detected star or line arrangement; the
+    # lines x = 0, y = 0, x = y and x + 2y = z meet in four points, three of
+    # them concurrent, so they are an arrangement but not a star
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(points_to_json_dict(
+        [point(QQ, *c) for c in ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 3))])))
+    for argv, npoints, nlines in ((("--family", "star", "--p", "4"), 6, 4),
+                                  (("--family", "general", "--r", "5"), 5, 0),
+                                  (("--points", str(fan)), 4, 4)):
+        pts = tmp_path / "pts.json"
+        run(capsys, "generate", *argv, "--out", str(pts))
+        code, out, _ = run(capsys, "plot", "--points", str(pts))
+        assert code == 0 and out.count("<circle") == npoints
+        assert out.count("<line") == nlines
+
+
 def test_render_svg_empty_canvas():
     svg = render_svg(())
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -343,3 +361,16 @@ def test_height_zero_is_not_the_default_height(capsys):
                          "--height", "0")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "widen the height" in err
+
+
+def test_search_refuses_kmax_below_five(capsys):
+    code, out, err = run(capsys, "search", "--trials", "2", "--kmax", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "need k >= 5" in err
+
+
+def test_search_refuses_an_empty_r_range(capsys):
+    code, out, err = run(capsys, "search", "--trials", "2", "--r-min", "6",
+                         "--r-max", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "r_min=6, r_max=4" in err

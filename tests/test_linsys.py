@@ -210,15 +210,13 @@ def test_expected_dim_frozen_examples():
 def test_condition_matrix_single_simple_point():
     P = point(QQ, 2, 3, 1)
     mat = build_condition_matrix(FatPointScheme((P,), (1,)), 1)
-    assert mat.nrows == 1 and mat.ncols == 3
-    assert mat.rows[0] == P.integer_coords()
+    assert mat.shape == (1, 3)
+    assert tuple(mat[0]) == P.integer_coords()
 
 
 def test_condition_matrix_shapes():
     six = FatPointScheme.uniform(conic_points(6), 2)
-    mat = build_condition_matrix(six, 4)
-    assert (mat.nrows, mat.ncols) == (18, 15)
-    assert len(mat.row_labels) == 18
+    assert build_condition_matrix(six, 4).shape == (18, 15)
 
 
 def test_multiplicity_above_degree_leaves_only_zero():
@@ -228,7 +226,7 @@ def test_multiplicity_above_degree_leaves_only_zero():
              (FatPointScheme(TRIANGLE[:2], (3, 1)), 1, 3 + 1),
              (FatPointScheme((point(prime_field(31), 1, 2, 3),), (5,)), 2, 6))
     for scheme, d, nrows in cases:
-        assert build_condition_matrix(scheme, d).nrows == nrows
+        assert len(build_condition_matrix(scheme, d)) == nrows
         for strategy in (ExactRational(), MultiPrime(2)):
             assert system_dim(scheme, d, strategy=strategy).actual_dim == 0
         assert kernel_basis(scheme, d, strategy=SinglePrime()) == []
@@ -250,8 +248,7 @@ def test_double_point_corank_exhaustive_over_F3():
 
 def test_zero_multiplicity_contributes_no_rows():
     scheme = FatPointScheme(TRIANGLE, (2, 0, 1))
-    mat = build_condition_matrix(scheme, 3)
-    assert mat.nrows == comb(3, 2) + 1
+    assert len(build_condition_matrix(scheme, 3)) == comb(3, 2) + 1
 
 
 def test_characteristic_guard():
@@ -281,8 +278,8 @@ def test_modular_matrix_matches_exact_reduction():
     scheme = FatPointScheme(pts, (3, 2, 1, 2))
     exact = build_condition_matrix(scheme, 5)
     modular = condition_matrix_mod_p(scheme, 5, p)
-    assert modular.shape == (exact.nrows, exact.ncols)
-    for i, row in enumerate(exact.rows):
+    assert modular.shape == exact.shape
+    for i, row in enumerate(exact):
         assert [x % p for x in row] == list(modular[i])
 
 
@@ -472,7 +469,7 @@ def test_kernel_triple_triangle():
         linear_form(QQ, (0, 0, 1)) * linear_form(QQ, (0, 1, 0)) * linear_form(QQ, (1, 0, 0))
     )
     got = basis[0]
-    assert got.terms == product.terms or got.scaled(-1).terms == product.terms
+    assert got.terms in (product.terms, tuple((m, -c) for m, c in product.terms))
 
 
 def test_kernel_empty_system():

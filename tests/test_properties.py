@@ -149,7 +149,7 @@ def collinear_schemes(draw):
 @given(scheme=st.one_of(schemes(), collinear_schemes()), d=st.integers(0, 9),
        p=st.sampled_from([2, 3, 5, 7, 31, 2**31 - 1]))
 def test_modular_rank_is_at_most_exact_rank(scheme, d, p):
-    exact = bareiss_echelon(build_condition_matrix(scheme, d).rows)[0]
+    exact = bareiss_echelon(build_condition_matrix(scheme, d).tolist())[0]
     A = condition_matrix_mod_p(scheme, d, p)
     rank = modp_rref(A, p)[0]
     assert rank <= exact
