@@ -467,14 +467,10 @@ def parse_strategy(s: str):
 
 @lru_cache(maxsize=None)
 def strategy_primes(strategy) -> tuple:
-    """The deterministic prime sequence a modular strategy will use."""
-    if isinstance(strategy, SinglePrime):
-        n, seed = 1, strategy.seed
-    elif isinstance(strategy, MultiPrime):
-        n, seed = strategy.count, strategy.seed
-    else:
-        return ()
-    rng = random.Random(f"fatpoints.primes:{seed}")
+    """The deterministic prime sequence of a SinglePrime or MultiPrime
+    strategy."""
+    n = strategy.count if isinstance(strategy, MultiPrime) else 1
+    rng = random.Random(f"fatpoints.primes:{strategy.seed}")
     primes = []
     while len(primes) < n:
         q = random_prime_31(rng)
@@ -671,17 +667,23 @@ def kernel_basis(scheme: FatPointScheme, d: int, strategy=ExactRational()):
 
 @dataclass(frozen=True)
 class AlphaValue:
-    """An initial degree together with how each side was certified."""
+    """An initial degree together with how each side was certified.
+
+    ``reports`` is the trail of ``alpha_search``: one ``(degree, entry)``
+    pair per degree probed, in the order probed, ending with the entry at
+    ``value``.
+    """
 
     value: int
     existence: Optional[str]  # "expected_dim" | "kernel" | None
     certification: str
-    reports: tuple  # (degree, LinearSystemReport or decision label) per try
+    reports: tuple  # (degree, LinearSystemReport or decision label) per probe
 
     @property
     def fully_certified(self) -> bool:
-        # Degrees below the value are always certified empty (full modular
-        # column rank bounds the exact rank from below).
+        # The degree below the value is always certified empty (full modular
+        # column rank bounds the exact rank from below), and so is every
+        # lower degree: x F is nonzero in degree d + 1 for F nonzero in d.
         return self.existence in CERTIFIED_EXISTENCE
 
 
@@ -692,65 +694,96 @@ def alpha_search(
     start: Optional[int] = None,
     cache=None,
 ) -> AlphaValue:
-    """Alpha with its certificate and the degrees tried, climbing from
+    """Alpha with its certificate and the degrees probed, searched from
     ``start`` when that exceeds max(max m, 1).
 
-    Each degree asks only whether it is nonempty, with the cheapest
-    certificate the certification model accepts.  A positive dimension
-    count proves existence with no matrix and no cache lookup.  Without a
-    cache, a rational scheme under a modular strategy is eliminated modulo
-    its first prime, and full column rank proves the degree empty; short of
-    that, the remaining primes complete from that elimination the report
-    ``system_dim`` would give.  Every other degree gets a full ``system_dim``
-    report.  ``reports`` holds one ``(d, entry)`` pair per degree tried, in
-    order, plus the exact recheck of a certified search; ``entry`` is the
-    report, or the label ``"expected_dim"`` or ``"full_rank_mod_p"`` of a
-    degree decided without one.  Refuses what ``system_dim`` refuses.
+    Emptiness is closed downward (x F is nonzero in degree d + 1 for a
+    nonzero F of degree d), so alpha rests on a certified-empty alpha - 1
+    and the report at alpha.  hi, the first degree with a positive
+    dimension count, needs no matrix and no cache lookup; the search probes
+    hi - 1 and then bisects below it, each degree at most once.  Without a
+    cache, a rational scheme under a modular strategy is probed modulo its
+    first prime alone, and at alpha the remaining primes complete from that
+    elimination the report ``system_dim`` would give; every other probe is
+    a ``system_dim`` report.  A report that finds its degree empty after
+    all (an escalated prime split, or a certified search's exact recheck)
+    moves the search on to the next degree.
+
+    ``reports`` holds one ``(d, entry)`` pair per probe, in order, then the
+    report at the value unless its probe was the last entry, and the exact
+    recheck of a certified search.  ``entry`` is the report, or the label
+    ``"full_rank_mod_p"``, ``"deficient_mod_p"`` or ``"expected_dim"`` of a
+    degree decided without one.  Refuses what ``system_dim`` refuses at
+    the degrees a climb from ``start`` to alpha would pass.
     """
     if scheme.max_multiplicity == 0:
         raise ValueError("alpha needs at least one positive multiplicity")
-    d = max(scheme.max_multiplicity, 1)
-    if start is not None:
-        d = max(d, start)
-    bound = scheme.total_multiplicity
+    lo = max(scheme.max_multiplicity, 1, start or 0)
     rational = scheme.field == QQ
+    p = None if rational else scheme.field.p
+    hi = lo  # the first degree with a positive count or refused
+    while True:
+        try:
+            _check_system(scheme, hi, p)
+        except CharacteristicTooSmallError:
+            break
+        if expected_dim(scheme, hi) > 0:
+            break
+        hi += 1
     first_prime = None
     if rational and cache is None and isinstance(strategy, (SinglePrime, MultiPrime)):
         first_prime = strategy_primes(strategy)[0]
+    probes = {}
     trail = []
-    for d in range(d, max(d, bound) + 1):
-        _check_system(scheme, d, None if rational else scheme.field.p)
-        if expected_dim(scheme, d) > 0:
-            # the label system_dim gives when no prime split escalates
-            label = strategy.label() if rational else "SINGLE_PRIME"
-            trail.append((d, "expected_dim"))
-            return AlphaValue(d, "expected_dim", label, tuple(trail))
-        if first_prime is not None:
-            first = _rank_mod_p(scheme, d, first_prime)
-            if first[0] == comb(d + 2, 2):
-                trail.append((d, "full_rank_mod_p"))
-                continue
-            report = _modular_report(scheme, d, strategy, first)
+
+    def probe(d):
+        """Whether degree d is proved empty, keeping what decided it."""
+        if first_prime is None:
+            got = entry = system_dim(scheme, d, strategy=strategy, cache=cache)
+            empty = got.actual_dim == 0
         else:
-            report = system_dim(scheme, d, strategy=strategy, cache=cache)
-        trail.append((d, report))
-        if report.actual_dim >= 1:
-            if report.existence_certified is None and certify_existence:
-                exact = system_dim(
-                    scheme, d, strategy=ExactRational(), want_kernel=True, cache=cache
-                )
-                trail.append((d, exact))
-                if exact.actual_dim >= 1:
-                    return AlphaValue(d, exact.existence_certified,
-                                      exact.certification, tuple(trail))
-                # the modular ranks undercounted; keep climbing
-            else:
-                return AlphaValue(d, report.existence_certified,
-                                  report.certification, tuple(trail))
-    raise CertificationError(
-        "alpha search exceeded the product-of-lines bound; "
-        "this indicates an elimination bug"
-    )
+            got = _rank_mod_p(scheme, d, first_prime)
+            empty = got[0] == comb(d + 2, 2)
+            entry = "full_rank_mod_p" if empty else "deficient_mod_p"
+        probes[d] = got
+        trail.append((d, entry))
+        return empty
+
+    # degrees up to `empty` are empty (below lo: under max m or the
+    # caller's start); `nonempty` is the least degree above them whose
+    # probe found a kernel, or hi, which needs no probe
+    empty, nonempty = lo - 1, hi
+    d = hi - 1
+    while empty < d < nonempty:
+        if probe(d):
+            empty = d
+        else:
+            nonempty = d
+        d = (empty + nonempty) // 2
+    for d in range(nonempty, hi):
+        if d not in probes and probe(d):
+            continue
+        report = probes[d]
+        if first_prime is not None:
+            report = _modular_report(scheme, d, strategy, report)
+        if trail[-1][1] is not report:
+            trail.append((d, report))
+        if report.actual_dim == 0:
+            continue  # a prime split escalated and the exact rank is full
+        if report.existence_certified is None and certify_existence:
+            report = system_dim(
+                scheme, d, strategy=ExactRational(), want_kernel=True, cache=cache
+            )
+            trail.append((d, report))
+            if report.actual_dim == 0:
+                continue  # the modular ranks undercounted
+        return AlphaValue(d, report.existence_certified, report.certification,
+                          tuple(trail))
+    _check_system(scheme, hi, p)  # raises where a climb would have stopped
+    # the label system_dim gives when no prime split escalates
+    label = strategy.label() if rational else "SINGLE_PRIME"
+    trail.append((hi, "expected_dim"))
+    return AlphaValue(hi, "expected_dim", label, tuple(trail))
 
 
 def alpha(

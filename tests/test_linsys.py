@@ -22,6 +22,8 @@ from fatpoints.algebra import (
     poly,
     prime_field,
 )
+from fatpoints.cache import ResultCache
+from fatpoints.configs import general
 from fatpoints.linsys import (
     AlphaReport,
     ExactRational,
@@ -271,6 +273,21 @@ def test_alpha_search_refuses_what_system_dim_refuses():
         linsys.alpha_search(FatPointScheme.uniform([Q], 5))
 
 
+def test_alpha_search_refuses_only_where_a_climb_would():
+    # quadruple points at the triangle's vertices: alpha = 6 (x^2 y^2 z^2),
+    # and the first degree with a positive count is 7
+    def triangle(p):
+        return FatPointScheme.uniform(
+            [point(prime_field(p), *v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], 4)
+
+    # F_7 refuses degree 7, above alpha, so the bracket stops below it
+    av = linsys.alpha_search(triangle(7))
+    assert (av.value, av.certification) == (6, "SINGLE_PRIME")
+    # F_5 refuses degree 5, and degree 4 is empty
+    with pytest.raises(CharacteristicTooSmallError):
+        linsys.alpha_search(triangle(5))
+
+
 def test_modular_matrix_matches_exact_reduction():
     rng = random.Random(13)
     p = 1000003
@@ -513,6 +530,8 @@ def test_parse_strategy():
     assert parse_strategy("exact") == ExactRational()
     assert parse_strategy("prime") == SinglePrime()
     assert parse_strategy("multiprime:3") == MultiPrime(3)
+    assert parse_strategy("multiprime") == MultiPrime(2)
+    assert parse_strategy(" Exact ") == ExactRational()
     with pytest.raises(ValueError):
         parse_strategy("float")
 
@@ -580,6 +599,57 @@ def test_prime_split_escalates_to_exact(monkeypatch):
     av = linsys.alpha_search(scheme, MultiPrime(2))
     assert av.certification == "EXACT_RATIONAL"
     assert av.value == linsys.alpha_search(scheme, ExactRational()).value == 2
+
+
+def test_unlucky_first_prime_inside_the_bracket(monkeypatch):
+    # (t, t^2 + 7 t^3, 1) lies on the conic yz = x^2 mod 7, while six such
+    # points lie on no conic over Q
+    pts = tuple(point(QQ, t, t * t + 7 * t**3, 1) for t in range(1, 7))
+    scheme = FatPointScheme.uniform(pts, 1)
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: (7, 2**31 - 1))
+    av = linsys.alpha_search(scheme, MultiPrime(2))
+    assert (av.value, av.existence, av.certification) == (3, "expected_dim",
+                                                          "MULTI_PRIME(2)")
+    # hi - 1 = 2 is deficient mod 7, degree 1 has full rank, and the report
+    # at 2 escalates to the exact rank, which finds no conic
+    probe2, probe1, (d, report), last = av.reports
+    assert (probe2, probe1) == ((2, "deficient_mod_p"), (1, "full_rank_mod_p"))
+    assert d == 2 and report.certification == "EXACT_RATIONAL"
+    assert report.actual_dim == 0
+    assert last == (3, "expected_dim")
+
+
+@pytest.mark.parametrize("r", range(4, 10))
+def test_bracket_works_only_from_alpha_minus_one(monkeypatch, tmp_path, r):
+    pts = general(r, seed=0)
+    calls = []
+    rank_mod_p = linsys._rank_mod_p
+
+    def spy(scheme, d, p):
+        calls.append((scheme.multiplicities[0], d, p))
+        return rank_mod_p(scheme, d, p)
+
+    monkeypatch.setattr(linsys, "_rank_mod_p", spy)
+    alphas = alpha_sequence(pts, 5, MultiPrime(2)).alphas
+    assert len(set(calls)) == len(calls)
+    assert all(d >= alphas[k - 1] - 1 for k, d, _ in calls)
+
+    cache = ResultCache(tmp_path)
+    writes = []
+    put = cache.put_report
+
+    def put_spy(scheme, d, *rest):
+        writes.append((scheme.multiplicities[0], d))
+        put(scheme, d, *rest)
+
+    cache.put_report = put_spy
+    assert alpha_sequence(pts, 5, MultiPrime(2), cache=cache).alphas == alphas
+    assert writes and all(d >= alphas[k - 1] - 1 for k, d in writes)
+    files = sorted(tmp_path.iterdir())
+    warm = ResultCache(tmp_path)
+    assert alpha_sequence(pts, 5, MultiPrime(2), cache=warm).alphas == alphas
+    assert (warm.hits, warm.misses) == (len(writes), 0)
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def _report_json(rank, nrows, ncols, d, exp, existence, primes):
