@@ -419,71 +419,32 @@ def partial_derivative(f: HomoPoly, var: int) -> HomoPoly:
 
 
 # ---------------------------------------------------------------------------
-# order of vanishing via a linear change of coordinates
-
-def _coordinate_frame(P: ProjectivePoint):
-    """Columns of an invertible matrix sending (1 : 0 : 0) to ``P``.
-
-    The first column is the normalized representative of ``P``; the other
-    two are the standard basis vectors away from its trailing 1, so the
-    determinant is a unit.
-    """
-    fld = P.field
-    last = max(j for j in range(3) if P.coords[j] != fld.zero)
-    cols = [P.coords]
-    for k in range(3):
-        if k != last:
-            cols.append(tuple(fld.one if i == k else fld.zero for i in range(3)))
-    # rows of the substitution: x_i -> sum_k M[i][k] u_k
-    return [tuple(cols[k][i] for k in range(3)) for i in range(3)]
-
-
-@lru_cache(maxsize=4096)
-def _monomial_expansions(P: ProjectivePoint, d: int) -> tuple:
-    """Each degree-``d`` basis monomial rewritten in coordinates centered at ``P``.
-
-    Entry i is the expansion of ``monomial_basis(d)[i]`` as a term tuple in
-    the new variables, where ``P`` sits at (1 : 0 : 0).
-    """
-    fld = P.field
-    rows = _coordinate_frame(P)
-    forms = [linear_form(fld, r) for r in rows]
-    unit = poly(fld, 0, {(0, 0, 0): fld.one})
-    pows = []
-    for fm in forms:
-        cur = [unit]
-        for _ in range(d):
-            cur.append(cur[-1] * fm)
-        pows.append(cur)
-    out = []
-    for (a, b, c) in monomial_basis(d):
-        out.append((pows[0][a] * pows[1][b] * pows[2][c]).terms)
-    return tuple(out)
-
-
-def recentered_at(f: HomoPoly, P: ProjectivePoint) -> HomoPoly:
-    """Rewrite ``f`` in coordinates where ``P`` is (1 : 0 : 0)."""
-    check_same_field(f.field, P.field)
-    fld = f.field
-    expansions = _monomial_expansions(P, f.degree)
-    mons = monomial_basis(f.degree)
-    index = {m: i for i, m in enumerate(mons)}
-    acc = {}
-    for m, c in f.terms:
-        for mono, coef in expansions[index[m]]:
-            acc[mono] = fld.add(acc.get(mono, fld.zero), fld.mul(c, coef))
-    return poly(fld, f.degree, acc)
-
+# order of vanishing from Taylor coefficients
 
 def order_of_vanishing(f: HomoPoly, P: ProjectivePoint):
     """Multiplicity of ``f`` at ``P``; ``math.inf`` for the zero form.
 
-    After moving ``P`` to (1 : 0 : 0) the local chart is u0 = 1, and the
-    multiplicity is the least total degree in the remaining two variables
-    among surviving terms.  This avoids iterated derivative tests and is
-    valid in every characteristic.
+    Write P's integer representative as (A, B, C) in the coordinate order
+    k, l, j, where j is its last nonzero coordinate.  The multiplicity is
+    the least total degree u + v of a term of f(A + Cs, B + Ct, C), whose
+    coefficient of s^u t^v is C^(u+v) times the Hasse derivative
+    sum f_abc C(a, u) C(b, v) A^(a-u) B^(b-v) C^c.  Binomials rather than
+    iterated derivatives keep the check valid in every characteristic.
     """
-    if f.is_zero():
-        return math.inf
-    g = recentered_at(f, P)
-    return min(b + c for (a, b, c), _ in g.terms)
+    check_same_field(f.field, P.field)
+    p = 0 if f.field == QQ else f.field.p
+    coords = P.integer_coords()
+    j = max(i for i in range(3) if coords[i])
+    k, l = (i for i in range(3) if i != j)
+    A, B, C = coords[k], coords[l], coords[j]
+    den = 1 if p else math.lcm(*(c.denominator for _, c in f.terms))
+    terms = [(m[k], m[l], m[j], int(c * den)) for m, c in f.terms]
+    for level in range(f.degree + 1):
+        for u in range(level + 1):
+            v = level - u
+            total = sum(c * math.comb(a, u) * math.comb(b, v)
+                        * A ** (a - u) * B ** (b - v) * C ** e
+                        for a, b, e, c in terms if a >= u and b >= v)
+            if total % p if p else total:
+                return level
+    return math.inf

@@ -445,13 +445,10 @@ def _predicate_value(name: str, points, spec: ConfigSpec):
         if got is None:
             return None
         curve, nodes = got
-        total = sum(
-            order_of_vanishing(curve, P) * (order_of_vanishing(curve, P) - 1)
-            for P in nodes
-        )
-        return check_genus_bound(curve, nodes) and (
-            (curve.degree - 1) * (curve.degree - 2) == total
-        )
+        d = curve.degree
+        orders = [order_of_vanishing(curve, P) for P in nodes]
+        # equality implies the inequality of check_genus_bound
+        return (d - 1) * (d - 2) == sum(m * (m - 1) for m in orders)
     raise ValueError(f"unknown predicate {name!r}")
 
 

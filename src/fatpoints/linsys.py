@@ -90,10 +90,6 @@ class FatPointScheme:
     def max_multiplicity(self) -> int:
         return max(self.multiplicities)
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.multiplicities)
-
     @classmethod
     def uniform(cls, points, k: int) -> "FatPointScheme":
         points = tuple(points)

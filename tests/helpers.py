@@ -1,35 +1,101 @@
 """Shared oracles for the test suite.
 
+The recentering oracle rewrites a form in coordinates where a point P sits
+at (1 : 0 : 0), by a linear change of coordinates; the multiplicity at P is
+then the least total degree in the two other variables.  It is the
+reference for ``order_of_vanishing``, which reads the same multiplicity off
+Taylor coefficients without a change of coordinates.
+
 The enumeration oracle computes the dimension of a fat-point linear system
 over a small prime field by brute force: it walks every coefficient vector
 of the given degree and keeps those whose form vanishes to the required
-order at every point.  Orders are read from the local expansion at each
-point (the defining computation of order_of_vanishing), vectorized so that
-q^N forms stay tractable; a random sample is always cross-checked against
-literal order_of_vanishing calls.
+order at every point.  Orders are read from the recentered expansion at
+each point, vectorized so that q^N forms stay tractable; a random sample is
+always cross-checked against literal order_of_vanishing calls.
 """
 
+import math
 import random
+from functools import lru_cache
 
 import numpy as np
 
 from fatpoints.algebra import (
+    check_same_field,
+    linear_form,
     monomial_basis,
     order_of_vanishing,
+    poly,
     poly_from_vector,
-    _monomial_expansions,
 )
 
 
+def coordinate_frame(P):
+    """Columns of an invertible matrix sending (1 : 0 : 0) to ``P``.
+
+    The first column is the normalized representative of ``P``; the other
+    two are the standard basis vectors away from its trailing 1, so the
+    determinant is a unit.
+    """
+    fld = P.field
+    last = max(j for j in range(3) if P.coords[j] != fld.zero)
+    cols = [P.coords]
+    for k in range(3):
+        if k != last:
+            cols.append(tuple(fld.one if i == k else fld.zero for i in range(3)))
+    # rows of the substitution: x_i -> sum_k M[i][k] u_k
+    return [tuple(cols[k][i] for k in range(3)) for i in range(3)]
+
+
+@lru_cache(maxsize=4096)
+def monomial_expansions(P, d):
+    """Each degree-``d`` basis monomial rewritten in coordinates centered at ``P``.
+
+    Entry i is the expansion of ``monomial_basis(d)[i]`` as a term tuple in
+    the new variables, where ``P`` sits at (1 : 0 : 0).
+    """
+    fld = P.field
+    forms = [linear_form(fld, r) for r in coordinate_frame(P)]
+    unit = poly(fld, 0, {(0, 0, 0): fld.one})
+    pows = []
+    for fm in forms:
+        cur = [unit]
+        for _ in range(d):
+            cur.append(cur[-1] * fm)
+        pows.append(cur)
+    return tuple((pows[0][a] * pows[1][b] * pows[2][c]).terms
+                 for (a, b, c) in monomial_basis(d))
+
+
+def recentered_at(f, P):
+    """Rewrite ``f`` in coordinates where ``P`` is (1 : 0 : 0)."""
+    check_same_field(f.field, P.field)
+    fld = f.field
+    index = {m: i for i, m in enumerate(monomial_basis(f.degree))}
+    expansions = monomial_expansions(P, f.degree)
+    acc = {}
+    for m, c in f.terms:
+        for mono, coef in expansions[index[m]]:
+            acc[mono] = fld.add(acc.get(mono, fld.zero), fld.mul(c, coef))
+    return poly(fld, f.degree, acc)
+
+
+def recentered_order(f, P):
+    """The multiplicity of ``f`` at ``P`` read from ``recentered_at``:
+    the least total degree off the point; ``math.inf`` for the zero form."""
+    return min((b + c for (a, b, c), _ in recentered_at(f, P).terms),
+               default=math.inf)
+
+
 def local_level_functionals(P, d, max_level):
-    """Rows expressing the local-expansion coefficients of levels < max_level.
+    """Rows expressing the recentered-expansion coefficients of levels < max_level.
 
     A degree-d form f vanishes to order >= m at P exactly when every
     coefficient of local level (total degree off the point) below m is zero;
     each such coefficient is a linear functional of the coefficients of f.
     """
     fld = P.field
-    expansions = _monomial_expansions(P, d)
+    expansions = monomial_expansions(P, d)
     levels = {}
     for i, terms in enumerate(expansions):
         for (a, b, c), coef in terms:

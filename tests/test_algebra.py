@@ -24,7 +24,6 @@ from fatpoints.algebra import (
     point,
     poly,
     prime_field,
-    recentered_at,
 )
 
 
@@ -217,18 +216,6 @@ def test_order_point_off_curve():
 
 def test_order_zero_poly_is_infinite():
     assert order_of_vanishing(poly(QQ, 4, {}), point(QQ, 1, 2, 3)) == math.inf
-
-
-def test_recentered_moves_point_to_origin_chart():
-    rng = random.Random(11)
-    for _ in range(20):
-        P = rand_point(QQ, rng)
-        f = rand_poly(QQ, 4, rng)
-        if f.is_zero():
-            continue
-        g = recentered_at(f, P)
-        # value of f at P appears as the coefficient of the pure u0 power
-        assert (g.coeff((4, 0, 0)) == 0) == (evaluate(f, P) == 0)
 
 
 def brute_order_at_least(f, P, m):

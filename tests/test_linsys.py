@@ -1,6 +1,7 @@
 """Condition matrices, rank engines, and initial-degree searches."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,7 @@ from fatpoints.cache import ResultCache
 from fatpoints.configs import general
 from fatpoints.linsys import (
     AlphaReport,
+    CertificationError,
     ExactRational,
     FatPointScheme,
     MultiPrime,
@@ -380,7 +382,7 @@ def test_product_of_lines_degree_always_exists():
         if not any(mults):
             continue
         scheme = FatPointScheme(tuple(pts), mults)
-        d = scheme.total_multiplicity
+        d = sum(scheme.multiplicities)
         assert system_dim(scheme, d).actual_dim >= 1
 
 
@@ -521,6 +523,27 @@ def test_kernel_over_prime_field():
     assert len(basis) == 1
     for P in pts:
         assert order_of_vanishing(basis[0], P) >= 1
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)], ids=repr)
+def test_existence_certificate_refuses_a_bad_kernel_vector(monkeypatch, field):
+    # x^2 added to a conic singular at (0 : 1 : 1) keeps that double point
+    # and loses the simple one, which the check must then name.
+    simple = point(field, 1, 2, 3)
+    scheme = FatPointScheme((point(field, 0, 1, 1), simple), (2, 1))
+    name = "rational_nullspace" if field == QQ else "modp_nullspace"
+    nullspace = getattr(linsys, name)
+
+    def perturbed(*args):
+        first, *rest = nullspace(*args)
+        return [(first[0] + 1, *first[1:]), *rest]
+
+    monkeypatch.setattr(linsys, name, perturbed)
+    message = f"multiplicity-1 check at {simple!r}"
+    with pytest.raises(CertificationError, match=re.escape(message)):
+        system_dim(scheme, 2, want_kernel=True)
+    with pytest.raises(CertificationError, match=re.escape(message)):
+        kernel_basis(scheme, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,29 @@
 * alpha sequences satisfy the Chudnovsky bound alpha(kZ) >= k (alpha(Z) + 1) / 2;
 * a report survives its canonical JSON round trip, kernel included;
 * the rank of a condition matrix modulo any prime is at most its exact rank,
-  and the framed rank-only elimination gives that same rank.
+  and the framed rank-only elimination gives that same rank;
+* ``order_of_vanishing`` agrees with the recentering oracle of ``helpers``
+  over Q and over F_p for p = 2, 3, 5, 31 and 2^31 - 1.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fatpoints.algebra import QQ, det3, point, prime_field  # noqa: E402
+from fatpoints.algebra import (  # noqa: E402
+    QQ,
+    det3,
+    evaluate,
+    linear_form,
+    order_of_vanishing,
+    point,
+    poly_from_vector,
+    prime_field,
+)
 from fatpoints.cache import ResultCache  # noqa: E402
 from fatpoints.linsys import (  # noqa: E402
     ExactRational,
@@ -35,6 +47,7 @@ from fatpoints.linsys import (  # noqa: E402
     system_dim,
 )
 from fatpoints.serialize import dump_json  # noqa: E402
+from helpers import recentered_at, recentered_order  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -154,3 +167,47 @@ def test_modular_rank_is_at_most_exact_rank(scheme, d, p):
     rank = modp_rref(A, p)[0]
     assert rank <= exact
     assert _rank_mod_p(scheme, d, p) == (rank, len(A))
+
+
+ORDER_FIELDS = [QQ] + [prime_field(p) for p in (2, 3, 5, 31, 2**31 - 1)]
+
+
+@st.composite
+def forms_at_points(draw):
+    """(f L^e, P): a random form f of degree d <= 5, with fractional
+    coefficients over Q, times a power of a line L through P, so that d + e
+    can exceed p and orders up to d + e occur.  P is drawn off z = 0, on
+    z = 0 and at (1 : 0 : 0), the three charts of the check."""
+    field = draw(st.sampled_from(ORDER_FIELDS))
+    P = point(field, *draw(st.one_of(
+        st.tuples(coordinate, coordinate, coordinate),
+        st.tuples(coordinate, coordinate, st.just(0)),
+        st.just((1, 0, 0)),
+    ).filter(lambda t: any(field.of(c) for c in t))))
+    d = draw(st.integers(0, 5))
+    n = (d + 1) * (d + 2) // 2
+    nums = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    dens = draw(st.lists(st.integers(1, 4 if field == QQ else 1), min_size=n, max_size=n))
+    f = poly_from_vector(field, d, [Fraction(a, b) for a, b in zip(nums, dens)])
+    a, b, c = P.integer_coords()
+    line = linear_form(field, draw(
+        st.tuples(coordinate, coordinate, coordinate)
+        .map(lambda w: (b * w[2] - c * w[1], c * w[0] - a * w[2], a * w[1] - b * w[0]))
+        .filter(lambda t: any(field.of(e) for e in t))))
+    return f * line.power(draw(st.integers(0, 3))), P
+
+
+@settings(SETTINGS, max_examples=200)
+@given(case=forms_at_points())
+def test_order_of_vanishing_matches_the_recentering_oracle(case):
+    f, P = case
+    assert order_of_vanishing(f, P) == recentered_order(f, P)
+
+
+@SETTINGS
+@given(case=forms_at_points())
+def test_recentered_moves_point_to_origin_chart(case):
+    f, P = case
+    g = recentered_at(f, P)
+    # value of f at P appears as the coefficient of the pure u0 power
+    assert (g.coeff((f.degree, 0, 0)) == 0) == (evaluate(f, P) == 0)
