@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-from .algebra import QQ, HomoPoly, order_of_vanishing, point
+from .algebra import QQ, order_of_vanishing, point
 from .configs import (
     ConfigSpec,
     dual_hesse_lines,
@@ -231,32 +231,6 @@ def check_uniform_step_two_conic(
 
 
 # ---------------------------------------------------------------------------
-# numerical checks
-
-def check_genus_bound(curve: HomoPoly, points) -> bool:
-    """(d-1)(d-2) >= sum m_i (m_i - 1), multiplicities recomputed from scratch.
-
-    Meaningful for curves known to be irreducible by construction; the
-    inequality holds with equality exactly at the maximal node count.
-    """
-    if curve.is_zero():
-        raise ValueError("need a nonzero curve")
-    d = curve.degree
-    total = 0
-    for P in points:
-        m = order_of_vanishing(curve, P)
-        total += m * (m - 1)
-    return (d - 1) * (d - 2) >= total
-
-
-def check_high_multiplicity_counts(d: int, k: int, r: int) -> bool:
-    """(d-1)(d-2) = r k (k-1) together with 2(d-1) < r k."""
-    if d < 2 or k < 2 or r < 1:
-        raise ValueError("need d >= 2, k >= 2, r >= 1")
-    return (d - 1) * (d - 2) == r * k * (k - 1) and 2 * (d - 1) < r * k
-
-
-# ---------------------------------------------------------------------------
 # conjecture search
 
 @dataclass(frozen=True)
@@ -447,7 +421,7 @@ def _predicate_value(name: str, points, spec: ConfigSpec):
         curve, nodes = got
         d = curve.degree
         orders = [order_of_vanishing(curve, P) for P in nodes]
-        # equality implies the inequality of check_genus_bound
+        # a rational curve of degree d has at most (d-1)(d-2)/2 nodes
         return (d - 1) * (d - 2) == sum(m * (m - 1) for m in orders)
     raise ValueError(f"unknown predicate {name!r}")
 

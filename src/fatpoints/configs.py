@@ -133,6 +133,8 @@ def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
     """
     if r < 1:
         raise ValueError("need r >= 1")
+    if height < 0:
+        raise ValueError(f"need height >= 0; got {height}")
     rng = random.Random(f"fatpoints.general:{seed}:{r}:{height}")
     pts = []
     attempts = 0

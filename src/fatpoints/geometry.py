@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .algebra import (
     QQ,
     HomoPoly,
@@ -25,7 +27,7 @@ from .algebra import (
     point,
     poly_from_vector,
 )
-from .linsys import nullspace_in_field
+from .linsys import modp_nullspace
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 12
 
@@ -106,6 +108,12 @@ class ArrangementWitness:
 # ---------------------------------------------------------------------------
 # basic predicates
 
+def _kernel(fld, rows):
+    """The kernel over ``fld`` of rows of integer representatives, which
+    only rescale the points' rows and so leave the RREF alone."""
+    return modp_nullspace(np.array(rows, dtype=object), None if fld == QQ else fld.p)
+
+
 def are_collinear(points) -> Optional[Line]:
     """A common line through all the points, if one exists.
 
@@ -116,11 +124,8 @@ def are_collinear(points) -> Optional[Line]:
     if not points:
         raise ValueError("need at least one point")
     fld = points[0].field
-    rows = [list(P.coords) for P in points]
-    basis = nullspace_in_field(rows, fld, 3)
-    if not basis:
-        return None
-    return Line.from_coeffs(fld, basis[0])
+    basis = _kernel(fld, [P.integer_coords() for P in points])
+    return Line.from_coeffs(fld, basis[0]) if basis else None
 
 
 def common_conic(points) -> Optional[HomoPoly]:
@@ -129,14 +134,11 @@ def common_conic(points) -> Optional[HomoPoly]:
     if not points:
         raise ValueError("need at least one point")
     fld = points[0].field
-    # integer representatives only rescale rows, which leaves the RREF alone
-    rows = [[x**a * y**b * z**c for a, b, c in monomial_basis(2)]
-            for x, y, z in (P.integer_coords() for P in points)]
-    basis = nullspace_in_field(rows, fld, 6)
+    basis = _kernel(fld, [[x**a * y**b * z**c for a, b, c in monomial_basis(2)]
+                          for x, y, z in (P.integer_coords() for P in points)])
     if not basis:
         return None
-    lead = next(c for c in basis[0] if c != fld.zero)
-    inv = fld.inv(lead)
+    inv = fld.inv(next(c for c in basis[0] if c))
     return poly_from_vector(fld, 2, [fld.mul(c, inv) for c in basis[0]])
 
 

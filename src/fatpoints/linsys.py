@@ -313,15 +313,25 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
     return basis
 
 
-def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
-    """Reduced row echelon form mod p; returns (rank, pivot cols, rref).
+def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
+    """Reduced row echelon form over F_p, or over Q when ``p`` is None;
+    returns (rank, pivot cols, rref).
 
-    Rows from the current rank down are zero left of the current column,
-    so each step updates only the columns from there on.  ``rank_only``
-    clears only below each pivot (no back-substitution): the rank and
-    pivots are the same, the returned matrix is a row echelon form.
+    The one elimination for every exact field.  Below 2^31 residues are
+    int64, whose products of two cannot overflow; a larger p works in
+    Python ints and Q in Python ints and Fractions (object arrays), so no
+    float ever appears.  Rows from the current rank down are zero left of
+    the current column, so each step updates only the columns from there
+    on.  ``rank_only`` clears only below each pivot (no back-substitution):
+    the rank and pivots are the same, the returned matrix is a row echelon
+    form.
     """
-    A = A.copy() % p
+    if p is None:
+        A = A.astype(object)
+    elif p < 2**31:
+        A = (A % p).astype(np.int64, copy=False)
+    else:
+        A = A.astype(object) % p
     nr, nc = A.shape
     rank = 0
     pivots = []
@@ -334,79 +344,39 @@ def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
         r = rank + int(nz[0])
         if r != rank:
             A[[rank, r]] = A[[r, rank]]
-        inv = pow(int(A[rank, col]), -1, p)
-        A[rank, col:] = A[rank, col:] * inv % p
+        if p is None:
+            A[rank, col:] = A[rank, col:] * (1 / Fraction(A[rank, col]))
+        else:
+            A[rank, col:] = A[rank, col:] * pow(int(A[rank, col]), -1, p) % p
         if rank_only:  # the swap moved a row that is zero at col to row r
             others = rank + nz[1:]
         else:
             others = np.nonzero(A[:, col])[0]
             others = others[others != rank]
         if others.size:
-            A[others, col:] = (
-                A[others, col:] - A[others, col][:, None] * A[rank, col:][None, :]
-            ) % p
+            update = A[others, col:] - A[others, col][:, None] * A[rank, col:][None, :]
+            A[others, col:] = update if p is None else update % p
         pivots.append(col)
         rank += 1
     return rank, pivots, A
 
 
-def _rref_kernel(pivots, rref, ncols, neg, zero, one):
-    """Kernel basis read off a reduced echelon form, one vector per free
-    column: the free entry is 1 and each pivot entry is minus its row's."""
+def modp_nullspace(A: np.ndarray, p: Optional[int]):
+    """Kernel basis over F_p (over Q when ``p`` is None) read off the RREF,
+    one vector per free column: the free entry is 1, each pivot entry is
+    minus its row's and the rest are 0."""
+    _, pivots, R = modp_rref(A, p)
+    R = (-R if p is None else -R % p).tolist()
     basis = []
-    for f in range(ncols):
+    for f in range(A.shape[1]):
         if f in pivots:
             continue
-        v = [zero] * ncols
-        v[f] = one
+        v = [0] * A.shape[1]
+        v[f] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = neg(rref[i][f])
+            v[pc] = R[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def modp_nullspace(A: np.ndarray, p: int):
-    """Kernel basis mod p, one vector per free column of the RREF."""
-    _, pivots, R = modp_rref(A, p)
-    return _rref_kernel(pivots, R.tolist(), A.shape[1], lambda x: -x % p, 0, 1)
-
-
-def rref_in_field(rows, fld):
-    """Generic reduced row echelon form over any exact field.
-
-    Used for the small geometric kernels (collinearity, common conics)
-    where entries are field scalars rather than cleared integers.
-    """
-    m = [[fld.of(x) for x in r] for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    pivots = []
-    for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col] != fld.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = fld.inv(m[rank][col])
-        m[rank] = [fld.mul(x, inv) for x in m[rank]]
-        for i in range(nr):
-            if i != rank and m[i][col] != fld.zero:
-                f = m[i][col]
-                m[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nr:
-            break
-    return rank, pivots, m
-
-
-def nullspace_in_field(rows, fld, ncols: int):
-    _, pivots, rref = rref_in_field(rows, fld)
-    return _rref_kernel(pivots, rref, ncols, fld.neg, fld.zero, fld.one)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ of the given degree and keeps those whose form vanishes to the required
 order at every point.  Orders are read from the recentered expansion at
 each point, vectorized so that q^N forms stay tractable; a random sample is
 always cross-checked against literal order_of_vanishing calls.
+
+The field-scalar RREF is the reference for ``modp_rref`` and
+``modp_nullspace``: plain lists of field scalars, eliminated with the
+field's own operations, so it shares no code with the numpy engine.
 """
 
 import math
@@ -145,3 +149,45 @@ def enumeration_dimension(points, mults, d, sample_checks=25, rng=None):
         )
         assert ok == bool(mask[i])
     return dim
+
+
+def rref_in_field(rows, fld):
+    """Reduced row echelon form over any exact field, on lists of field
+    scalars; returns (rank, pivot cols, rref rows)."""
+    m = [[fld.of(x) for x in r] for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    rank = 0
+    pivots = []
+    for col in range(nc):
+        piv = next((i for i in range(rank, nr) if m[i][col] != fld.zero), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = fld.inv(m[rank][col])
+        m[rank] = [fld.mul(x, inv) for x in m[rank]]
+        for i in range(nr):
+            if i != rank and m[i][col] != fld.zero:
+                f = m[i][col]
+                m[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nr:
+            break
+    return rank, pivots, m
+
+
+def nullspace_in_field(rows, fld, ncols):
+    """Kernel basis read off ``rref_in_field``, one vector per free column:
+    the free entry is 1 and each pivot entry is minus its row's."""
+    _, pivots, rref = rref_in_field(rows, fld)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [fld.zero] * ncols
+        v[f] = fld.one
+        for i, pc in enumerate(pivots):
+            v[pc] = fld.neg(rref[i][f])
+        basis.append(tuple(v))
+    return basis

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fatpoints.algebra import QQ, linear_form, poly, point, prime_field
+from fatpoints.algebra import order_of_vanishing
 from fatpoints import analysis
 from fatpoints.analysis import (
     CONSISTENT,
@@ -12,15 +12,12 @@ from fatpoints.analysis import (
     UNDECIDED,
     VACUOUS,
     check_double_unit_step_collinear,
-    check_genus_bound,
-    check_high_multiplicity_counts,
     check_minimal_gap_collinear,
     check_uniform_step_two_conic,
     check_unit_step_arrangement,
     conjecture_search,
     load_registry,
     repro,
-    repro_all,
 )
 from fatpoints.configs import (
     collinear,
@@ -201,27 +198,8 @@ def test_verdict_json_shape():
 
 def test_genus_bound_nodal_quintic_equality():
     curve, nodes = rational_nodal_nodes(5, 37, 986, max_retries=1)
-    assert check_genus_bound(curve, nodes)
+    assert all(order_of_vanishing(curve, P) == 2 for P in nodes)
     assert (curve.degree - 1) * (curve.degree - 2) == 2 * len(nodes)
-
-
-def test_genus_bound_smooth_conic_no_points():
-    conic = poly(QQ, 2, {(0, 2, 0): 1, (1, 0, 1): -1})
-    assert check_genus_bound(conic, ())
-
-
-def test_genus_bound_fails_for_triple_line():
-    f = linear_form(QQ, (1, 0, 0)).power(3)
-    assert not check_genus_bound(f, (point(QQ, 0, 1, 1),))
-
-
-def test_high_multiplicity_counts():
-    assert check_high_multiplicity_counts(13, 4, 11)
-    assert check_high_multiplicity_counts(17, 5, 12)
-    assert check_high_multiplicity_counts(10, 3, 12)
-    assert not check_high_multiplicity_counts(10, 3, 11)
-    with pytest.raises(ValueError):
-        check_high_multiplicity_counts(1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

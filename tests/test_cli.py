@@ -374,3 +374,10 @@ def test_search_refuses_an_empty_r_range(capsys):
                          "--r-max", "4")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "r_min=6, r_max=4" in err
+
+
+def test_generate_refuses_a_negative_height(capsys):
+    code, out, err = run(capsys, "generate", "--family", "general", "--r", "3",
+                         "--height", "-5")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "need height >= 0; got -5" in err

@@ -1,6 +1,7 @@
 """Generators: determinism, structure, and cross-detector behavior."""
 
 import itertools
+import re
 
 import pytest
 
@@ -70,6 +71,13 @@ def test_general_respects_height():
     pts = general(6, seed=1, height=50)
     for P in pts:
         assert all(abs(c) <= 50 for c in P.integer_coords())
+
+
+def test_general_refuses_a_negative_height():
+    with pytest.raises(ValueError, match=re.escape("need height >= 0; got -5")):
+        general(3, seed=0, height=-5)
+    # height 0 leaves only (0 : 0 : 1), enough for a single point
+    assert general(1, seed=0, height=0) == (point(QQ, 0, 0, 1),)
 
 
 def test_star_family_incidence():

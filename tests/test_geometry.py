@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from helpers import nullspace_in_field
 from fatpoints.algebra import (
     QQ,
     evaluate,
-    linear_form,
+    monomial_basis,
     order_of_vanishing,
     point,
     poly,
+    poly_from_vector,
     prime_field,
 )
 from fatpoints.configs import (
@@ -21,7 +23,6 @@ from fatpoints.configs import (
     type9,
 )
 from fatpoints.geometry import (
-    ArrangementWitness,
     Line,
     are_collinear,
     common_conic,
@@ -111,6 +112,40 @@ def test_common_conic_degenerate_two_lines():
 def test_common_conic_always_present_up_to_five_points():
     pts = general(5, seed=21)
     assert common_conic(pts) is not None
+
+
+@pytest.mark.parametrize(
+    "field", [QQ] + [prime_field(p) for p in (2, 31, 2**31 - 1, 2**61 - 1)], ids=repr)
+def test_collinear_and_conic_agree_with_the_field_oracle(field):
+    # The oracle eliminates the normalized coordinates as field scalars.
+    # Past 2^31 an int64 elimination would overflow silently.
+    rng = random.Random(repr(field))
+    hi = 9 if field == QQ else field.p - 1
+
+    def draw():
+        return tuple(rng.randint(-hi if field == QQ else 0, hi) for _ in range(3))
+
+    for _ in range(40):
+        a, b = draw(), draw()
+        on_line = rng.random() < 0.4
+        pts = set()
+        for _ in range(rng.randint(1, 7)):
+            s, t = rng.randint(0, hi), rng.randint(0, hi)
+            c = tuple(s * x + t * y for x, y in zip(a, b)) if on_line else draw()
+            if any(field.of(x) != field.zero for x in c):
+                pts.add(point(field, c))
+        if not pts:
+            continue
+        line = nullspace_in_field([P.coords for P in pts], field, 3)
+        assert are_collinear(pts) == (Line.from_coeffs(field, line[0]) if line else None)
+        rows = [[field.mul(field.mul(x**a, y**b), z**c) for a, b, c in monomial_basis(2)]
+                for x, y, z in (P.coords for P in pts)]
+        conic = nullspace_in_field(rows, field, 6)
+        want = None
+        if conic:
+            inv = field.inv(next(c for c in conic[0] if c != field.zero))
+            want = poly_from_vector(field, 2, [field.mul(c, inv) for c in conic[0]])
+        assert common_conic(pts) == want
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import enumeration_dimension
+from helpers import enumeration_dimension, nullspace_in_field, rref_in_field
 from fatpoints import linsys
 from fatpoints.algebra import (
     QQ,
@@ -42,10 +42,8 @@ from fatpoints.linsys import (
     kernel_basis,
     modp_nullspace,
     modp_rref,
-    nullspace_in_field,
     parse_strategy,
     rational_nullspace,
-    rref_in_field,
     strategy_primes,
     system_dim,
 )
@@ -132,8 +130,9 @@ def test_modp_rank_matches_exact_on_generic_input():
         A = np.array([[x % p for x in r] for r in m], dtype=np.int64)
         rank, _, _ = modp_rref(A, p)
         assert rank == fraction_rank(m)
-    # the whole RREF is the generic field RREF over F_q
-    for q in (7, 10007, p):
+    # the whole RREF is the generic field RREF over F_q; past 2^31 the
+    # residues leave int64, whose products of two would overflow silently
+    for q in (7, 10007, p, 2**61 - 1):
         F = prime_field(q)
         for A in rand_modp_matrices(rng, q):
             rank, pivots, R = modp_rref(A, q)
@@ -183,6 +182,27 @@ def test_kernel_readers_agree_across_engines():
             reduced = [tuple(x.numerator * pow(x.denominator, -1, p) % p for x in v)
                        for v in over_q]
             assert mod == reduced
+
+
+def test_rref_over_q_is_exact_and_matches_the_field_oracle():
+    # p=None eliminates in ints and Fractions: a float would mean that a
+    # true division of ints slipped in
+    rng = random.Random(13)
+    shapes = [(0, 1), (0, 4), (3, 3), (4, 2)]
+    shapes += [(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(30)]
+    for nr, nc in shapes:
+        for m in ([[0] * nc for _ in range(nr)], rand_int_matrix(rng, nr, nc, -4, 4)):
+            want = rref_in_field(m, QQ)
+            kernel = nullspace_in_field(m, QQ, nc)
+            for dtype in (np.int64, object):
+                A = np.array(m, dtype=dtype).reshape(nr, nc)
+                rank, pivots, R = modp_rref(A, None)
+                assert (rank, pivots, R.tolist()) == want
+                assert modp_rref(A, None, rank_only=True)[:2] == (rank, pivots)
+                got = modp_nullspace(A, None)
+                assert got == kernel
+                entries = [x for r in R.tolist() for x in r] + [x for v in got for x in v]
+                assert all(type(x) in (int, Fraction) for x in entries)
 
 
 # ---------------------------------------------------------------------------
