@@ -85,6 +85,8 @@ class ConfigSpec:
         if missing:
             raise ValueError(
                 f"family {self.family!r} needs the parameter(s) {', '.join(missing)}")
+        if self.height is not None and self.family not in ("general", "nagata16"):
+            raise ValueError(f"family {self.family!r} takes no height")
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}

@@ -5,8 +5,12 @@ the corank of a condition matrix whose rows are derivative evaluations.
 Ranks are computed either exactly (fraction-free elimination over cleared
 integers) or modulo seeded 31-bit primes.  Modular ranks can only drop, so
 a full-column-rank verdict modulo one prime already certifies emptiness of
-the rational system; nonzero modular kernels are only certified after an
-exact recomputation or a dimension count.
+the rational system, and a modular rank equal to min(rows, columns) is the
+exact rank; nonzero modular kernels are only certified after an exact
+recomputation or a dimension count.  Both modular and exact elimination
+may move three points to the coordinate vertices first (``_frame``), which
+leaves only the other points' rows on the monomials the vertices do not
+fix; exact elimination does so when that matrix is cheaper for Bareiss.
 """
 
 from __future__ import annotations
@@ -218,10 +222,7 @@ def _rank_mod_p(scheme: FatPointScheme, d: int, p: int):
     frame = _frame(imposed)
     if frame is None or p <= d or frame[0] % p == 0:
         return modp_rref(_derivative_rows(imposed, d, p), p, rank_only=True)[0], nrows
-    _, ((_, a, ma), (_, b, mb), (_, c, mc)), rest = frame
-    off = (np.array(monomial_basis(d)) <= [d - ma, d - mb, d - mc]).all(axis=1)
-    rest = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
-    R = _derivative_rows(rest, d, p)[:, off]
+    off, R = _framed_rows(frame, d, p)
     return int((~off).sum()) + modp_rref(R, p, rank_only=True)[0], nrows
 
 
@@ -234,6 +235,82 @@ def _frame(imposed):
         if det:
             return det, (order[0], order[1], order[k]), order[2:k] + order[k + 1:]
     return None
+
+
+def _framed_rows(frame, d: int, p: Optional[int]):
+    """(off, rows) of a ``_frame``: the mask of the monomials off U, and the
+    other points' rows, moved by X -> (det3(X, b, c), det3(a, X, c),
+    det3(a, b, X)), on those columns (int64 residues mod p, exact ints when
+    p is None)."""
+    _, ((_, a, ma), (_, b, mb), (_, c, mc)), rest = frame
+    off = (np.array(monomial_basis(d)) <= [d - ma, d - mb, d - mc]).all(axis=1)
+    rest = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
+    return off, _derivative_rows(rest, d, p)[:, off]
+
+
+def _bareiss_cost(A) -> int:
+    """Rows x columns x largest entry bit length of an exact matrix, which
+    Bareiss's time grows with: framing trades fewer rows and columns for
+    about twice the bits."""
+    return A.shape[0] * A.shape[1] * max((x.bit_length() for x in A.flat), default=0)
+
+
+def _pull_back(vectors, off, frame, d: int):
+    """The RREF kernel basis, as ``rational_nullspace`` gives it, of the
+    forms f(X) = g(l1(X), l2(X), l3(X)) for the framed kernel vectors g
+    (coefficients on the columns ``off``) and the linear forms b x c,
+    c x a, a x b of the ``frame``'s move.
+
+    The products l1^i l2^j l3^k are dense arrays P[s, t] of the
+    coefficients of x^s y^t z^(e-s-t), each one linear form times an
+    earlier one.  The pulled-back vectors span the kernel; their reverse-
+    column echelon, fraction-free and cleared above and below each pivot,
+    has one row per free column f (its last nonzero entry) proportional to
+    the RREF vector of f, which primitive scaling with a positive first
+    entry then fixes.
+    """
+    if not vectors:
+        return []
+    _, ((_, a, _), (_, b, _), (_, c, _)), _ = frame
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    forms = ([det3(e, b, c) for e in unit], [det3(a, e, c) for e in unit],
+             [det3(a, b, e) for e in unit])
+    mons = monomial_basis(d)
+    at = tuple(np.array(mons)[:, :2].T)
+    products = {(0, 0, 0): np.ones((1, 1), dtype=object)}
+
+    def product(mu):
+        if mu not in products:
+            i = next(i for i in range(3) if mu[i])
+            prev = product(mu[:i] + (mu[i] - 1,) + mu[i + 1:])
+            P = np.zeros((len(prev) + 1,) * 2, dtype=object)
+            P[1:, :-1] += forms[i][0] * prev
+            P[:-1, 1:] += forms[i][1] * prev
+            P[:-1, :-1] += forms[i][2] * prev
+            products[mu] = P
+        return products[mu]
+
+    S = np.array([product(mu)[at] for mu, keep in zip(mons, off) if keep], dtype=object)
+    rows = np.array(vectors, dtype=object).dot(S).tolist()
+    done = []
+    for col in reversed(range(len(mons))):
+        k = next((k for k, r in enumerate(rows) if r[col]), None)
+        if k is None:
+            continue
+        piv = rows.pop(k)
+        for r in rows + done:
+            if r[col]:
+                r[:] = [piv[col] * x - r[col] * y for x, y in zip(r, piv)]
+                g = math.gcd(*r)
+                r[:] = [x // g for x in r]
+        done.append(piv)
+    basis = []
+    for r in reversed(done):
+        g = math.gcd(*r)
+        if next(x for x in r if x) < 0:
+            g = -g
+        basis.append(tuple(x // g for x in r))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -543,28 +620,54 @@ def _report(scheme, d, rank, nrows, certification, primes=(), kernel=None,
 
 
 def _exact_report(scheme, d, want_kernel):
-    # One elimination per call: a kernel's size gives the rank.
+    """The report of an exact rank, or of an exact kernel and its rank.
+
+    Over F_p the condition matrix is eliminated once by ``modp_rref``.
+    Over Q a rank-only report first takes the rank modulo the first
+    single-prime prime: modular rank <= exact rank <= min(nrows, ncols), so
+    reaching that bound proves it.  Otherwise Bareiss eliminates once,
+    either the condition matrix or, when ``_frame`` finds three
+    non-collinear imposing points and ``_bareiss_cost`` is lower for it,
+    the framed matrix of ``_rank_mod_p`` over Q: the rank is then |U| plus
+    its rank, and ``_pull_back`` turns its kernel into the condition
+    matrix's RREF kernel basis, the one ``rational_nullspace`` would give.
+    Every kernel form is checked at every point in the original
+    coordinates.
+    """
     fld = scheme.field
     ncols = comb(d + 2, 2)
+    if fld == QQ and not want_kernel:
+        rank, nrows = _rank_mod_p(scheme, d, strategy_primes(SinglePrime())[0])
+        if rank == min(nrows, ncols):
+            return _report(scheme, d, rank, nrows, "EXACT_RATIONAL", witness="rank")
     rows = build_condition_matrix(scheme, d)
-    if fld == QQ:
-        if want_kernel:
-            vectors = rational_nullspace(rows.tolist(), ncols)
-        else:
-            rank = bareiss_echelon(rows.tolist())[0]
-        certification, primes = "EXACT_RATIONAL", ()
-    else:
+    nrows = len(rows)
+    if fld != QQ:
         if want_kernel:
             vectors = modp_nullspace(rows, fld.p)
         else:
             rank = modp_rref(rows, fld.p, rank_only=True)[0]
         certification, primes = "SINGLE_PRIME", (fld.p,)
+    else:
+        covered, framed = 0, None
+        frame = _frame(_imposed(scheme, d, None))
+        if frame is not None:
+            off, R = _framed_rows(frame, d, None)
+            if _bareiss_cost(R) < _bareiss_cost(rows):
+                covered, framed, rows = int((~off).sum()), (off, frame), R
+        if want_kernel:
+            vectors = rational_nullspace(rows.tolist(), rows.shape[1])
+            if framed:
+                vectors = _pull_back(vectors, *framed, d)
+        else:
+            rank = covered + bareiss_echelon(rows.tolist())[0]
+        certification, primes = "EXACT_RATIONAL", ()
     kernel = None
     if want_kernel:
         kernel = tuple(poly_from_vector(fld, d, v) for v in vectors)
         _verify_kernel(scheme, kernel)
         rank = ncols - len(vectors)
-    return _report(scheme, d, rank, len(rows), certification, primes, kernel,
+    return _report(scheme, d, rank, nrows, certification, primes, kernel,
                    "kernel" if want_kernel else "rank")
 
 

@@ -14,7 +14,6 @@ and fails on that single cell; see the registry row notes.
 
 import random
 
-import numpy as np
 import pytest
 
 from helpers import enumeration_dimension
@@ -37,7 +36,6 @@ from fatpoints.analysis import (
     check_uniform_step_two_conic,
     check_unit_step_arrangement,
     conjecture_search,
-    load_registry,
     repro,
 )
 from fatpoints.configs import (

@@ -9,10 +9,7 @@ import pytest
 
 from fatpoints.algebra import (
     QQ,
-    CharacteristicTooSmallError,
     FieldMismatchError,
-    HomoPoly,
-    ProjectivePoint,
     evaluate,
     field_from_string,
     field_to_string,

@@ -7,7 +7,7 @@ import pytest
 from fatpoints.algebra import QQ, point
 from fatpoints.cli import main
 from fatpoints.serialize import points_from_json_dict, points_to_json_dict
-from fatpoints.configs import general, type9
+from fatpoints.configs import general
 from fatpoints.svgplot import render_svg
 
 
@@ -381,3 +381,17 @@ def test_generate_refuses_a_negative_height(capsys):
                          "--height", "-5")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "need height >= 0; got -5" in err
+
+
+@pytest.mark.parametrize("family, args", [("star", ("--p", "4", "--seed", "1")),
+                                          ("collinear", ("--r", "3"))])
+def test_generate_refuses_a_height_the_family_does_not_take(capsys, family, args):
+    for height in ("5", "-5"):
+        code, out, err = run(capsys, "generate", "--family", family, *args,
+                             "--height", height)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and f"family '{family}' takes no height" in err
+    code, out, _ = run(capsys, "generate", "--family", "nagata16", "--height", "40")
+    assert code == 0
+    assert all(abs(c) <= 40 for P in points_from_json_dict(json.loads(out))
+               for c in P.integer_coords()[:2])

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from fatpoints.algebra import QQ, order_of_vanishing, point, prime_field
+from fatpoints.algebra import QQ, order_of_vanishing, point
 from fatpoints.configs import (
     ConfigSpec,
     collinear,
@@ -175,6 +175,9 @@ def test_config_spec_round_trip():
     assert ConfigSpec.from_json_dict(d) == spec
     with pytest.raises(ValueError):
         ConfigSpec(family="spiral")
+    assert ConfigSpec(family="nagata16", height=40).height == 40
+    with pytest.raises(ValueError, match="family 'star' takes no height"):
+        ConfigSpec(family="star", p=4, height=5)
 
 
 def test_generate_dispatch():

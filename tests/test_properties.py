@@ -8,29 +8,35 @@
 * a report survives its canonical JSON round trip, kernel included;
 * the rank of a condition matrix modulo any prime is at most its exact rank,
   and the framed rank-only elimination gives that same rank;
+* exact ranks and kernels, framed or not, equal Bareiss's rank and
+  ``rational_nullspace`` of the unframed condition matrix;
 * ``order_of_vanishing`` agrees with the recentering oracle of ``helpers``
   over Q and over F_p for p = 2, 3, 5, 31 and 2^31 - 1.
 """
 
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from fatpoints import linsys  # noqa: E402
 from fatpoints.algebra import (  # noqa: E402
     QQ,
     det3,
     evaluate,
     linear_form,
+    monomial_basis,
     order_of_vanishing,
     point,
     poly_from_vector,
     prime_field,
 )
 from fatpoints.cache import ResultCache  # noqa: E402
+from fatpoints.configs import collinear, general, on_conic  # noqa: E402
 from fatpoints.linsys import (  # noqa: E402
     ExactRational,
     FatPointScheme,
@@ -43,6 +49,7 @@ from fatpoints.linsys import (  # noqa: E402
     build_condition_matrix,
     condition_matrix_mod_p,
     modp_rref,
+    rational_nullspace,
     report_from_json_dict,
     system_dim,
 )
@@ -167,6 +174,78 @@ def test_modular_rank_is_at_most_exact_rank(scheme, d, p):
     rank = modp_rref(A, p)[0]
     assert rank <= exact
     assert _rank_mod_p(scheme, d, p) == (rank, len(A))
+
+
+def exact_path(scheme, d):
+    """(rank-only report's rank, kernel report's rank, its kernel vectors)."""
+    rep = system_dim(scheme, d, ExactRational(), want_kernel=True)
+    vectors = [tuple(g.coeff(mu) for mu in monomial_basis(d)) for g in rep.kernel]
+    return system_dim(scheme, d, ExactRational()).rank, rep.rank, vectors
+
+
+def unframed_oracle(scheme, d):
+    A = build_condition_matrix(scheme, d).tolist()
+    rank = bareiss_echelon(A)[0]
+    return rank, rank, rational_nullspace(A, comb(d + 2, 2))
+
+
+@SETTINGS
+@given(scheme=st.one_of(schemes(), collinear_schemes()), d=st.integers(0, 8))
+def test_exact_path_matches_the_unframed_oracle(scheme, d):
+    assert exact_path(scheme, d) == unframed_oracle(scheme, d)
+
+
+# (points, multiplicities, degree, whether Bareiss gets the framed matrix)
+VERTICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+EXACT_PATH_CASES = {
+    # U covers the one monomial of degree 0: a framed matrix with no columns
+    "no-off-frame-columns": ((*VERTICES, (1, 1, 1)), (1, 1, 1, 1), 0, True),
+    "vertex-m-above-d": (((2, 3, 1), (-1, 4, 1), (5, -2, 1), (3, 3, 1)), (5, 1, 1, 1),
+                         3, True),
+    "two-imposing-points": (((2, 3, 1), (-1, 4, 1), (5, -2, 1)), (3, 2, 0), 4, False),
+    "collinear": (tuple(P.integer_coords() for P in collinear(5)), (2,) * 5, 4, False),
+    "kernel-dimension-6": (((2, 3, 1), (-1, 4, 1), (5, -2, 1)), (2, 2, 2), 4, True),
+    "conic-kernel": (tuple(P.integer_coords() for P in on_conic(6)), (2,) * 6, 4, True),
+    "framed-triple": (((7, -3, 2), (1, 9, -4), (-5, 2, 6)), (4, 4, 4), 6, True),
+    "unframed-simple-points": (tuple(P.integer_coords() for P in general(10, 0, 30)),
+                               (1,) * 10, 4, False),
+}
+
+
+def bareiss_row_counts(monkeypatch):
+    """The row count of every matrix ``linsys`` hands Bareiss from now on."""
+    sizes = []
+    monkeypatch.setattr(linsys, "bareiss_echelon",
+                        lambda rows: sizes.append(len(rows)) or bareiss_echelon(rows))
+    return sizes
+
+
+@pytest.mark.parametrize("points, mults, d, framed", EXACT_PATH_CASES.values(),
+                         ids=EXACT_PATH_CASES)
+def test_exact_path_cases_match_the_unframed_oracle(monkeypatch, points, mults, d,
+                                                    framed):
+    scheme = FatPointScheme(tuple(point(QQ, *P) for P in points), mults)
+    sizes = bareiss_row_counts(monkeypatch)
+    got = exact_path(scheme, d)
+    monkeypatch.undo()
+    # the framed matrix drops the vertex rows, at least one per vertex
+    assert (sizes[0] < len(build_condition_matrix(scheme, d))) == framed
+    assert got == unframed_oracle(scheme, d)
+
+
+def test_rank_only_exact_report_runs_bareiss_only_below_full_rank(monkeypatch):
+    sizes = bareiss_row_counts(monkeypatch)
+    # six general double points impose independent conditions on quartics
+    full = system_dim(FatPointScheme.uniform(general(6, 0, 30), 2), 4, ExactRational())
+    assert (full.rank, full.nrows, full.certification) == (15, 18, "EXACT_RATIONAL")
+    assert sizes == []
+    # the doubled conic through six points is one quartic
+    conic = FatPointScheme.uniform(on_conic(6), 2)
+    deficient = system_dim(conic, 4, ExactRational())
+    assert len(sizes) == 1
+    monkeypatch.undo()
+    assert deficient.rank == bareiss_echelon(build_condition_matrix(conic, 4).tolist())[0]
+    assert deficient.rank == 14
 
 
 ORDER_FIELDS = [QQ] + [prime_field(p) for p in (2, 3, 5, 31, 2**31 - 1)]
