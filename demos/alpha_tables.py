@@ -40,9 +40,9 @@ def main():
     show("dual_hesse(31)", dual_hesse(31), k_max=3)
     show("nagata16 = general(16, seed=7)", general(16, seed=7), k_max=4)
 
-    curve, nodes = rational_nodal_nodes(5, 37, 986, max_retries=1)
+    curve, nodes = rational_nodal_nodes(5, 37, 986)
     show("nodes of a 6-nodal quintic / F_37", nodes, k_max=2)
-    union = two_nodal_union(2, 2, 31, 1, max_retries=1)
+    union = two_nodal_union(2, 2, 31, 1)
     show("two transversal conics / F_31", union, k_max=2)
 
 

@@ -20,6 +20,7 @@ implications an inconsistency can only mean an implementation bug.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -391,7 +392,7 @@ class ReproReport:
         return "\n".join(rows)
 
 
-def _predicate_value(name: str, points, spec: ConfigSpec):
+def _predicate_value(name: str, points, spec: ConfigSpec, nodal: Callable):
     if name == "is_type9":
         return is_type9(points)
     if name == "no_common_conic":
@@ -412,13 +413,9 @@ def _predicate_value(name: str, points, spec: ConfigSpec):
         return (len(points) == 12 and len(lines) == 9
                 and per_point == {3} and per_line == {4})
     if name == "node_count":
-        got = rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0, max_retries=1)
-        return None if got is None else len(got[1])
+        return len(nodal()[1])
     if name == "genus_equality":
-        got = rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0, max_retries=1)
-        if got is None:
-            return None
-        curve, nodes = got
+        curve, nodes = nodal()
         d = curve.degree
         orders = [order_of_vanishing(curve, P) for P in nodes]
         # a rational curve of degree d has at most (d-1)(d-2)/2 nodes
@@ -453,6 +450,9 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
         raise KeyError(f"unknown example id {example_id!r}")
     spec = ConfigSpec.from_json_dict(entry["config"])
     points = generate(spec)
+    # the nodal predicates' curve, built once for both
+    nodal = functools.cache(
+        lambda: rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0))
     warm: dict = {}
     cells = []
     for cell in entry["cells"]:
@@ -470,7 +470,7 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
             cert = rep.entries[-1]["certification"]
             name = f"alpha_gap({m},{n})"
         elif kind == "predicate":
-            computed = _predicate_value(cell["name"], points, spec)
+            computed = _predicate_value(cell["name"], points, spec, nodal)
             name = cell["name"]
             cert = "EXACT" if points[0].field == QQ else f"F_{points[0].field.p}"
         else:

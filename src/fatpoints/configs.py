@@ -18,6 +18,7 @@ from .algebra import (
     QQ,
     HomoPoly,
     det3,
+    evaluate,
     order_of_vanishing,
     point,
     poly_from_vector,
@@ -26,13 +27,15 @@ from .algebra import (
 from .geometry import (
     Line,
     is_type9,
-    plane_points_where,
     rational_points_on_curve,
     singular_points_over_Fp,
 )
 from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
 
 DEFAULT_HEIGHT = 10**4
+# draws before ``rational_nodal_nodes`` and ``two_nodal_union`` give up
+NODAL_ATTEMPTS = 60
+TWO_NODAL_ATTEMPTS = 400
 
 
 def _found(result, what):
@@ -162,23 +165,12 @@ def star(p: int, seed: int, height: int = 30):
         raise ValueError("need at least three lines")
     for attempt in itertools.count():
         rng = random.Random(f"fatpoints.star:{seed}:{p}:{attempt}")
-        lines = []
-        ok = True
-        for _ in range(p):
-            c = [rng.randint(-height, height) for _ in range(3)]
-            if not any(c):
-                ok = False
-                break
-            L = Line.from_coeffs(QQ, c)
-            if L in lines:
-                ok = False
-                break
-            lines.append(L)
-        if not ok:
+        coeffs = [[rng.randint(-height, height) for _ in range(3)] for _ in range(p)]
+        if not all(map(any, coeffs)):
             continue
-        pts = []
-        for L1, L2 in itertools.combinations(lines, 2):
-            pts.append(L1.intersect(L2))
+        lines = [Line.from_coeffs(QQ, c) for c in coeffs]
+        pts = [L1.intersect(L2) for L1, L2 in itertools.combinations(lines, 2)
+               if L1 != L2]
         if len(set(pts)) == comb(p, 2):
             return tuple(pts), tuple(lines)
 
@@ -202,8 +194,9 @@ def dual_hesse(p: int):
     if p % 3 != 1 or p <= 10:
         raise ValueError("need a prime p = 1 mod 3 with p > 10")
     lines = dual_hesse_lines(p)
-    pts = plane_points_where(prime_field(p),
-                             lambda P: sum(L.contains(P) for L in lines) >= 3)
+    meets = {L1.intersect(L2) for L1, L2 in itertools.combinations(lines, 2)}
+    pts = sorted((P for P in meets if sum(L.contains(P) for L in lines) >= 3),
+                 key=lambda P: P.coords)
     if len(pts) != 12:
         raise RuntimeError("cube-root line construction degenerated")
     return tuple(pts)
@@ -211,15 +204,9 @@ def dual_hesse(p: int):
 
 def dual_hesse_lines(p: int):
     F = prime_field(p)
-    w = next(x for x in range(2, p) if pow(x, 3, p) == 1 and x != 1)
-    lines = []
-    for a in range(3):
-        lines.append(Line.from_coeffs(F, (1, -pow(w, a, p) % p, 0)))
-    for b in range(3):
-        lines.append(Line.from_coeffs(F, (0, 1, -pow(w, b, p) % p)))
-    for c in range(3):
-        lines.append(Line.from_coeffs(F, (1, 0, -pow(w, c, p) % p)))
-    return tuple(lines)
+    w = next(x for x in range(2, p) if pow(x, 3, p) == 1)
+    return tuple(Line.from_coeffs(F, [(1, -u, 0), (0, 1, -u), (1, 0, -u)][k])
+                 for k in range(3) for u in (1, w, w * w))
 
 
 _TYPE9_DEFAULT = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 2, 1), (2, 0, 1), (3, -2, 1))
@@ -257,10 +244,7 @@ def type9(seed: Optional[int] = None):
 def _binary_form_values(coeffs, s, u, p):
     # value of sum coeffs[i] s^(d-i) u^i
     d = len(coeffs) - 1
-    acc = 0
-    for i, c in enumerate(coeffs):
-        acc = (acc + c * pow(s, d - i, p) * pow(u, i, p)) % p
-    return acc
+    return sum(c * pow(s, d - i, p) * pow(u, i, p) for i, c in enumerate(coeffs)) % p
 
 
 def _implicitize_parameterization(forms, d: int, p: int) -> Optional[HomoPoly]:
@@ -284,20 +268,20 @@ def _implicitize_parameterization(forms, d: int, p: int) -> Optional[HomoPoly]:
     return poly_from_vector(F, d, [int(v) for v in kernel[0]])
 
 
-def rational_nodal_nodes(d: int, p: int, seed: int, max_retries: int = 60):
+def rational_nodal_nodes(d: int, p: int, seed: int):
     """A degree-d rational curve with all C(d-1, 2) nodes rational, plus the nodes.
 
     Draws seeded random degree-d parameterizations, implicitizes by the
     kernel method, and accepts only when the singular scan finds exactly
     the maximal node count, every singularity of local order exactly 2.
-    Returns (curve, nodes) or None after max_retries attempts.
+    Returns (curve, nodes) or None after NODAL_ATTEMPTS attempts.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
     if p <= d * d:
         raise ValueError("need p > d^2")
     expected = comb(d - 1, 2)
-    for attempt in range(max_retries):
+    for attempt in range(NODAL_ATTEMPTS):
         rng = random.Random(f"fatpoints.nodal:{seed}:{d}:{p}:{attempt}")
         forms = [[rng.randrange(p) for _ in range(d + 1)] for _ in range(3)]
         curve = _implicitize_parameterization(forms, d, p)
@@ -327,15 +311,18 @@ def _random_curve_through(points, d: int, p: int, rng) -> Optional[HomoPoly]:
     return poly_from_vector(F, d, vec)
 
 
-def two_nodal_union(d1: int, d2: int, p: int, seed: int, max_retries: int = 400):
+def two_nodal_union(d1: int, d2: int, p: int, seed: int):
     """Nodes of two transversal nodal curves plus all their intersections.
 
     The first curve comes from the nodal generator; the second is drawn
     through prescribed rational points of the first so the intersection
-    points stay rational.  Transversality and nodality are verified by a
-    singular scan of the product: it must consist of exactly
-    C(d1-1,2) + C(d2-1,2) + d1 d2 points, each of local order exactly 2.
-    Returns the sorted point tuple or None.
+    points stay rational, and needs C(d2-1, 2) nodes.  The product c1 c2
+    is checked through its factors: grad(c1 c2) = c2 grad c1 + c1 grad c2
+    and Euler's relation (p > d1 + d2) make its singular points the nodes
+    of both curves and their common points, and multiplicities add, so all
+    have order 2 when no node lies on the other curve; d1 d2 distinct
+    common points then make the curves transversal.  Returns the sorted
+    point tuple or None.
     """
     if d1 < 2 or d2 < 2:
         raise ValueError("need degrees >= 2")
@@ -346,34 +333,24 @@ def two_nodal_union(d1: int, d2: int, p: int, seed: int, max_retries: int = 400)
         return None
     c1, nodes1 = first
     expected2 = comb(d2 - 1, 2)
-    want_total = comb(d1 - 1, 2) + expected2 + d1 * d2
-    on_c1 = [P for P in rational_points_on_curve(c1) if P not in nodes1]
+    c1_points = rational_points_on_curve(c1)
+    on_c1 = [P for P in c1_points if P not in nodes1]
     prescribe = min(d1 * d2, comb(d2 + 2, 2) - 2)
-    for attempt in range(max_retries):
+    if len(on_c1) < prescribe:
+        return None
+    for attempt in range(TWO_NODAL_ATTEMPTS):
         rng = random.Random(f"fatpoints.twonodal:{seed}:{d1}:{d2}:{p}:{attempt}")
-        if len(on_c1) < prescribe:
-            return None
-        base = rng.sample(on_c1, prescribe)
-        c2 = _random_curve_through(base, d2, p, rng)
-        if c2 is None or c2.degree != d2:
+        c2 = _random_curve_through(rng.sample(on_c1, prescribe), d2, p, rng)
+        if c2 is None:
             continue
         sing2 = singular_points_over_Fp(c2)
         if len(sing2) != expected2:
             continue
         if not all(order_of_vanishing(c2, P) == 2 for P in sing2):
             continue
-        product = c1 * c2
-        sing = singular_points_over_Fp(product)
-        if len(sing) != want_total:
+        # a node of either curve on the other is a common point
+        inter = {P for P in c1_points if evaluate(c2, P) == 0}
+        if len(inter) != d1 * d2 or not inter.isdisjoint((*nodes1, *sing2)):
             continue
-        if not all(order_of_vanishing(product, P) == 2 for P in sing):
-            continue
-        inter = [P for P in sing if P not in nodes1 and P not in sing2]
-        if len(inter) != d1 * d2:
-            continue
-        pts = sorted(
-            set(nodes1) | set(sing2) | set(inter),
-            key=lambda P: tuple(int(c) for c in P.coords),
-        )
-        return tuple(pts)
+        return tuple(sorted(inter.union(nodes1, sing2), key=lambda P: P.coords))
     return None

@@ -20,14 +20,13 @@ from .algebra import (
     HomoPoly,
     ProjectivePoint,
     check_same_field,
-    evaluate,
     linear_form,
     monomial_basis,
     partial_derivative,
     point,
     poly_from_vector,
 )
-from .linsys import modp_nullspace
+from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 12
 
@@ -279,22 +278,39 @@ def is_type9(points) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# finite-field singular locus scan
+# scans of P^2(F_p)
 
 def enumerate_projective_plane(field):
     """Canonical representatives of P^2(F_p), p^2 + p + 1 points."""
     p = field.p
     for a in range(p):
         for b in range(p):
-            yield point(field, a, b, 1)
+            yield ProjectivePoint(field, (a, b, 1))
     for a in range(p):
-        yield point(field, a, 1, 0)
-    yield point(field, 1, 0, 0)
+        yield ProjectivePoint(field, (a, 1, 0))
+    yield ProjectivePoint(field, (1, 0, 0))
 
 
-def plane_points_where(field, keep):
-    """The points of P^2(F_p) where ``keep`` holds, sorted by coordinates."""
-    return sorted(filter(keep, enumerate_projective_plane(field)), key=lambda P: P.coords)
+def plane_points_where(field, forms):
+    """The common zeros in P^2(F_p) of ``forms``, sorted by coordinates.
+
+    A form's values at the plane's points are the plane's order-0 condition
+    rows, from ``condition_matrix_mod_p`` with every point simple, times its
+    coefficient vector, each product reduced mod p before the sum.  The zero
+    form vanishes everywhere and a nonzero constant nowhere.
+    """
+    if field == QQ:
+        raise ValueError("the scan needs a prime field")
+    p = field.p
+    plane = FatPointScheme.uniform(enumerate_projective_plane(field), 1)
+    rows = {d: condition_matrix_mod_p(plane, d, p) for d in {f.degree for f in forms}}
+    keep = np.ones(len(plane.points), dtype=bool)
+    for f in forms:
+        check_same_field(field, f.field)
+        terms = dict(f.terms)
+        v = np.array([terms.get(m, 0) for m in monomial_basis(f.degree)], dtype=np.int64)
+        keep &= (rows[f.degree] * v % p).sum(axis=1) % p == 0
+    return sorted(itertools.compress(plane.points, keep), key=lambda P: P.coords)
 
 
 def singular_points_over_Fp(f: HomoPoly):
@@ -310,14 +326,9 @@ def singular_points_over_Fp(f: HomoPoly):
         raise ValueError(
             f"need p > degree for a faithful gradient scan (p={fld.p}, d={f.degree})"
         )
-    grads = [partial_derivative(f, v) for v in range(3)]
-    return plane_points_where(
-        fld, lambda P: all(g.is_zero() or evaluate(g, P) == 0 for g in grads))
+    return plane_points_where(fld, [partial_derivative(f, v) for v in range(3)])
 
 
 def rational_points_on_curve(f: HomoPoly):
     """All F_p-rational points of the curve, canonically sorted."""
-    fld = f.field
-    if fld == QQ:
-        raise ValueError("the scan needs a prime-field polynomial")
-    return plane_points_where(fld, lambda P: evaluate(f, P) == 0)
+    return plane_points_where(f.field, [f])

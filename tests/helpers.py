@@ -16,6 +16,12 @@ always cross-checked against literal order_of_vanishing calls.
 The field-scalar RREF is the reference for ``modp_rref`` and
 ``modp_nullspace``: plain lists of field scalars, eliminated with the
 field's own operations, so it shares no code with the numpy engine.
+
+The plane-scan oracle walks P^2(F_p) point by point behind a callback, with
+``evaluate`` for form values; it is the reference for the condition-matrix
+scan ``plane_points_where``.  ``product_scan_points`` is the check that
+``two_nodal_union`` once made on the product of its two curves, by that
+scan, and is the reference for the check it now makes through the factors.
 """
 
 import math
@@ -26,12 +32,15 @@ import numpy as np
 
 from fatpoints.algebra import (
     check_same_field,
+    evaluate,
     linear_form,
     monomial_basis,
     order_of_vanishing,
+    partial_derivative,
     poly,
     poly_from_vector,
 )
+from fatpoints.geometry import enumerate_projective_plane
 
 
 def coordinate_frame(P):
@@ -191,3 +200,38 @@ def nullspace_in_field(rows, fld, ncols):
             v[pc] = fld.neg(rref[i][f])
         basis.append(tuple(v))
     return basis
+
+
+def scan_plane(field, keep):
+    """The points of P^2(F_p) where ``keep`` holds, sorted by coordinates."""
+    return sorted(filter(keep, enumerate_projective_plane(field)), key=lambda P: P.coords)
+
+
+def common_zeros_by_evaluation(field, forms):
+    """The common zeros of ``forms`` on P^2(F_p), one ``evaluate`` per point
+    and form."""
+    return scan_plane(field, lambda P: all(evaluate(g, P) == 0 for g in forms))
+
+
+def singular_points_by_evaluation(f):
+    """The points of P^2(F_p) where the gradient of ``f`` vanishes."""
+    return common_zeros_by_evaluation(f.field, [partial_derivative(f, v) for v in range(3)])
+
+
+def product_scan_points(c1, nodes1, c2):
+    """The points ``two_nodal_union`` accepts for a nodal curve ``c1`` with
+    nodes ``nodes1`` and a nodal second curve ``c2``, from the singular
+    points of c1 c2: C(d1-1, 2) + C(d2-1, 2) + d1 d2 of them, each of order
+    exactly 2, d1 d2 of them off both curves' nodes.  None when that fails."""
+    d1, d2 = c1.degree, c2.degree
+    sing2 = singular_points_by_evaluation(c2)
+    product = c1 * c2
+    sing = singular_points_by_evaluation(product)
+    if len(sing) != math.comb(d1 - 1, 2) + math.comb(d2 - 1, 2) + d1 * d2:
+        return None
+    if any(order_of_vanishing(product, P) != 2 for P in sing):
+        return None
+    inter = [P for P in sing if P not in nodes1 and P not in sing2]
+    if len(inter) != d1 * d2:
+        return None
+    return tuple(sorted(set(nodes1) | set(sing2) | set(inter), key=lambda P: P.coords))

@@ -336,8 +336,8 @@ def test_criterion_10_theorem_self_consistency():
         general(6, seed=42),
         general(16, seed=7),
         dual_hesse(31),
-        rational_nodal_nodes(5, 37, 986, max_retries=1)[1],
-        two_nodal_union(2, 2, 31, 1, max_retries=1),
+        rational_nodal_nodes(5, 37, 986)[1],
+        two_nodal_union(2, 2, 31, 1),
     ]
     for pts in families:
         rep = alpha_sequence(pts, 5)

@@ -3,7 +3,7 @@
 import pytest
 
 from fatpoints.algebra import order_of_vanishing
-from fatpoints import analysis
+from fatpoints import analysis, configs
 from fatpoints.analysis import (
     CONSISTENT,
     EXCEPTION,
@@ -197,7 +197,7 @@ def test_verdict_json_shape():
 # numeric conditions
 
 def test_genus_bound_nodal_quintic_equality():
-    curve, nodes = rational_nodal_nodes(5, 37, 986, max_retries=1)
+    curve, nodes = rational_nodal_nodes(5, 37, 986)
     assert all(order_of_vanishing(curve, P) == 2 for P in nodes)
     assert (curve.degree - 1) * (curve.degree - 2) == 2 * len(nodes)
 
@@ -295,6 +295,31 @@ def test_repro_dual_hesse_literature_row_fails_only_alpha3():
     assert not cells["alpha(3Z)"].passed and cells["alpha(3Z)"].computed == 9
     assert repro("ex-dualhesse-p31-faithful").passed
     assert repro("ex-dualhesse-p13-faithful").passed
+
+
+def test_repro_nodal_predicates_on_a_seed_that_needs_a_retry(monkeypatch):
+    spec = {"family": "nodal_curve_nodes", "d": 4, "prime": 17, "seed": 0}
+    registry = {"examples": {"ex-nodal4": {"config": spec, "cells": [
+        {"check": "predicate", "name": "node_count", "expected": 3},
+        {"check": "predicate", "name": "genus_equality", "expected": True},
+    ]}}}
+    cells = {c.name: c.computed for c in repro("ex-nodal4", registry).cells}
+    assert cells == {"node_count": 3, "genus_equality": True}
+    monkeypatch.setattr(configs, "NODAL_ATTEMPTS", 1)
+    assert rational_nodal_nodes(4, 17, 0) is None  # the first attempt fails
+
+
+def test_repro_builds_the_nodal_curve_twice(monkeypatch):
+    build, calls = configs.rational_nodal_nodes, []
+
+    def count(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(configs, "rational_nodal_nodes", count)
+    monkeypatch.setattr(analysis, "rational_nodal_nodes", count)
+    assert repro("ex-nodal5").passed
+    assert len(calls) == 2
 
 
 def test_repro_report_json():

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from fatpoints import configs
 from fatpoints.algebra import QQ, order_of_vanishing, point
 from fatpoints.configs import (
     ConfigSpec,
@@ -126,7 +127,7 @@ def test_type9_shape():
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_nodal_curve_node_counts(d):
     p, seed = NODAL_CASES[d]
-    got = rational_nodal_nodes(d, p, seed, max_retries=1)
+    got = rational_nodal_nodes(d, p, seed)
     assert got is not None
     curve, nodes = got
     assert curve.degree == d
@@ -137,7 +138,7 @@ def test_nodal_curve_node_counts(d):
 
 def test_nodal_quintic_alpha_values():
     p, seed = NODAL_CASES[5]
-    curve, nodes = rational_nodal_nodes(5, p, seed, max_retries=1)
+    curve, nodes = rational_nodal_nodes(5, p, seed)
     rep = alpha_sequence(nodes, 2)
     assert rep.alphas == (3, 5)
 
@@ -149,16 +150,17 @@ def test_nodal_generator_validates_parameters():
         rational_nodal_nodes(1, 11, 0)
 
 
-def test_nodal_generator_best_effort_none():
-    # max_retries=0 can never succeed
-    assert rational_nodal_nodes(4, 19, 0, max_retries=0) is None
+def test_nodal_generator_best_effort_none(monkeypatch):
+    # with no attempts the generator gives up at once
+    monkeypatch.setattr(configs, "NODAL_ATTEMPTS", 0)
+    assert rational_nodal_nodes(4, 19, 0) is None
 
 
 @pytest.mark.parametrize("ds,expect_r", [((2, 2), 4), ((2, 3), 7)])
 def test_two_nodal_union(ds, expect_r):
     d1, d2 = ds
     p, seed = TWO_NODAL_CASES[ds]
-    pts = two_nodal_union(d1, d2, p, seed, max_retries=1)
+    pts = two_nodal_union(d1, d2, p, seed)
     assert pts is not None and len(pts) == expect_r
     rep = alpha_sequence(pts, 2)
     assert rep.alphas == (d1 + d2 - 2, d1 + d2)

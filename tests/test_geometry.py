@@ -28,6 +28,7 @@ from fatpoints.geometry import (
     common_conic,
     detect_line_arrangement,
     enumerate_projective_plane,
+    rational_points_on_curve,
     is_star_configuration,
     is_type9,
     singular_points_over_Fp,
@@ -278,7 +279,13 @@ def test_singular_scan_requires_large_characteristic():
         singular_points_over_Fp(f)
 
 
+def test_plane_scans_refuse_the_rationals():
+    with pytest.raises(ValueError, match="needs a prime field"):
+        rational_points_on_curve(poly(QQ, 1, {(1, 0, 0): 1}))
+
+
 def test_projective_plane_enumeration_count():
     F = prime_field(5)
     pts = list(enumerate_projective_plane(F))
     assert len(pts) == 31 and len(set(pts)) == 31
+    assert all(P == point(F, *P.coords) for P in pts)  # built normalized

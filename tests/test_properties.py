@@ -11,7 +11,11 @@
 * exact ranks and kernels, framed or not, equal Bareiss's rank and
   ``rational_nullspace`` of the unframed condition matrix;
 * ``order_of_vanishing`` agrees with the recentering oracle of ``helpers``
-  over Q and over F_p for p = 2, 3, 5, 31 and 2^31 - 1.
+  over Q and over F_p for p = 2, 3, 5, 31 and 2^31 - 1;
+* the condition-matrix plane scan ``plane_points_where`` agrees with the
+  per-point ``evaluate`` scan of ``helpers``, and so do ``dual_hesse``,
+  built from its lines' meets, and ``two_nodal_union``, which checks the
+  product of its curves through the factors, with the scan of the product.
 """
 
 import json
@@ -23,7 +27,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from fatpoints import linsys  # noqa: E402
+from fatpoints import configs, linsys  # noqa: E402
 from fatpoints.algebra import (  # noqa: E402
     QQ,
     det3,
@@ -36,7 +40,16 @@ from fatpoints.algebra import (  # noqa: E402
     prime_field,
 )
 from fatpoints.cache import ResultCache  # noqa: E402
-from fatpoints.configs import collinear, general, on_conic  # noqa: E402
+from fatpoints.configs import (  # noqa: E402
+    collinear,
+    dual_hesse,
+    dual_hesse_lines,
+    general,
+    on_conic,
+    rational_nodal_nodes,
+    two_nodal_union,
+)
+from fatpoints.geometry import plane_points_where  # noqa: E402
 from fatpoints.linsys import (  # noqa: E402
     ExactRational,
     FatPointScheme,
@@ -54,7 +67,14 @@ from fatpoints.linsys import (  # noqa: E402
     system_dim,
 )
 from fatpoints.serialize import dump_json  # noqa: E402
-from helpers import recentered_at, recentered_order  # noqa: E402
+from helpers import (  # noqa: E402
+    common_zeros_by_evaluation,
+    product_scan_points,
+    recentered_at,
+    recentered_order,
+    scan_plane,
+    singular_points_by_evaluation,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -290,3 +310,79 @@ def test_recentered_moves_point_to_origin_chart(case):
     g = recentered_at(f, P)
     # value of f at P appears as the coefficient of the pure u0 power
     assert (g.coeff((f.degree, 0, 0)) == 0) == (evaluate(f, P) == 0)
+
+
+# ---------------------------------------------------------------------------
+# finite-field configurations against per-point scans
+
+SCAN_PRIMES = (2, 3, 5, 7, 13)
+
+
+@st.composite
+def forms_over(draw, field):
+    """A form of degree at most 6 over ``field``, most coefficients zero so
+    that common zeros are not rare."""
+    d = draw(st.integers(0, 6))
+    coeff = st.one_of(st.just(0), st.just(0), st.integers(0, field.p - 1))
+    vec = draw(st.lists(coeff, min_size=comb(d + 2, 2), max_size=comb(d + 2, 2)))
+    return poly_from_vector(field, d, vec)
+
+
+@st.composite
+def form_lists(draw):
+    F = prime_field(draw(st.sampled_from(SCAN_PRIMES)))
+    return F, draw(st.lists(forms_over(F), min_size=1, max_size=3))
+
+
+@SETTINGS
+@given(case=form_lists())
+def test_plane_scan_matches_the_evaluation_scan(case):
+    F, forms = case
+    assert plane_points_where(F, forms) == common_zeros_by_evaluation(F, forms)
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_plane_scan_of_zero_and_constant_forms(p):
+    F = prime_field(p)
+    zero, one, zero3 = (poly_from_vector(F, d, [c] * comb(d + 2, 2))
+                        for d, c in ((0, 0), (0, 1), (3, 0)))
+    plane = scan_plane(F, lambda P: True)
+    assert len(plane) == p * p + p + 1
+    assert plane_points_where(F, [zero]) == plane_points_where(F, [zero3]) == plane
+    assert plane_points_where(F, [one]) == [] == plane_points_where(F, [zero3, one])
+
+
+@pytest.mark.parametrize("p", [13, 19, 31, 37])
+def test_dual_hesse_matches_the_plane_scan(p):
+    lines = dual_hesse_lines(p)
+    assert list(dual_hesse(p)) == scan_plane(
+        prime_field(p), lambda P: sum(L.contains(P) for L in lines) >= 3)
+
+
+# (d1, d2, p, seed, attempts the product scan rejects before the accepted one):
+# the two registry rows, then seeds whose product scan rejects second curves
+# that pass their own node check
+TWO_NODAL_RUNS = [(2, 2, 31, 1, 0), (2, 3, 31, 124, 0), (2, 2, 11, 2, 2),
+                  (3, 2, 11, 4, 3), (3, 3, 13, 1, 2)]
+
+
+@pytest.mark.parametrize("d1, d2, p, seed, rejected", TWO_NODAL_RUNS)
+def test_two_nodal_union_matches_the_product_scan(monkeypatch, d1, d2, p, seed,
+                                                  rejected):
+    draw, drawn = configs._random_curve_through, []
+
+    def record(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(configs, "_random_curve_through", record)
+    got = two_nodal_union(d1, d2, p, seed)
+    c1, nodes1 = rational_nodal_nodes(d1, p, seed)
+    verdicts = []
+    for c2 in filter(None, drawn):
+        sing2 = singular_points_by_evaluation(c2)
+        if (len(sing2) == comb(d2 - 1, 2)
+                and all(order_of_vanishing(c2, P) == 2 for P in sing2)):
+            verdicts.append(product_scan_points(c1, nodes1, c2))
+    assert verdicts[:-1] == [None] * rejected
+    assert got is not None and verdicts[-1] == got
