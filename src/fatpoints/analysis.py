@@ -48,7 +48,6 @@ from .linsys import (
     CERTIFIED_EXISTENCE,
     DEFAULT_SEARCH_STRATEGY,
     FatPointScheme,
-    alpha_search,
     alpha_sequence,
     parse_strategy,
     system_dim,
@@ -423,17 +422,13 @@ def _predicate_value(name: str, points, spec: ConfigSpec, nodal: Callable):
     raise ValueError(f"unknown predicate {name!r}")
 
 
-def _run_alpha_cell(points, cell, warm: dict):
+def _run_alpha_cell(points, cell, seq):
     k = cell["k"]
-    scheme = FatPointScheme.uniform(points, k)
-    start = warm.get(k - 1)
-    av = alpha_search(scheme, DEFAULT_SEARCH_STRATEGY, True,
-                      start=None if start is None else start + 1)
-    warm[k] = av.value
-    value = av.value
-    cert = f"existence={av.existence}; below=full-rank"
+    value = seq.alphas[k - 1]
+    cert = f"existence={seq.entries[k - 1]['existence_certified']}; below=full-rank"
     mode = cell.get("nonexistence")
-    if mode and value > max(scheme.max_multiplicity, 1):
+    if mode and value > k:
+        scheme = FatPointScheme.uniform(points, k)
         below = system_dim(scheme, value - 1, strategy=parse_strategy(mode))
         cert += f" ({below.certification} at {value - 1})"
         if below.actual_dim != 0:
@@ -453,21 +448,21 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
     # the nodal predicates' curve, built once for both
     nodal = functools.cache(
         lambda: rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0))
-    warm: dict = {}
+    # one certified sequence serves every alpha and alpha_gap cell
+    kmax = max((c.get(key, 0) for c in entry["cells"] for key in ("k", "m", "n")), default=0)
+    seq = alpha_sequence(points, kmax, certify_existence=True) if kmax else None
     cells = []
     for cell in entry["cells"]:
         kind = cell["check"]
         prov = cell.get("provenance", "DERIVED")
         cert = ""
         if kind == "alpha":
-            computed, cert = _run_alpha_cell(points, cell, warm)
+            computed, cert = _run_alpha_cell(points, cell, seq)
             name = f"alpha({cell['k']}Z)"
         elif kind == "alpha_gap":
             m, n = cell["m"], cell["n"]
-            seq_needed = max(m, n)
-            rep = alpha_sequence(points, seq_needed, certify_existence=True)
-            computed = rep.alphas[m - 1] - rep.alphas[n - 1]
-            cert = rep.entries[-1]["certification"]
+            computed = seq.alphas[m - 1] - seq.alphas[n - 1]
+            cert = seq.entries[max(m, n) - 1]["certification"]
             name = f"alpha_gap({m},{n})"
         elif kind == "predicate":
             computed = _predicate_value(cell["name"], points, spec, nodal)

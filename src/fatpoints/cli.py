@@ -46,60 +46,62 @@ from .serialize import (
 )
 from .svgplot import render_svg
 
+# Every option, and the ones each command reads; main refuses any other
+# through the command's own parser.
+_OPTIONS = {
+    "--points": {"help": "point-set JSON file"},
+    "--family": {"choices": FAMILIES},
+    "--r": {"type": int},
+    "--p": {"type": int, "help": "line count for star families"},
+    "--d1": {"type": int},
+    "--d2": {"type": int},
+    "--prime": {"type": int, "help": "prime for finite-field families"},
+    "--height": {"type": int},
+    "--field": {"help": "rational | prime:P; omit to keep the input's field"},
+    "--d": {"type": int},
+    "--mults": {"help": "comma-separated multiplicities, or one value for all"},
+    "--kmax": {"type": int},
+    "--seed": {"type": int, "default": 0},
+    "--strategy": {"help": "exact | prime | multiprime:K"},
+    "--cache": {"help": "cache directory (or FATPOINTS_CACHE)"},
+    "--verify-cache": {"action": "store_true"},
+    "--out": {"help": "output file (.json, .csv for tables, .svg for plots)"},
+    "--pretty": {"action": "store_true"},
+    "--theorem": {"required": True, "choices": sorted(IMPLICATIONS)},
+    "--k": {"type": int, "required": True},
+    "--id": {"help": "registry example id"},
+    "--all": {"action": "store_true"},
+    "--conjecture": {"type": int, "default": 2, "choices": (2, 3)},
+    "--trials": {"type": int, "required": True},
+    "--r-min": {"type": int, "default": 4},
+    "--r-max": {"type": int, "default": 9},
+}
+_POINTS = "--points --family --r --p --d1 --d2 --prime --height --field --d --seed"
+_STRATEGY_CACHE = "--strategy --cache --verify-cache"
+_TAKES = {
+    "generate": f"{_POINTS} --out --pretty",
+    "alpha": f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty",
+    "alphaseq": f"{_POINTS} --kmax {_STRATEGY_CACHE} --out --pretty",
+    "dim": f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty",
+    "kernel": f"{_POINTS} --mults --strategy --out --pretty",
+    "plot": f"{_POINTS} --out",
+    "check": f"{_POINTS} --strategy --out --pretty --theorem --k",
+    "repro": "--out --id --all",
+    "search": "--field --kmax --seed --out --pretty --conjecture --trials --r-min --r-max",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fatpoints",
         description="Exact initial degrees of symbolic powers of planar point sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # Each command gets only the options it reads: --strategy where it reads
-    # args.strategy, --cache and --verify-cache where it calls resolve_cache.
-    def add_io(p, points=True, strategy=False, cache=False):
-        # main refuses an option the command does not take through this parser
+    for name, takes in _TAKES.items():
+        p = sub.add_parser(name)
         p.set_defaults(command_parser=p)
-        if points:
-            p.add_argument("--points", help="point-set JSON file")
-            p.add_argument("--family", choices=FAMILIES)
-            p.add_argument("--r", type=int)
-            p.add_argument("--p", type=int, help="line count for star families")
-            p.add_argument("--d1", type=int)
-            p.add_argument("--d2", type=int)
-            p.add_argument("--prime", type=int, help="prime for finite-field families")
-            p.add_argument("--height", type=int)
-        p.add_argument("--field", default=None,
-                       help="rational | prime:P; omit to keep the input's field")
-        p.add_argument("--d", type=int)
-        p.add_argument("--mults", help="comma-separated multiplicities, or one value for all")
-        p.add_argument("--kmax", type=int)
-        p.add_argument("--seed", type=int, default=0)
-        if strategy:
-            p.add_argument("--strategy", default=None,
-                           help="exact | prime | multiprime:K")
-        if cache:
-            p.add_argument("--cache", help="cache directory (or FATPOINTS_CACHE)")
-            p.add_argument("--verify-cache", action="store_true")
-        p.add_argument("--out", help="output file (.json, .csv for tables, .svg for plots)")
-        p.add_argument("--pretty", action="store_true")
-
-    for name in ("generate", "alpha", "alphaseq", "dim", "kernel", "plot"):
-        add_io(sub.add_parser(name),
-               strategy=name in ("alpha", "alphaseq", "dim", "kernel"),
-               cache=name in ("alpha", "alphaseq", "dim"))
-    pc = sub.add_parser("check")
-    add_io(pc, strategy=True)
-    pc.add_argument("--theorem", required=True, choices=sorted(IMPLICATIONS))
-    pc.add_argument("--k", type=int, required=True)
-    pr = sub.add_parser("repro")
-    add_io(pr, points=False)
-    pr.add_argument("--id", help="registry example id")
-    pr.add_argument("--all", action="store_true")
-    ps = sub.add_parser("search")
-    add_io(ps, points=False)
-    ps.add_argument("--conjecture", type=int, default=2, choices=(2, 3))
-    ps.add_argument("--trials", type=int, required=True)
-    ps.add_argument("--r-min", type=int, default=4)
-    ps.add_argument("--r-max", type=int, default=9)
+        for flag in takes.split():
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 

@@ -33,6 +33,7 @@ from .geometry import (
 from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
 
 DEFAULT_HEIGHT = 10**4
+STAR_HEIGHT = 30  # coefficient bound of the seeded lines of ``star``
 # draws before ``rational_nodal_nodes`` and ``two_nodal_union`` give up
 NODAL_ATTEMPTS = 60
 TWO_NODAL_ATTEMPTS = 400
@@ -155,7 +156,7 @@ def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
     return tuple(pts)
 
 
-def star(p: int, seed: int, height: int = 30):
+def star(p: int, seed: int):
     """p seeded general lines; returns their C(p, 2) intersections and the lines.
 
     Redraws until the lines are distinct, no three concurrent, and all
@@ -165,7 +166,8 @@ def star(p: int, seed: int, height: int = 30):
         raise ValueError("need at least three lines")
     for attempt in itertools.count():
         rng = random.Random(f"fatpoints.star:{seed}:{p}:{attempt}")
-        coeffs = [[rng.randint(-height, height) for _ in range(3)] for _ in range(p)]
+        coeffs = [[rng.randint(-STAR_HEIGHT, STAR_HEIGHT) for _ in range(3)]
+                  for _ in range(p)]
         if not all(map(any, coeffs)):
             continue
         lines = [Line.from_coeffs(QQ, c) for c in coeffs]

@@ -7,10 +7,11 @@ integers) or modulo seeded 31-bit primes.  Modular ranks can only drop, so
 a full-column-rank verdict modulo one prime already certifies emptiness of
 the rational system, and a modular rank equal to min(rows, columns) is the
 exact rank; nonzero modular kernels are only certified after an exact
-recomputation or a dimension count.  Both modular and exact elimination
-may move three points to the coordinate vertices first (``_frame``), which
-leaves only the other points' rows on the monomials the vertices do not
-fix; exact elimination does so when that matrix is cheaper for Bareiss.
+recomputation or a dimension count.  ``_rank_mod_p`` takes every rank,
+mod p, over a scheme's own F_p or over Q; it and exact kernels may move
+three points to the coordinate vertices first (``_framed``), leaving only
+the other points' rows on the monomials the vertices do not fix, over Q
+only when that matrix is cheaper for Bareiss.
 """
 
 from __future__ import annotations
@@ -120,9 +121,7 @@ def _check_system(scheme: FatPointScheme, d: int, p: Optional[int]):
     # Derivative rows need p > max(d, max m).  Simple points (all m <= 1)
     # impose plain evaluation conditions, valid in every characteristic.
     fld = scheme.field
-    if fld == QQ:
-        return
-    if scheme.max_multiplicity <= 1:
+    if fld == QQ or scheme.max_multiplicity <= 1:
         return
     bound = max(d, scheme.max_multiplicity)
     if fld.p <= bound:
@@ -200,52 +199,63 @@ def condition_matrix_mod_p(scheme: FatPointScheme, d: int, p: int) -> np.ndarray
     return _derivative_rows(_imposed(scheme, d, p), d, p)
 
 
-def _rank_mod_p(scheme: FatPointScheme, d: int, p: int):
-    """(rank, nrows) of a rational scheme's condition matrix mod p, with
-    only the rows off a standard frame eliminated.
+def _rank_mod_p(scheme: FatPointScheme, d: int, p: Optional[int]):
+    """(rank, nrows) of the condition matrix mod p, or over Q when ``p`` is
+    None, with only the rows off a standard frame eliminated when
+    ``_framed`` takes one.
 
     Three non-collinear imposing points a, b, c move to the coordinate
     vertices by X -> (det3(X, b, c), det3(a, X, c), det3(a, b, X)), the
     integer adjugate of their coordinate matrix: a lands at (det, 0, 0).
     The move is invertible over Q and, when p does not divide det, mod p,
-    so neither rank changes.  The row (beta) of a vertex with multiplicity
-    m on axis i is then zero except at the one monomial mu that agrees with
-    beta off axis i, where it is perm(mu_i, beta_i) beta_j! beta_k!
-    det^(d-m+1), a unit mod p once p > d too.  These rows cover the columns
-    U = {mu : mu_i > d - m at some vertex}, so the rank is |U| plus the
-    rank of the other rows on the remaining columns.  Without such a
-    triple, or when p <= d or p divides det, the unframed matrix is
-    eliminated.
+    so neither rank changes (an F_p point's integer coordinates are its
+    residues).  The row (beta) of a vertex with multiplicity m on axis i is
+    then zero except at the one monomial mu that agrees with beta off axis
+    i, where it is perm(mu_i, beta_i) beta_j! beta_k! det^(d-m+1), a unit
+    mod p once p > d too.  These rows cover the columns U = {mu : mu_i >
+    d - m at some vertex}, so the rank is |U| plus the rank of the other
+    rows on the remaining columns.  Over Q the rank modulo the first
+    single-prime prime comes first: modular rank <= exact rank <=
+    min(nrows, ncols), so only a rank below that bound runs Bareiss.
     """
     imposed = _imposed(scheme, d, p)
     nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
-    frame = _frame(imposed)
-    if frame is None or p <= d or frame[0] % p == 0:
-        return modp_rref(_derivative_rows(imposed, d, p), p, rank_only=True)[0], nrows
-    off, R = _framed_rows(frame, d, p)
-    return int((~off).sum()) + modp_rref(R, p, rank_only=True)[0], nrows
+    if p is None:
+        rank = _rank_mod_p(scheme, d, strategy_primes(SinglePrime())[0])[0]
+        if rank == min(nrows, comb(d + 2, 2)):
+            return rank, nrows
+    covered, R, _ = _framed(imposed, d, p)
+    rank = bareiss_echelon(R.tolist())[0] if p is None else modp_rref(R, p, rank_only=True)[0]
+    return covered + rank, nrows
 
 
-def _frame(imposed):
-    """(det, three non-collinear ``_imposed`` entries, the other entries),
-    highest multiplicities first; None when the points are collinear."""
+def _framed(imposed, d: int, p: Optional[int]):
+    """(|U|, the matrix to eliminate, the frame's three ``_imposed`` entries
+    or None) for the condition matrix mod p, or over Q when ``p`` is None.
+
+    The frame is the first non-collinear triple, highest multiplicities
+    first, and its matrix the other points' moved rows on the monomials
+    off U.  Mod p it is taken when p > d and p does not divide its det, over
+    Q when ``_bareiss_cost`` is lower for it; otherwise the matrix is the
+    unframed condition matrix and |U| is 0.
+    """
     order = sorted(imposed, key=lambda u: -u[2])
+    frame = None
     for k in range(2, len(order)):
         det = det3(order[0][1], order[1][1], order[k][1])
         if det:
-            return det, (order[0], order[1], order[k]), order[2:k] + order[k + 1:]
-    return None
-
-
-def _framed_rows(frame, d: int, p: Optional[int]):
-    """(off, rows) of a ``_frame``: the mask of the monomials off U, and the
-    other points' rows, moved by X -> (det3(X, b, c), det3(a, X, c),
-    det3(a, b, X)), on those columns (int64 residues mod p, exact ints when
-    p is None)."""
-    _, ((_, a, ma), (_, b, mb), (_, c, mc)), rest = frame
-    off = (np.array(monomial_basis(d)) <= [d - ma, d - mb, d - mc]).all(axis=1)
-    rest = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
-    return off, _derivative_rows(rest, d, p)[:, off]
+            if p is None or (p > d and det % p):
+                frame, rest = (order[0], order[1], order[k]), order[2:k] + order[k + 1:]
+            break
+    A = _derivative_rows(imposed, d, p) if frame is None or p is None else None
+    if frame is not None:
+        (_, a, _), (_, b, _), (_, c, _) = frame
+        off = (np.array(monomial_basis(d)) <= [d - m for _, _, m in frame]).all(axis=1)
+        moved = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
+        R = _derivative_rows(moved, d, p)[:, off]
+        if A is None or _bareiss_cost(R) < _bareiss_cost(A):
+            return int((~off).sum()), R, frame
+    return 0, A, None
 
 
 def _bareiss_cost(A) -> int:
@@ -255,11 +265,11 @@ def _bareiss_cost(A) -> int:
     return A.shape[0] * A.shape[1] * max((x.bit_length() for x in A.flat), default=0)
 
 
-def _pull_back(vectors, off, frame, d: int):
+def _pull_back(vectors, frame, d: int):
     """The RREF kernel basis, as ``rational_nullspace`` gives it, of the
-    forms f(X) = g(l1(X), l2(X), l3(X)) for the framed kernel vectors g
-    (coefficients on the columns ``off``) and the linear forms b x c,
-    c x a, a x b of the ``frame``'s move.
+    forms f(X) = g(l1(X), l2(X), l3(X)) for the kernel vectors g on the
+    monomials off U of a ``_framed`` frame, whose move has the linear forms
+    b x c, c x a, a x b; without a frame the vectors are that basis.
 
     The products l1^i l2^j l3^k are dense arrays P[s, t] of the
     coefficients of x^s y^t z^(e-s-t), each one linear form times an
@@ -269,9 +279,9 @@ def _pull_back(vectors, off, frame, d: int):
     the RREF vector of f, which primitive scaling with a positive first
     entry then fixes.
     """
-    if not vectors:
-        return []
-    _, ((_, a, _), (_, b, _), (_, c, _)), _ = frame
+    if frame is None or not vectors:
+        return vectors
+    (_, a, _), (_, b, _), (_, c, _) = frame
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     forms = ([det3(e, b, c) for e in unit], [det3(a, e, c) for e in unit],
              [det3(a, b, e) for e in unit])
@@ -290,7 +300,8 @@ def _pull_back(vectors, off, frame, d: int):
             products[mu] = P
         return products[mu]
 
-    S = np.array([product(mu)[at] for mu, keep in zip(mons, off) if keep], dtype=object)
+    S = np.array([product(mu)[at] for mu in mons
+                  if all(e <= d - m for e, (_, _, m) in zip(mu, frame))], dtype=object)
     rows = np.array(vectors, dtype=object).dot(S).tolist()
     done = []
     for col in reversed(range(len(mons))):
@@ -620,55 +631,32 @@ def _report(scheme, d, rank, nrows, certification, primes=(), kernel=None,
 
 
 def _exact_report(scheme, d, want_kernel):
-    """The report of an exact rank, or of an exact kernel and its rank.
+    """The report of an exact rank over the scheme's own field, or of an
+    exact kernel and its rank.
 
-    Over F_p the condition matrix is eliminated once by ``modp_rref``.
-    Over Q a rank-only report first takes the rank modulo the first
-    single-prime prime: modular rank <= exact rank <= min(nrows, ncols), so
-    reaching that bound proves it.  Otherwise Bareiss eliminates once,
-    either the condition matrix or, when ``_frame`` finds three
-    non-collinear imposing points and ``_bareiss_cost`` is lower for it,
-    the framed matrix of ``_rank_mod_p`` over Q: the rank is then |U| plus
-    its rank, and ``_pull_back`` turns its kernel into the condition
-    matrix's RREF kernel basis, the one ``rational_nullspace`` would give.
-    Every kernel form is checked at every point in the original
-    coordinates.
+    A rank alone is one ``_rank_mod_p`` at the scheme's prime, or over Q.
+    A kernel over F_p is ``modp_nullspace`` of the condition matrix; over Q
+    it is ``rational_nullspace`` of the matrix ``_framed`` picks, and
+    ``_pull_back`` turns a framed kernel into the condition matrix's RREF
+    kernel basis, the one ``rational_nullspace`` would give.  Every kernel
+    form is checked at every point in the original coordinates.
     """
-    fld = scheme.field
-    ncols = comb(d + 2, 2)
-    if fld == QQ and not want_kernel:
-        rank, nrows = _rank_mod_p(scheme, d, strategy_primes(SinglePrime())[0])
-        if rank == min(nrows, ncols):
-            return _report(scheme, d, rank, nrows, "EXACT_RATIONAL", witness="rank")
-    rows = build_condition_matrix(scheme, d)
-    nrows = len(rows)
-    if fld != QQ:
-        if want_kernel:
-            vectors = modp_nullspace(rows, fld.p)
-        else:
-            rank = modp_rref(rows, fld.p, rank_only=True)[0]
-        certification, primes = "SINGLE_PRIME", (fld.p,)
+    p = None if scheme.field == QQ else scheme.field.p
+    certification, primes = ("EXACT_RATIONAL", ()) if p is None else ("SINGLE_PRIME", (p,))
+    if not want_kernel:
+        rank, nrows = _rank_mod_p(scheme, d, p)
+        return _report(scheme, d, rank, nrows, certification, primes, witness="rank")
+    imposed = _imposed(scheme, d, p)
+    nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
+    if p is None:
+        _, rows, frame = _framed(imposed, d, None)
+        vectors = _pull_back(rational_nullspace(rows.tolist(), rows.shape[1]), frame, d)
     else:
-        covered, framed = 0, None
-        frame = _frame(_imposed(scheme, d, None))
-        if frame is not None:
-            off, R = _framed_rows(frame, d, None)
-            if _bareiss_cost(R) < _bareiss_cost(rows):
-                covered, framed, rows = int((~off).sum()), (off, frame), R
-        if want_kernel:
-            vectors = rational_nullspace(rows.tolist(), rows.shape[1])
-            if framed:
-                vectors = _pull_back(vectors, *framed, d)
-        else:
-            rank = covered + bareiss_echelon(rows.tolist())[0]
-        certification, primes = "EXACT_RATIONAL", ()
-    kernel = None
-    if want_kernel:
-        kernel = tuple(poly_from_vector(fld, d, v) for v in vectors)
-        _verify_kernel(scheme, kernel)
-        rank = ncols - len(vectors)
-    return _report(scheme, d, rank, nrows, certification, primes, kernel,
-                   "kernel" if want_kernel else "rank")
+        vectors = modp_nullspace(_derivative_rows(imposed, d, p), p)
+    kernel = tuple(poly_from_vector(scheme.field, d, v) for v in vectors)
+    _verify_kernel(scheme, kernel)
+    return _report(scheme, d, comb(d + 2, 2) - len(kernel), nrows, certification,
+                   primes, kernel, "kernel")
 
 
 def _modular_report(scheme, d, strategy, first=None):
@@ -719,16 +707,13 @@ def kernel_basis(scheme: FatPointScheme, d: int, strategy=ExactRational()):
     """
     if scheme.field == QQ and isinstance(strategy, SinglePrime):
         fld = PrimeField(strategy_primes(strategy)[0])
-        reduced = FatPointScheme(reduce_points(scheme.points, fld),
-                                 scheme.multiplicities)
-        return list(system_dim(reduced, d, want_kernel=True).kernel)
-    if scheme.field == QQ and not isinstance(strategy, ExactRational):
+        scheme = FatPointScheme(reduce_points(scheme.points, fld), scheme.multiplicities)
+    elif scheme.field == QQ and not isinstance(strategy, ExactRational):
         raise ValueError(
             "kernel bases over rational schemes need the exact strategy "
             "or the explicit single-prime acceptance"
         )
-    report = system_dim(scheme, d, strategy=strategy, want_kernel=True)
-    return list(report.kernel)
+    return list(system_dim(scheme, d, strategy=strategy, want_kernel=True).kernel)
 
 
 # ---------------------------------------------------------------------------

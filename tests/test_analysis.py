@@ -3,7 +3,7 @@
 import pytest
 
 from fatpoints.algebra import order_of_vanishing
-from fatpoints import analysis, configs
+from fatpoints import analysis, configs, linsys
 from fatpoints.analysis import (
     CONSISTENT,
     EXCEPTION,
@@ -285,6 +285,24 @@ def test_repro_type9_row():
 def test_repro_star_rows():
     for eid in ("ex-star3", "ex-star4", "ex-star5"):
         assert repro(eid).passed
+
+
+def test_repro_reads_every_alpha_cell_from_one_sequence(monkeypatch):
+    # ex-star4 has alpha(1Z), alpha(2Z) and alpha_gap(2,1): one certified
+    # sequence up to k = 2 serves all three
+    search, calls = linsys.alpha_search, []
+
+    def count(scheme, *args, **kwargs):
+        calls.append(scheme.multiplicities[0])
+        return search(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(linsys, "alpha_search", count)
+    monkeypatch.setattr(analysis, "alpha_search", count, raising=False)
+    rep = repro("ex-star4")
+    assert rep.passed
+    assert calls == [1, 2]
+    gap = next(c for c in rep.cells if c.name == "alpha_gap(2,1)")
+    assert (gap.computed, gap.certification) == (1, "EXACT_RATIONAL")
 
 
 def test_repro_dual_hesse_literature_row_fails_only_alpha3():

@@ -113,6 +113,35 @@ def test_search_refuses_strategy_and_cache(tmp_path, capsys):
     assert not cache.exists()
 
 
+# the shared options each command used to accept and ignore, with a
+# command line it would otherwise run
+IGNORED = {
+    "generate": (("--family", "on_conic", "--r", "4"), ("--mults", "--kmax")),
+    "alpha": (("--family", "on_conic", "--r", "4"), ("--kmax",)),
+    "dim": (("--family", "on_conic", "--r", "4", "--d", "2"), ("--kmax",)),
+    "kernel": (("--family", "on_conic", "--r", "4", "--d", "2"), ("--kmax",)),
+    "alphaseq": (("--family", "on_conic", "--r", "4", "--kmax", "2"), ("--mults",)),
+    "plot": (("--family", "type9"), ("--mults", "--kmax", "--pretty")),
+    "check": (("--family", "collinear", "--r", "4", "--theorem", "minimal-gap",
+               "--k", "3"), ("--mults", "--kmax")),
+    "repro": (("--id", "ex-conic6"),
+              ("--field", "--d", "--mults", "--kmax", "--seed", "--pretty")),
+    "search": (("--trials", "1"), ("--d", "--mults")),
+}
+FLAG_VALUES = {"--field": ("rational",), "--d": ("3",), "--mults": ("2",),
+               "--kmax": ("9",), "--seed": ("4",), "--pretty": ()}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in IGNORED.items()
+                                           for f in flags])
+def test_commands_refuse_the_options_they_ignore(capsys, command, flag):
+    base, _ = IGNORED[command]
+    code, err = refused(capsys, command, *base, flag, *FLAG_VALUES[flag])
+    assert code == 2
+    assert err.startswith(f"usage: fatpoints {command} ")
+    assert f"fatpoints {command}: error: unrecognized arguments: {flag}" in err
+
+
 def test_repro_single_row(capsys):
     code, out, _ = run(capsys, "repro", "--id", "ex-type9")
     assert code == 0

@@ -7,7 +7,8 @@
 * alpha sequences satisfy the Chudnovsky bound alpha(kZ) >= k (alpha(Z) + 1) / 2;
 * a report survives its canonical JSON round trip, kernel included;
 * the rank of a condition matrix modulo any prime is at most its exact rank,
-  and the framed rank-only elimination gives that same rank;
+  and the framed rank-only elimination gives that same rank, also for
+  schemes over F_p at their own prime;
 * exact ranks and kernels, framed or not, equal Bareiss's rank and
   ``rational_nullspace`` of the unframed condition matrix;
 * ``order_of_vanishing`` agrees with the recentering oracle of ``helpers``
@@ -194,6 +195,49 @@ def test_modular_rank_is_at_most_exact_rank(scheme, d, p):
     rank = modp_rref(A, p)[0]
     assert rank <= exact
     assert _rank_mod_p(scheme, d, p) == (rank, len(A))
+
+
+@st.composite
+def prime_field_systems(draw):
+    """(scheme over F_p, d) that ``_check_system`` accepts, p from 2 to 31:
+    simple points in any degree up to 9, or multiplicities up to 4 with
+    p > d.  Points (t : -t : 1) lie on x + y = 0 mod p, and their residues
+    (0, 0) and (t, p - t) are not collinear over Z, so p divides the det of
+    some frames."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 31]))
+    field = prime_field(p)
+    on_line = coordinate.map(lambda t: (t, -t, 1))
+    triples = draw(st.lists(st.one_of(st.tuples(coordinate, coordinate, coordinate),
+                                      on_line).filter(lambda t: any(map(field.of, t))),
+                            min_size=3, max_size=7))
+    pts = tuple(dict.fromkeys(point(field, *t) for t in triples))
+    top = 1 if p == 2 or draw(st.booleans()) else min(4, p - 1)
+    mults = draw(st.lists(st.integers(1, top), min_size=len(pts), max_size=len(pts)))
+    d = draw(st.integers(0, 9 if top == 1 else min(9, p - 1)))
+    return FatPointScheme(pts, tuple(mults)), d
+
+
+@SETTINGS
+@given(system=prime_field_systems())
+def test_framed_rank_over_a_prime_field_is_the_unframed_rank(system):
+    scheme, d = system
+    p = scheme.field.p
+    A = build_condition_matrix(scheme, d)
+    assert _rank_mod_p(scheme, d, p) == (modp_rref(A, p)[0], len(A))
+
+
+def test_dual_hesse_exact_rank_eliminates_the_framed_matrix(monkeypatch):
+    # the 12 triple points over F_13 impose 72 conditions on nonics
+    scheme = FatPointScheme.uniform(dual_hesse(13), 3)
+    assert len(build_condition_matrix(scheme, 9)) == 72
+    shapes = []
+    original = linsys.modp_rref
+    monkeypatch.setattr(linsys, "modp_rref",
+                        lambda A, p, **kw: shapes.append(A.shape) or original(A, p, **kw))
+    report = system_dim(scheme, 9)
+    assert len(shapes) == 1 and shapes[0][0] < 72
+    assert (report.rank, report.nrows, report.actual_dim) == (54, 72, 1)
+    assert report.certification == "SINGLE_PRIME"
 
 
 def exact_path(scheme, d):
