@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -71,6 +72,11 @@ def random_prime_31(rng) -> int:
 # ---------------------------------------------------------------------------
 # coefficient fields
 
+# Python refuses int <-> str conversions past a process-wide number of digits,
+# never below 640; the decimal module converts exactly past it.
+_BIG = 10**600
+
+
 class RationalField:
     """The rationals; scalars are ``Fraction`` (always in lowest terms)."""
 
@@ -78,7 +84,12 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, v) -> Fraction:
-        return Fraction(v)
+        if not isinstance(v, str) or len(v) <= 600:
+            return Fraction(v)
+        num, slash, den = v.strip().partition("/")  # "n" or "n/d"
+        if not num.removeprefix("-").isdecimal() or slash and not den.isdecimal():
+            raise ValueError(f"invalid fraction string of {len(v)} characters")
+        return Fraction(int(Decimal(num)), int(Decimal(den)) if slash else 1)
 
     def add(self, a, b):
         return a + b
@@ -98,7 +109,10 @@ class RationalField:
         return 1 / Fraction(a)
 
     def format(self, a) -> str:
-        return str(Fraction(a))
+        a = a if isinstance(a, Fraction) else Fraction(a)
+        if -_BIG < a.numerator < _BIG and a.denominator < _BIG:
+            return str(a)
+        return f"{Decimal(a.numerator)}/{Decimal(a.denominator)}".removesuffix("/1")
 
     def __repr__(self):
         return "QQ"
@@ -127,7 +141,7 @@ class PrimeField:
 
     def of(self, v) -> int:
         if isinstance(v, str):
-            v = Fraction(v)
+            v = QQ.of(v)
         if isinstance(v, Fraction):
             den = v.denominator % self.p
             if den == 0:
@@ -300,12 +314,6 @@ class HomoPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return self.field.zero
-
     def __mul__(self, other):
         check_same_field(self.field, other.field)
         f = self.field
@@ -315,14 +323,6 @@ class HomoPoly:
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
         return poly(f, self.degree + other.degree, acc)
-
-    def power(self, n: int) -> "HomoPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = poly(self.field, 0, {(0, 0, 0): self.field.one})
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __str__(self):
         if self.is_zero():

@@ -33,7 +33,7 @@ from .configs import (
     dual_hesse_lines,
     general,
     generate,
-    rational_nodal_nodes,
+    nodal_curve,
 )
 from .geometry import (
     EXHAUSTIVE_CANDIDATE_LIMIT,
@@ -444,10 +444,9 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
     if entry is None:
         raise KeyError(f"unknown example id {example_id!r}")
     spec = ConfigSpec.from_json_dict(entry["config"])
-    points = generate(spec)
-    # the nodal predicates' curve, built once for both
-    nodal = functools.cache(
-        lambda: rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0))
+    # the nodal family's curve, built once for its points and both predicates
+    nodal = functools.cache(lambda: nodal_curve(spec))
+    points = nodal()[1] if spec.family == "nodal_curve_nodes" else generate(spec)
     # one certified sequence serves every alpha and alpha_gap cell
     kmax = max((c.get(key, 0) for c in entry["cells"] for key in ("k", "m", "n")), default=0)
     seq = alpha_sequence(points, kmax, certify_existence=True) if kmax else None

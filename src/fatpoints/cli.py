@@ -61,7 +61,7 @@ _OPTIONS = {
     "--d": {"type": int},
     "--mults": {"help": "comma-separated multiplicities, or one value for all"},
     "--kmax": {"type": int},
-    "--seed": {"type": int, "default": 0},
+    "--seed": {"type": int},  # 0 when not given; see main
     "--strategy": {"help": "exact | prime | multiprime:K"},
     "--cache": {"help": "cache directory (or FATPOINTS_CACHE)"},
     "--verify-cache": {"action": "store_true"},
@@ -78,6 +78,7 @@ _OPTIONS = {
 }
 _POINTS = "--points --family --r --p --d1 --d2 --prime --height --field --d --seed"
 _STRATEGY_CACHE = "--strategy --cache --verify-cache"
+_FAMILY_PARAMETERS = "--r --p --d1 --d2 --prime --height --seed --d"
 _TAKES = {
     "generate": f"{_POINTS} --out --pretty",
     "alpha": f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty",
@@ -364,6 +365,11 @@ def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
     if unread:
         args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    given = [f for f in _FAMILY_PARAMETERS.split() if getattr(args, f[2:], None) is not None
+             and not (f == "--d" and args.command in ("dim", "kernel"))]
+    if getattr(args, "points", None) and not args.family and given:
+        args.command_parser.error(f"--points takes no family parameters: {' '.join(given)}")
+    args.seed = 0 if getattr(args, "seed", None) is None else args.seed
     try:
         return COMMANDS[args.command](args)
     except (UsageError, ValueError, KeyError, OSError, AlgebraError,

@@ -60,8 +60,7 @@ _GENERATORS = {
     "dual_hesse": (("prime",), lambda s: dual_hesse(s.prime)),
     "type9": ((), lambda s: type9(s.seed)),
     "nagata16": ((), lambda s: _general(s, 16)),
-    "nodal_curve_nodes": (("d", "prime"), lambda s: _found(
-        rational_nodal_nodes(s.d, s.prime, s.seed or 0), "nodal")[1]),
+    "nodal_curve_nodes": (("d", "prime"), lambda s: nodal_curve(s)[1]),
     "two_nodal_union": (("d1", "d2", "prime"), lambda s: _found(
         two_nodal_union(s.d1, s.d2, s.prime, s.seed or 0), "two-nodal")),
 }
@@ -242,6 +241,11 @@ def type9(seed: Optional[int] = None):
 
 # ---------------------------------------------------------------------------
 # nodal rational curves over a prime field
+
+def nodal_curve(spec: ConfigSpec):
+    """The (curve, nodes) behind a ``nodal_curve_nodes`` spec's points."""
+    return _found(rational_nodal_nodes(spec.d, spec.prime, spec.seed or 0), "nodal")
+
 
 def _binary_form_values(coeffs, s, u, p):
     # value of sum coeffs[i] s^(d-i) u^i

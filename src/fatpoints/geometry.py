@@ -20,13 +20,12 @@ from .algebra import (
     HomoPoly,
     ProjectivePoint,
     check_same_field,
-    linear_form,
     monomial_basis,
     partial_derivative,
     point,
     poly_from_vector,
 )
-from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
+from .linsys import modp_nullspace
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 12
 
@@ -65,9 +64,6 @@ class Line:
         if self == other:
             raise ValueError("coincident lines have no unique intersection")
         return point(self.field, _cross(self.field, self.coeffs, other.coeffs))
-
-    def as_poly(self) -> HomoPoly:
-        return linear_form(self.field, self.coeffs)
 
     def __repr__(self):
         f = self.field
@@ -294,23 +290,28 @@ def enumerate_projective_plane(field):
 def plane_points_where(field, forms):
     """The common zeros in P^2(F_p) of ``forms``, sorted by coordinates.
 
-    A form's values at the plane's points are the plane's order-0 condition
-    rows, from ``condition_matrix_mod_p`` with every point simple, times its
-    coefficient vector, each product reduced mod p before the sum.  The zero
-    form vanishes everywhere and a nonzero constant nowhere.
+    The points of ``enumerate_projective_plane``, in its order, are held as
+    three int64 coordinate vectors, whose power tables all the forms share.
+    A form's values sum its terms c x^i y^j z^k, each reduced mod p after
+    every product: with residues below 2^31 no product reaches 2^62.  The
+    zero form vanishes everywhere and a nonzero constant nowhere.
     """
-    if field == QQ:
-        raise ValueError("the scan needs a prime field")
+    if field == QQ or field.p >= 2**31:
+        raise ValueError(f"the scan needs a prime field F_p with p < 2^31, not {field!r}")
     p = field.p
-    plane = FatPointScheme.uniform(enumerate_projective_plane(field), 1)
-    rows = {d: condition_matrix_mod_p(plane, d, p) for d in {f.degree for f in forms}}
-    keep = np.ones(len(plane.points), dtype=bool)
+    r = np.arange(p)  # (a, b, 1), then (a, 1, 0), then (1, 0, 0)
+    xyz = np.array([np.r_[np.repeat(r, p), r, 1], np.r_[np.tile(r, p), np.ones(p), 0],
+                    np.r_[np.ones(p * p), np.zeros(p + 1)]], dtype=np.int64)
+    pows = [np.ones_like(xyz)]
+    for _ in range(max((f.degree for f in forms), default=0)):
+        pows.append(pows[-1] * xyz % p)
+    keep = np.ones(xyz.shape[1], dtype=bool)
     for f in forms:
         check_same_field(field, f.field)
-        terms = dict(f.terms)
-        v = np.array([terms.get(m, 0) for m in monomial_basis(f.degree)], dtype=np.int64)
-        keep &= (rows[f.degree] * v % p).sum(axis=1) % p == 0
-    return sorted(itertools.compress(plane.points, keep), key=lambda P: P.coords)
+        keep &= sum(c * pows[i][0] % p * pows[j][1] % p * pows[k][2] % p
+                    for (i, j, k), c in f.terms) % p == 0
+    return sorted((ProjectivePoint(field, tuple(P)) for P in xyz[:, keep].T.tolist()),
+                  key=lambda P: P.coords)
 
 
 def singular_points_over_Fp(f: HomoPoly):

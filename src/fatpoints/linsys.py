@@ -747,6 +747,7 @@ def alpha_search(
     certify_existence: bool = False,
     start: Optional[int] = None,
     cache=None,
+    upper: Optional[int] = None,
 ) -> AlphaValue:
     """Alpha with its certificate and the degrees probed, searched from
     ``start`` when that exceeds max(max m, 1).
@@ -755,9 +756,10 @@ def alpha_search(
     nonzero F of degree d), so alpha rests on a certified-empty alpha - 1
     and the report at alpha.  hi, the first degree with a positive
     dimension count, needs no matrix and no cache lookup; the search probes
-    hi - 1 and then bisects below it, each degree at most once.  Without a
-    cache, a rational scheme under a modular strategy is probed modulo its
-    first prime alone, and at alpha the remaining primes complete from that
+    min(``upper``, hi - 1) and then bisects, each degree at most once; the
+    hint ``upper`` certifies nothing.  Without a cache, a rational scheme
+    under a modular strategy is probed modulo its first prime alone, and
+    at alpha the remaining primes complete from that
     elimination the report ``system_dim`` would give; every other probe is
     a ``system_dim`` report.  A report that finds its degree empty after
     all (an escalated prime split, or a certified search's exact recheck)
@@ -807,7 +809,7 @@ def alpha_search(
     # caller's start); `nonempty` is the least degree above them whose
     # probe found a kernel, or hi, which needs no probe
     empty, nonempty = lo - 1, hi
-    d = hi - 1
+    d = hi - 1 if upper is None else min(hi - 1, max(upper, lo))
     while empty < d < nonempty:
         if probe(d):
             empty = d
@@ -867,7 +869,9 @@ def alpha_sequence(
     start = None
     for k in range(1, k_max + 1):
         scheme = FatPointScheme.uniform(points, k)
-        av = alpha_search(scheme, strategy, certify_existence, start=start, cache=cache)
+        # alpha(kZ) <= alpha(jZ) + alpha((k-j)Z): the product of two curves
+        upper = min(map(sum, zip(alphas, reversed(alphas))), default=None)
+        av = alpha_search(scheme, strategy, certify_existence, start, cache, upper)
         alphas.append(av.value)
         entries.append(
             {

@@ -22,6 +22,9 @@ The plane-scan oracle walks P^2(F_p) point by point behind a callback, with
 scan ``plane_points_where``.  ``product_scan_points`` is the check that
 ``two_nodal_union`` once made on the product of its two curves, by that
 scan, and is the reference for the check it now makes through the factors.
+
+``coeff``, ``power`` and ``line_form`` read a coefficient, raise a form to
+a power and turn a ``Line`` into its linear form; only tests need them.
 """
 
 import math
@@ -41,6 +44,26 @@ from fatpoints.algebra import (
     poly_from_vector,
 )
 from fatpoints.geometry import enumerate_projective_plane
+
+
+def coeff(f, mono):
+    """The coefficient of the monomial ``mono`` in ``f``."""
+    return dict(f.terms).get(mono, f.field.zero)
+
+
+def power(f, n):
+    """``f`` to the n-th power, by repeated multiplication."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = poly(f.field, 0, {(0, 0, 0): f.field.one})
+    for _ in range(n):
+        result = result * f
+    return result
+
+
+def line_form(L):
+    """The linear form of a ``Line``."""
+    return linear_form(L.field, L.coeffs)
 
 
 def coordinate_frame(P):

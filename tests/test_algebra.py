@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from helpers import power
 from fatpoints.algebra import (
     QQ,
     FieldMismatchError,
@@ -60,6 +61,19 @@ def test_rational_scalar_round_trip():
         assert QQ.format(QQ.of(s)) == s
     # Fraction strips surrounding whitespace, as the points-file reader needs
     assert QQ.of(" 5/3\n") == Fraction(5, 3)
+
+
+def test_scalars_past_the_int_string_limit_round_trip():
+    # Python converts at most 4300 digits between int and str by default;
+    # 2^16949 + 1 has 5103
+    big = Fraction(2**16949 + 1)
+    for q in (big, -big, 1 / big, big / 3):
+        s = QQ.format(q)
+        assert QQ.of(s) == q and QQ.of(f" {s}\n") == q
+    assert QQ.format(Fraction(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+    assert prime_field(31).of(QQ.format(big)) == (2**16949 + 1) % 31
+    with pytest.raises(ValueError, match="invalid fraction string"):
+        QQ.of("1" * 5000 + "x")
 
 
 def test_prime_field_arithmetic():
@@ -263,4 +277,4 @@ def test_order_is_additive_on_products():
 def test_order_of_explicit_multiple_line():
     L = linear_form(QQ, (1, -1, 0))
     P = point(QQ, 1, 1, 2)
-    assert order_of_vanishing(L.power(4), P) == 4
+    assert order_of_vanishing(power(L, 4), P) == 4

@@ -327,7 +327,9 @@ def test_repro_nodal_predicates_on_a_seed_that_needs_a_retry(monkeypatch):
     assert rational_nodal_nodes(4, 17, 0) is None  # the first attempt fails
 
 
-def test_repro_builds_the_nodal_curve_twice(monkeypatch):
+def test_repro_builds_the_nodal_curve_once(monkeypatch):
+    # the row's points and both nodal predicates read one generator call,
+    # and a seed whose generator gives up is still refused by name
     build, calls = configs.rational_nodal_nodes, []
 
     def count(*args):
@@ -335,9 +337,15 @@ def test_repro_builds_the_nodal_curve_twice(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(configs, "rational_nodal_nodes", count)
-    monkeypatch.setattr(analysis, "rational_nodal_nodes", count)
+    monkeypatch.setattr(analysis, "rational_nodal_nodes", count, raising=False)
     assert repro("ex-nodal5").passed
-    assert len(calls) == 2
+    assert len(calls) == 1
+    spec = {"family": "nodal_curve_nodes", "d": 4, "prime": 17, "seed": 0}
+    registry = {"examples": {"ex-nodal4": {"config": spec, "cells": [
+        {"check": "predicate", "name": "node_count", "expected": 3}]}}}
+    monkeypatch.setattr(configs, "NODAL_ATTEMPTS", 1)  # seed 0 needs a retry
+    with pytest.raises(ValueError, match="nodal generation failed; try another seed"):
+        repro("ex-nodal4", registry)
 
 
 def test_repro_report_json():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fatpoints.algebra import QQ, point
+from fatpoints.algebra import QQ, evaluate, point, poly
 from fatpoints.cli import main
 from fatpoints.serialize import points_from_json_dict, points_to_json_dict
 from fatpoints.configs import general
@@ -103,6 +103,21 @@ def test_check_refuses_cache(tmp_path, capsys):
     assert code != 0 and "--cache" in err
     assert "usage: fatpoints check" in err and "fatpoints check: error" in err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("flag", ["--r", "--p", "--d", "--d1", "--d2", "--prime",
+                                  "--height", "--seed"])
+def test_points_refuse_family_parameters(tmp_path, capsys, flag):
+    # a points file reads none of them, so accepting one would read as honoured
+    pts = tmp_path / "p.json"
+    run(capsys, "generate", "--family", "general", "--r", "4", "--out", str(pts))
+    for command, *rest in (("generate",), ("alphaseq", "--kmax", "2")):
+        code, err = refused(capsys, command, "--points", str(pts), *rest, flag, "5")
+        assert code == 2 and f"usage: fatpoints {command}" in err
+        assert f"--points takes no family parameters: {flag}" in err
+    if flag == "--d":  # the system degree of dim and kernel
+        code, _, _ = run(capsys, "dim", "--points", str(pts), "--d", "2")
+        assert code == 0
 
 
 def test_search_refuses_strategy_and_cache(tmp_path, capsys):
@@ -293,6 +308,30 @@ def test_cache_coherence(tmp_path, capsys):
     # verify mode recomputes and compares against the stored entries
     code, verified, _ = run(capsys, *args, "--cache", str(cache), "--verify-cache")
     assert code == 0 and verified == cold
+
+
+def test_the_product_bound_saves_cache_entries(tmp_path, capsys):
+    # alpha sits well below hi - 1 here, so probing the product bound first
+    # skips degrees that the bisection from hi - 1 would write
+    a, b = tmp_path / "a", tmp_path / "b"
+    run(capsys, "alphaseq", "--family", "on_conic", "--r", "6", "--kmax", "5", "--cache", str(a))
+    assert len(list(a.iterdir())) <= 15
+    for family in (("collinear", "--r", "6"), ("type9",)):
+        run(capsys, "alphaseq", "--family", *family, "--kmax", "5", "--cache", str(b))
+    assert len(list(b.iterdir())) <= 21
+
+
+def test_kernel_out_past_the_int_string_limit(tmp_path, capsys):
+    # (N : 1 : 1) has a 5103-digit coordinate, so the lines through it do too
+    N = 2**16949 + 1
+    pts, out = tmp_path / "pts.json", tmp_path / "kernel.json"
+    pts.write_text(json.dumps(points_to_json_dict([point(QQ, N, 1, 1)])))
+    code, _, _ = run(capsys, "kernel", "--points", str(pts), "--d", "1", "--out", str(out))
+    assert code == 0
+    basis = [poly(QQ, g["degree"], {tuple(m): c for m, c in g["terms"]})
+             for g in json.loads(out.read_text())["basis"]]
+    assert len(basis) == 2 and all(evaluate(g, point(QQ, N, 1, 1)) == 0 for g in basis)
+    assert any(abs(c) == N for g in basis for _, c in g.terms)
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):

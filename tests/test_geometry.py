@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import nullspace_in_field
+from helpers import coeff, line_form, nullspace_in_field
 from fatpoints.algebra import (
     QQ,
     evaluate,
@@ -80,7 +80,7 @@ def test_collinear_result_vanishes_on_all_points():
     for _ in range(20):
         pts = collinear(rng.randint(2, 6))
         L = are_collinear(pts)
-        assert all(evaluate(L.as_poly(), P) == 0 for P in pts)
+        assert all(evaluate(line_form(L), P) == 0 for P in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +89,10 @@ def test_collinear_result_vanishes_on_all_points():
 def test_common_conic_through_five_parameterized_points():
     conic = common_conic(on_conic(5))
     want = poly(QQ, 2, {(0, 2, 0): 1, (1, 0, 1): -1})
-    got_over_want = {m: conic.coeff(m) for m, _ in want.terms}
+    got_over_want = {m: coeff(conic, m) for m, _ in want.terms}
     vals = set(got_over_want.values())
-    assert conic.coeff((2, 0, 0)) == 0
-    ratios = {conic.coeff(m) / c for m, c in want.terms}
+    assert coeff(conic, (2, 0, 0)) == 0
+    ratios = {coeff(conic, m) / c for m, c in want.terms}
     assert len(ratios) == 1 and 0 not in ratios
     assert len(conic.terms) == 2
 
@@ -282,6 +282,13 @@ def test_singular_scan_requires_large_characteristic():
 def test_plane_scans_refuse_the_rationals():
     with pytest.raises(ValueError, match="needs a prime field"):
         rational_points_on_curve(poly(QQ, 1, {(1, 0, 0): 1}))
+
+
+def test_plane_scans_refuse_primes_past_int64_residues():
+    # checked before any of the p^2 + p + 1 points is built
+    F = prime_field(2**31 + 11)
+    with pytest.raises(ValueError, match="p < 2\\^31"):
+        rational_points_on_curve(poly(F, 1, {(1, 0, 0): 1}))
 
 
 def test_projective_plane_enumeration_count():

@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import enumeration_dimension, nullspace_in_field, rref_in_field
+from helpers import coeff, enumeration_dimension, nullspace_in_field, rref_in_field
 from fatpoints import linsys
 from fatpoints.algebra import (
     QQ,
@@ -24,7 +24,7 @@ from fatpoints.algebra import (
     prime_field,
 )
 from fatpoints.cache import ResultCache
-from fatpoints.configs import general
+from fatpoints.configs import collinear, general, on_conic, type9
 from fatpoints.linsys import (
     AlphaReport,
     CertificationError,
@@ -47,7 +47,7 @@ from fatpoints.linsys import (
     strategy_primes,
     system_dim,
 )
-from fatpoints.serialize import dump_json
+from fatpoints.serialize import dump_json, form_terms
 
 TRIANGLE = (point(QQ, 1, 0, 0), point(QQ, 0, 1, 0), point(QQ, 0, 0, 1))
 
@@ -494,8 +494,8 @@ def test_kernel_unique_conic():
     got = basis[0]
     ratio = None
     for m, c in want.terms:
-        assert got.coeff(m) != 0
-        r = got.coeff(m) / c
+        assert coeff(got, m) != 0
+        r = coeff(got, m) / c
         ratio = ratio or r
         assert r == ratio
     assert len(got.terms) == len(want.terms)
@@ -693,6 +693,59 @@ def test_bracket_works_only_from_alpha_minus_one(monkeypatch, tmp_path, r):
     assert alpha_sequence(pts, 5, MultiPrime(2), cache=warm).alphas == alphas
     assert (warm.hits, warm.misses) == (len(writes), 0)
     assert sorted(tmp_path.iterdir()) == files
+
+
+@pytest.mark.parametrize("upper", [None, 0, 1, 2, 3, 4, 6, 9, 40])
+def test_the_product_bound_is_only_a_hint(upper):
+    # below alpha the hinted degree is found empty and the search moves up;
+    # at or past hi - 1 the hint changes nothing
+    for scheme in (FatPointScheme.uniform(conic_points(6), 3),
+                   FatPointScheme.uniform(general(5, seed=1), 2),
+                   FatPointScheme(TRIANGLE, (1, 2, 3))):
+        for strategy, certify in ((MultiPrime(2), False), (ExactRational(), True)):
+            want = linsys.alpha_search(scheme, strategy, certify)
+            got = linsys.alpha_search(scheme, strategy, certify, upper=upper)
+            assert ((got.value, got.existence, got.certification)
+                    == (want.value, want.existence, want.certification))
+
+
+def _hint_free_sequence(points, k_max, cache):
+    """The searches of ``alpha_sequence`` without the product bound."""
+    start = None
+    for k in range(1, k_max + 1):
+        scheme = FatPointScheme.uniform(points, k)
+        start = linsys.alpha_search(scheme, certify_existence=True, start=start,
+                                    cache=cache).value + 1
+
+
+@pytest.mark.parametrize("configurations,fewer", [
+    ((on_conic(6),), True),
+    ((collinear(6), type9(0)), True),
+] + [((general(r, seed=0),), False) for r in range(3, 10)])
+def test_the_product_bound_writes_no_more_cache_entries(tmp_path, configurations, fewer):
+    # where alpha(kZ) sits below hi - 1 the bound saves probes; on general
+    # points it never falls below hi - 1, so the entries are the same
+    hinted, free = tmp_path / "hinted", tmp_path / "free"
+    for pts in configurations:
+        alpha_sequence(pts, 5, certify_existence=True, cache=ResultCache(hinted))
+        _hint_free_sequence(pts, 5, ResultCache(free))
+    a, b = ({f.name: f.read_bytes() for f in d.iterdir()} for d in (hinted, free))
+    assert a.items() <= b.items()
+    assert (len(a) < len(b)) == fewer
+
+
+def test_a_kernel_past_the_int_string_limit_round_trips(tmp_path):
+    # the line through (N : 1 : 1) and (0 : 0 : 1) has the coefficient N,
+    # which has 5103 digits
+    N = 2**16949 + 1
+    f = poly(QQ, 2, {(2, 0, 0): N, (0, 1, 1): -3})
+    terms = form_terms(f)
+    assert poly(QQ, terms["degree"], {tuple(m): c for m, c in terms["terms"]}) == f
+    scheme = FatPointScheme.uniform((point(QQ, N, 1, 1), point(QQ, 0, 0, 1)), 1)
+    rep = system_dim(scheme, 1, ExactRational(), want_kernel=True, cache=ResultCache(tmp_path))
+    assert N in {abs(c) for _, c in rep.kernel[0].terms}
+    warm = ResultCache(tmp_path)
+    assert warm.get_report(scheme, 1, ExactRational(), True) == rep and warm.hits == 1
 
 
 def _report_json(rank, nrows, ncols, d, exp, existence, primes):

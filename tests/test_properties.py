@@ -69,7 +69,9 @@ from fatpoints.linsys import (  # noqa: E402
 )
 from fatpoints.serialize import dump_json  # noqa: E402
 from helpers import (  # noqa: E402
+    coeff,
     common_zeros_by_evaluation,
+    power,
     product_scan_points,
     recentered_at,
     recentered_order,
@@ -243,7 +245,7 @@ def test_dual_hesse_exact_rank_eliminates_the_framed_matrix(monkeypatch):
 def exact_path(scheme, d):
     """(rank-only report's rank, kernel report's rank, its kernel vectors)."""
     rep = system_dim(scheme, d, ExactRational(), want_kernel=True)
-    vectors = [tuple(g.coeff(mu) for mu in monomial_basis(d)) for g in rep.kernel]
+    vectors = [tuple(coeff(g, mu) for mu in monomial_basis(d)) for g in rep.kernel]
     return system_dim(scheme, d, ExactRational()).rank, rep.rank, vectors
 
 
@@ -337,7 +339,7 @@ def forms_at_points(draw):
         st.tuples(coordinate, coordinate, coordinate)
         .map(lambda w: (b * w[2] - c * w[1], c * w[0] - a * w[2], a * w[1] - b * w[0]))
         .filter(lambda t: any(field.of(e) for e in t))))
-    return f * line.power(draw(st.integers(0, 3))), P
+    return f * power(line, draw(st.integers(0, 3))), P
 
 
 @settings(SETTINGS, max_examples=200)
@@ -353,7 +355,7 @@ def test_recentered_moves_point_to_origin_chart(case):
     f, P = case
     g = recentered_at(f, P)
     # value of f at P appears as the coefficient of the pure u0 power
-    assert (g.coeff((f.degree, 0, 0)) == 0) == (evaluate(f, P) == 0)
+    assert (coeff(g, (f.degree, 0, 0)) == 0) == (evaluate(f, P) == 0)
 
 
 # ---------------------------------------------------------------------------
