@@ -1,7 +1,8 @@
 """Exact coefficient fields, projective points, and homogeneous ternary forms.
 
 Everything here is immutable and pure: scalars are ``fractions.Fraction``
-over the rationals or plain residues over a prime field, points are
+over the rationals or plain residues over a prime field, computed with
+Python's operators and reduced by the field's ``of``; points are
 normalized coordinate triples, and polynomials are sorted term tuples.
 """
 
@@ -84,24 +85,19 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, v) -> Fraction:
-        if not isinstance(v, str) or len(v) <= 600:
-            return Fraction(v)
-        num, slash, den = v.strip().partition("/")  # "n" or "n/d"
-        if not num.removeprefix("-").isdecimal() or slash and not den.isdecimal():
-            raise ValueError(f"invalid fraction string of {len(v)} characters")
-        return Fraction(int(Decimal(num)), int(Decimal(den)) if slash else 1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+        if type(v) is Fraction:  # immutable and in lowest terms already
+            return v
+        short = not isinstance(v, str) or len(v) <= 600
+        try:
+            if short:
+                return Fraction(v)
+            num, slash, den = v.strip().partition("/")  # "n" or "n/d"
+            if not num.removeprefix("-").isdecimal() or slash and not den.isdecimal():
+                raise ValueError(f"invalid fraction string of {len(v)} characters")
+            return Fraction(int(Decimal(num)), int(Decimal(den)) if slash else 1)
+        except ZeroDivisionError:
+            name = repr(v) if short else f"a fraction string of {len(v)} characters"
+            raise ValueError(f"zero denominator in {name}") from None
 
     def inv(self, a):
         if a == 0:
@@ -148,18 +144,6 @@ class PrimeField:
                 raise ReductionError(f"denominator of {v} vanishes mod {self.p}")
             return v.numerator * pow(den, -1, self.p) % self.p
         return int(v) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -255,7 +239,7 @@ def point(field, a, b=None, c=None) -> ProjectivePoint:
     if last is None:
         raise ValueError("(0 : 0 : 0) is not a projective point")
     inv = field.inv(coords[last])
-    return ProjectivePoint(field, tuple(field.mul(x, inv) for x in coords))
+    return ProjectivePoint(field, tuple(field.of(x * inv) for x in coords))
 
 
 def reduce_points(points, field) -> tuple:
@@ -316,13 +300,12 @@ class HomoPoly:
 
     def __mul__(self, other):
         check_same_field(self.field, other.field)
-        f = self.field
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                acc[m] = f.add(acc.get(m, f.zero), f.mul(c1, c2))
-        return poly(f, self.degree + other.degree, acc)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return poly(self.field, self.degree + other.degree, acc)
 
     def __str__(self):
         if self.is_zero():
@@ -374,26 +357,8 @@ def poly_from_vector(field, degree: int, vector) -> HomoPoly:
 def evaluate(f: HomoPoly, P: ProjectivePoint):
     """Evaluate ``f`` at the normalized representative of ``P``."""
     check_same_field(f.field, P.field)
-    fld = f.field
     x, y, z = P.coords
-    acc = fld.zero
-    for (a, b, c), coef in f.terms:
-        term = coef
-        if a:
-            term = fld.mul(term, _pow_scalar(fld, x, a))
-        if b:
-            term = fld.mul(term, _pow_scalar(fld, y, b))
-        if c:
-            term = fld.mul(term, _pow_scalar(fld, z, c))
-        acc = fld.add(acc, term)
-    return acc
-
-
-def _pow_scalar(field, v, e):
-    r = field.one
-    for _ in range(e):
-        r = field.mul(r, v)
-    return r
+    return f.field.of(sum(coef * x**a * y**b * z**c for (a, b, c), coef in f.terms))
 
 
 def partial_derivative(f: HomoPoly, var: int) -> HomoPoly:
@@ -406,7 +371,6 @@ def partial_derivative(f: HomoPoly, var: int) -> HomoPoly:
         raise ValueError("cannot differentiate a degree-0 form")
     if var not in (0, 1, 2):
         raise ValueError("variable index must be 0, 1 or 2")
-    fld = f.field
     acc = {}
     for m, c in f.terms:
         e = m[var]
@@ -414,8 +378,8 @@ def partial_derivative(f: HomoPoly, var: int) -> HomoPoly:
             continue
         new = list(m)
         new[var] = e - 1
-        acc[tuple(new)] = fld.mul(c, fld.of(e))
-    return poly(fld, f.degree - 1, acc)
+        acc[tuple(new)] = c * e
+    return poly(f.field, f.degree - 1, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +396,11 @@ def order_of_vanishing(f: HomoPoly, P: ProjectivePoint):
     iterated derivatives keep the check valid in every characteristic.
     """
     check_same_field(f.field, P.field)
-    p = 0 if f.field == QQ else f.field.p
     coords = P.integer_coords()
     j = max(i for i in range(3) if coords[i])
     k, l = (i for i in range(3) if i != j)
     A, B, C = coords[k], coords[l], coords[j]
-    den = 1 if p else math.lcm(*(c.denominator for _, c in f.terms))
+    den = math.lcm(*(c.denominator for _, c in f.terms))
     terms = [(m[k], m[l], m[j], int(c * den)) for m, c in f.terms]
     for level in range(f.degree + 1):
         for u in range(level + 1):
@@ -445,6 +408,6 @@ def order_of_vanishing(f: HomoPoly, P: ProjectivePoint):
             total = sum(c * math.comb(a, u) * math.comb(b, v)
                         * A ** (a - u) * B ** (b - v) * C ** e
                         for a, b, e, c in terms if a >= u and b >= v)
-            if total % p if p else total:
+            if f.field.of(total):
                 return level
     return math.inf

@@ -44,38 +44,30 @@ class Line:
         if lead is None:
             raise ValueError("a line needs a nonzero coefficient triple")
         inv = field.inv(lead)
-        return cls(field, tuple(field.mul(c, inv) for c in v))
+        return cls(field, tuple(field.of(c * inv) for c in v))
 
     @classmethod
     def through(cls, P: ProjectivePoint, Q: ProjectivePoint) -> "Line":
         check_same_field(P.field, Q.field)
         if P == Q:
             raise ValueError("two distinct points are needed to span a line")
-        return cls.from_coeffs(P.field, _cross(P.field, P.coords, Q.coords))
+        return cls.from_coeffs(P.field, _cross(P.coords, Q.coords))
 
     def contains(self, P: ProjectivePoint) -> bool:
-        f = self.field
-        acc = f.zero
-        for c, x in zip(self.coeffs, P.coords):
-            acc = f.add(acc, f.mul(c, x))
-        return acc == f.zero
+        return self.field.of(sum(c * x for c, x in zip(self.coeffs, P.coords))) == 0
 
     def intersect(self, other: "Line") -> ProjectivePoint:
         if self == other:
             raise ValueError("coincident lines have no unique intersection")
-        return point(self.field, _cross(self.field, self.coeffs, other.coeffs))
+        return point(self.field, _cross(self.coeffs, other.coeffs))
 
     def __repr__(self):
         f = self.field
         return "Line(" + ", ".join(f.format(c) for c in self.coeffs) + ")"
 
 
-def _cross(field, u, v):
-    return (
-        field.sub(field.mul(u[1], v[2]), field.mul(u[2], v[1])),
-        field.sub(field.mul(u[2], v[0]), field.mul(u[0], v[2])),
-        field.sub(field.mul(u[0], v[1]), field.mul(u[1], v[0])),
-    )
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def common_conic(points) -> Optional[HomoPoly]:
     if not basis:
         return None
     inv = fld.inv(next(c for c in basis[0] if c))
-    return poly_from_vector(fld, 2, [fld.mul(c, inv) for c in basis[0]])
+    return poly_from_vector(fld, 2, [c * inv for c in basis[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +268,20 @@ def is_type9(points) -> bool:
 # ---------------------------------------------------------------------------
 # scans of P^2(F_p)
 
-def enumerate_projective_plane(field):
-    """Canonical representatives of P^2(F_p), p^2 + p + 1 points."""
-    p = field.p
-    for a in range(p):
-        for b in range(p):
-            yield ProjectivePoint(field, (a, b, 1))
-    for a in range(p):
-        yield ProjectivePoint(field, (a, 1, 0))
-    yield ProjectivePoint(field, (1, 0, 0))
-
-
 def plane_points_where(field, forms):
     """The common zeros in P^2(F_p) of ``forms``, sorted by coordinates.
 
-    The points of ``enumerate_projective_plane``, in its order, are held as
-    three int64 coordinate vectors, whose power tables all the forms share.
-    A form's values sum its terms c x^i y^j z^k, each reduced mod p after
-    every product: with residues below 2^31 no product reaches 2^62.  The
-    zero form vanishes everywhere and a nonzero constant nowhere.
+    The canonical points of the plane, (a, b, 1), then (a, 1, 0), then
+    (1, 0, 0), are held as three int64 coordinate vectors, whose power
+    tables all the forms share.  A form's values sum its terms c x^i y^j z^k,
+    each reduced mod p after every product: with residues below 2^31 no
+    product reaches 2^62.  The zero form vanishes everywhere and a nonzero
+    constant nowhere.
     """
     if field == QQ or field.p >= 2**31:
         raise ValueError(f"the scan needs a prime field F_p with p < 2^31, not {field!r}")
     p = field.p
-    r = np.arange(p)  # (a, b, 1), then (a, 1, 0), then (1, 0, 0)
+    r = np.arange(p)
     xyz = np.array([np.r_[np.repeat(r, p), r, 1], np.r_[np.tile(r, p), np.ones(p), 0],
                     np.r_[np.ones(p * p), np.zeros(p + 1)]], dtype=np.int64)
     pows = [np.ones_like(xyz)]

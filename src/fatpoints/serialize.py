@@ -33,10 +33,20 @@ def points_to_json_dict(points) -> dict:
 
 
 def points_from_json_dict(d: dict):
+    if not isinstance(d, dict) or not isinstance(d.get("points"), list):
+        raise ValueError('a points file must be a JSON object with a "points" list')
     if d.get("schema") not in (None, SCHEMA):
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
     fld = field_from_string(d["field"])
-    return tuple(point(fld, *map(fld.of, coords)) for coords in d["points"])
+    points = []
+    for i, coords in enumerate(d["points"]):
+        # bool is an int subclass and a float is inexact: refuse both
+        if not (isinstance(coords, list) and len(coords) == 3
+                and all(type(c) in (str, int) for c in coords)):
+            raise ValueError(f"point {i} must be three coordinates, each a decimal "
+                             f"string or an integer; got {coords!r}")
+        points.append(point(fld, coords))
+    return tuple(points)
 
 
 def form_terms(f: HomoPoly) -> dict:

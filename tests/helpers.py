@@ -14,14 +14,15 @@ each point, vectorized so that q^N forms stay tractable; a random sample is
 always cross-checked against literal order_of_vanishing calls.
 
 The field-scalar RREF is the reference for ``modp_rref`` and
-``modp_nullspace``: plain lists of field scalars, eliminated with the
-field's own operations, so it shares no code with the numpy engine.
+``modp_nullspace``: plain lists of field scalars, eliminated with Python
+arithmetic and reduced by ``of``, so it shares no code with the numpy engine.
 
-The plane-scan oracle walks P^2(F_p) point by point behind a callback, with
-``evaluate`` for form values; it is the reference for the condition-matrix
-scan ``plane_points_where``.  ``product_scan_points`` is the check that
-``two_nodal_union`` once made on the product of its two curves, by that
-scan, and is the reference for the check it now makes through the factors.
+The plane-scan oracle walks the points of ``enumerate_projective_plane``
+one by one behind a callback, with ``evaluate`` for form values; it is the
+reference for the vectorized scan ``plane_points_where``.
+``product_scan_points`` is the check that ``two_nodal_union`` once made on
+the product of its two curves, by that scan, and is the reference for the
+check it now makes through the factors.
 
 ``coeff``, ``power`` and ``line_form`` read a coefficient, raise a form to
 a power and turn a ``Line`` into its linear form; only tests need them.
@@ -34,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from fatpoints.algebra import (
+    ProjectivePoint,
     check_same_field,
     evaluate,
     linear_form,
@@ -43,7 +45,6 @@ from fatpoints.algebra import (
     poly,
     poly_from_vector,
 )
-from fatpoints.geometry import enumerate_projective_plane
 
 
 def coeff(f, mono):
@@ -112,7 +113,7 @@ def recentered_at(f, P):
     acc = {}
     for m, c in f.terms:
         for mono, coef in expansions[index[m]]:
-            acc[mono] = fld.add(acc.get(mono, fld.zero), fld.mul(c, coef))
+            acc[mono] = fld.of(acc.get(mono, fld.zero) + c * coef)
     return poly(fld, f.degree, acc)
 
 
@@ -138,7 +139,7 @@ def local_level_functionals(P, d, max_level):
             lev = b + c
             if lev < max_level:
                 levels.setdefault((a, b, c), [fld.zero] * len(expansions))
-                levels[(a, b, c)][i] = fld.add(levels[(a, b, c)][i], coef)
+                levels[(a, b, c)][i] = fld.of(levels[(a, b, c)][i] + coef)
     return [levels[k] for k in sorted(levels)]
 
 
@@ -197,11 +198,11 @@ def rref_in_field(rows, fld):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = fld.inv(m[rank][col])
-        m[rank] = [fld.mul(x, inv) for x in m[rank]]
+        m[rank] = [fld.of(x * inv) for x in m[rank]]
         for i in range(nr):
             if i != rank and m[i][col] != fld.zero:
                 f = m[i][col]
-                m[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[i], m[rank])]
+                m[i] = [fld.of(a - f * b) for a, b in zip(m[i], m[rank])]
         pivots.append(col)
         rank += 1
         if rank == nr:
@@ -220,9 +221,20 @@ def nullspace_in_field(rows, fld, ncols):
         v = [fld.zero] * ncols
         v[f] = fld.one
         for i, pc in enumerate(pivots):
-            v[pc] = fld.neg(rref[i][f])
+            v[pc] = fld.of(-rref[i][f])
         basis.append(tuple(v))
     return basis
+
+
+def enumerate_projective_plane(field):
+    """Canonical representatives of P^2(F_p), p^2 + p + 1 points."""
+    p = field.p
+    for a in range(p):
+        for b in range(p):
+            yield ProjectivePoint(field, (a, b, 1))
+    for a in range(p):
+        yield ProjectivePoint(field, (a, 1, 0))
+    yield ProjectivePoint(field, (1, 0, 0))
 
 
 def scan_plane(field, keep):

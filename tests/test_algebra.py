@@ -6,11 +6,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import power
 from fatpoints.algebra import (
     QQ,
     FieldMismatchError,
+    det3,
     evaluate,
     field_from_string,
     field_to_string,
@@ -21,8 +23,10 @@ from fatpoints.algebra import (
     partial_derivative,
     point,
     poly,
+    poly_from_vector,
     prime_field,
 )
+from fatpoints.geometry import Line
 
 
 def rand_poly(field, d, rng, density=0.6):
@@ -78,13 +82,22 @@ def test_scalars_past_the_int_string_limit_round_trip():
 
 def test_prime_field_arithmetic():
     F = prime_field(7)
-    assert F.add(5, 4) == 2
-    assert F.mul(3, 5) == 1
+    assert F.of(5 + 4) == 2
+    assert F.of(3 * 5) == 1
     assert F.inv(3) == 5
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
     with pytest.raises(ValueError):
         prime_field(6)
+
+
+def test_a_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        QQ.of("1/0")
+    with pytest.raises(ValueError, match="zero denominator in '-3/0'"):
+        prime_field(7).of("-3/0")
+    with pytest.raises(ValueError, match="zero denominator in a fraction string of 703"):
+        QQ.of("1" * 701 + "/0")
 
 
 def test_prime_field_of_fraction():
@@ -278,3 +291,58 @@ def test_order_of_explicit_multiple_line():
     L = linear_form(QQ, (1, -1, 0))
     P = point(QQ, 1, 1, 2)
     assert order_of_vanishing(power(L, 4), P) == 4
+
+
+# ---------------------------------------------------------------------------
+# scalar arithmetic of forms and lines, over Q and over F_p
+
+SCALAR_FIELDS = [QQ] + [prime_field(p) for p in (2, 3, 31, 2**31 - 1)]
+
+
+@st.composite
+def scalars(draw, field):
+    """Fractions over Q; over F_p integers up to 2^62, which ``of`` reduces."""
+    if field == QQ:
+        return Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 6)))
+    return draw(st.integers(-2**62, 2**62))
+
+
+def triples(field):
+    """Coordinate triples that are not zero in ``field``."""
+    return st.tuples(*[scalars(field)] * 3).filter(lambda t: any(field.of(c) for c in t))
+
+
+@st.composite
+def forms(draw, field):
+    d = draw(st.integers(0, 4))
+    n = (d + 1) * (d + 2) // 2
+    return poly_from_vector(field, d, draw(st.lists(scalars(field), min_size=n, max_size=n)))
+
+
+SCALAR_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@SCALAR_SETTINGS
+@given(data=st.data(), field=st.sampled_from(SCALAR_FIELDS))
+def test_products_and_euler_relation_hold_at_points(data, field):
+    f, g = data.draw(forms(field)), data.draw(forms(field))
+    P = point(field, data.draw(triples(field)))
+    assert evaluate(f * g, P) == field.of(evaluate(f, P) * evaluate(g, P))
+    if f.degree:
+        grad = sum(x * evaluate(partial_derivative(f, i), P) for i, x in enumerate(P.coords))
+        assert field.of(grad) == field.of(f.degree * evaluate(f, P))
+
+
+@SCALAR_SETTINGS
+@given(data=st.data(), field=st.sampled_from(SCALAR_FIELDS))
+def test_lines_contain_their_points_and_meets(data, field):
+    P, Q, R = (point(field, data.draw(triples(field))) for _ in range(3))
+    if P != Q:
+        L = Line.through(P, Q)
+        assert L.contains(P) and L.contains(Q)
+        det = det3(P.integer_coords(), Q.integer_coords(), R.integer_coords())
+        assert L.contains(R) == (field.of(det) == 0)
+    L1, L2 = (Line.from_coeffs(field, data.draw(triples(field))) for _ in range(2))
+    if L1 != L2:
+        X = L1.intersect(L2)
+        assert L1.contains(X) and L2.contains(X)

@@ -391,6 +391,40 @@ def test_cache_entry_missing_fields_is_corrupt(tmp_path, capsys):
     assert "corrupt" in err and "'degree'" in err and str(victim) in err
 
 
+def _points_file(field, coords):
+    return json.dumps({"field": field, "points": [["0", "0", "1"], coords]})
+
+
+@pytest.mark.parametrize("text,message", [
+    (_points_file("rational", ["1", "2"]), "point 1 "),
+    (_points_file("rational", ["1", "2", "3", "4"]), "point 1 "),
+    (_points_file("rational", [0.1, 1, 1]), "point 1 "),
+    (_points_file("prime:7", [0.5, 1, 1]), "point 1 "),
+    (_points_file("rational", [True, 1, 1]), "point 1 "),
+    (_points_file("rational", "123"), "point 1 "),
+    (_points_file("rational", ["1/0", "1", "1"]), "zero denominator in '1/0'"),
+    (_points_file("rational", ["1" * 700 + "/0", "1", "1"]), "zero denominator"),
+    ('{"field": "rational", "points": 5}', '"points" list'),
+    ('[["0", "0", "1"]]', '"points" list'),
+], ids=["two", "four", "float", "float-mod-7", "bool", "string", "1/0", "long-1/0",
+        "points-not-a-list", "not-an-object"])
+def test_points_files_are_checked_where_they_enter(tmp_path, capsys, text, message):
+    pts = tmp_path / "pts.json"
+    pts.write_text(text)
+    code, out, err = run(capsys, "generate", "--points", str(pts))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_points_files_of_strings_and_integers_keep_their_bytes(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"field": "rational",
+                               "points": [["1/2", 3, "-4"], [0, "0", 1]]}))
+    code, out, _ = run(capsys, "generate", "--points", str(pts))
+    assert code == 0
+    assert json.loads(out)["points"] == [["-1/8", "-3/4", "1"], ["0", "0", "1"]]
+
+
 def test_field_reduction_refuses_merged_points(capsys):
     # two of these five rational points reduce to (2 : 2 : 1) mod 3
     code, out, err = run(capsys, "generate", "--family", "general", "--r", "5",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import coeff, line_form, nullspace_in_field
+from helpers import coeff, enumerate_projective_plane, line_form, nullspace_in_field
 from fatpoints.algebra import (
     QQ,
     evaluate,
@@ -27,7 +27,6 @@ from fatpoints.geometry import (
     are_collinear,
     common_conic,
     detect_line_arrangement,
-    enumerate_projective_plane,
     rational_points_on_curve,
     is_star_configuration,
     is_type9,
@@ -139,13 +138,13 @@ def test_collinear_and_conic_agree_with_the_field_oracle(field):
             continue
         line = nullspace_in_field([P.coords for P in pts], field, 3)
         assert are_collinear(pts) == (Line.from_coeffs(field, line[0]) if line else None)
-        rows = [[field.mul(field.mul(x**a, y**b), z**c) for a, b, c in monomial_basis(2)]
+        rows = [[field.of(x**a * y**b * z**c) for a, b, c in monomial_basis(2)]
                 for x, y, z in (P.coords for P in pts)]
         conic = nullspace_in_field(rows, field, 6)
         want = None
         if conic:
             inv = field.inv(next(c for c in conic[0] if c != field.zero))
-            want = poly_from_vector(field, 2, [field.mul(c, inv) for c in conic[0]])
+            want = poly_from_vector(field, 2, [field.of(c * inv) for c in conic[0]])
         assert common_conic(pts) == want
 
 

@@ -1,5 +1,6 @@
 """Condition matrices, rank engines, and initial-degree searches."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -23,7 +24,7 @@ from fatpoints.algebra import (
     poly,
     prime_field,
 )
-from fatpoints.cache import ResultCache
+from fatpoints.cache import CacheCorruptionError, ResultCache
 from fatpoints.configs import collinear, general, on_conic, type9
 from fatpoints.linsys import (
     AlphaReport,
@@ -746,6 +747,18 @@ def test_a_kernel_past_the_int_string_limit_round_trips(tmp_path):
     assert N in {abs(c) for _, c in rep.kernel[0].terms}
     warm = ResultCache(tmp_path)
     assert warm.get_report(scheme, 1, ExactRational(), True) == rep and warm.hits == 1
+
+
+def test_a_kernel_coefficient_with_a_zero_denominator_is_corrupt(tmp_path):
+    scheme = FatPointScheme.uniform((point(QQ, 1, 1, 1), point(QQ, 0, 0, 1)), 1)
+    system_dim(scheme, 1, ExactRational(), want_kernel=True, cache=ResultCache(tmp_path))
+    victim = next(tmp_path.glob("*.json"))
+    data = json.loads(victim.read_text())
+    data["kernel"][0]["terms"][0][1] = "1/0"
+    victim.write_text(dump_json(data))
+    with pytest.raises(CacheCorruptionError, match="zero denominator in '1/0'") as exc:
+        system_dim(scheme, 1, ExactRational(), want_kernel=True, cache=ResultCache(tmp_path))
+    assert victim.stem in str(exc.value) and str(victim) in str(exc.value)
 
 
 def _report_json(rank, nrows, ncols, d, exp, existence, primes):
