@@ -195,14 +195,25 @@ class ProjectivePoint:
 
     field: object
     coords: tuple
-    # memo of integer_coords; not compared, so equality and hashing ignore it
-    _integer_coords: Optional[tuple] = dataclass_field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # memos of hash, coord_strings and integer_coords: not compared, so
+    # equality ignores them
+    _hash: Optional[int] = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _text: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _ints: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.field, self.coords)))
+        return self._hash
 
     def __repr__(self):
-        f = self.field
-        return "(" + " : ".join(f.format(c) for c in self.coords) + ")"
+        return "(" + " : ".join(self.coord_strings()) + ")"
+
+    def coord_strings(self) -> tuple:
+        """The coordinates as the field formats them, as in every artifact."""
+        if self._text is None:
+            object.__setattr__(self, "_text", tuple(map(self.field.format, self.coords)))
+        return self._text
 
     def integer_coords(self) -> tuple:
         """A primitive scaled representative with integer entries.
@@ -211,7 +222,7 @@ class ProjectivePoint:
         denominators and divided by their gcd; the last nonzero entry stays
         positive.  Over a prime field the residues are returned unchanged.
         """
-        if self._integer_coords is None:
+        if self._ints is None:
             if self.field == QQ:
                 den = math.lcm(*(c.denominator for c in self.coords))
                 ints = [int(c * den) for c in self.coords]
@@ -219,8 +230,8 @@ class ProjectivePoint:
                 ints = tuple(v // g for v in ints)
             else:
                 ints = tuple(int(c) for c in self.coords)
-            object.__setattr__(self, "_integer_coords", ints)
-        return self._integer_coords
+            object.__setattr__(self, "_ints", ints)
+        return self._ints
 
 
 def point(field, a, b=None, c=None) -> ProjectivePoint:

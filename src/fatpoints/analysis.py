@@ -108,10 +108,11 @@ def _collinear(points):
 def _collinear_or_arrangement(points):
     if are_collinear(points) is not None:
         return True, {"collinear": True}
-    witness = detect_line_arrangement(points)
+    lines = spanned_lines(points)
+    witness = detect_line_arrangement(points, lines)
     if witness is not None:
         return True, {"arrangement": witness.to_json_dict()}
-    exhaustive = len(spanned_lines(points)) <= EXHAUSTIVE_CANDIDATE_LIMIT
+    exhaustive = len(lines) <= EXHAUSTIVE_CANDIDATE_LIMIT
     return False, {"collinear": False, "arrangement": None,
                    "search_exhaustive": exhaustive}
 
@@ -315,7 +316,7 @@ def conjecture_search(
             "r": r,
             "alphas": list(rep.alphas),
             "certification": rep.entries[-1]["certification"],
-            "points": [[pts[0].field.format(c) for c in P.coords] for P in pts],
+            "points": [list(P.coord_strings()) for P in pts],
         }
         if difference == 2:
             ok = common_conic(pts) is not None

@@ -43,7 +43,7 @@ def cache_key(scheme, d: int, strategy, want_kernel: bool) -> str:
     payload = {
         "field": field_to_string(fld),
         "points": sorted(
-            [[fld.format(c) for c in P.coords], m]
+            [list(P.coord_strings()), m]
             for P, m in zip(scheme.points, scheme.multiplicities)
         ),
         "degree": d,

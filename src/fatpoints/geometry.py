@@ -46,13 +46,6 @@ class Line:
         inv = field.inv(lead)
         return cls(field, tuple(field.of(c * inv) for c in v))
 
-    @classmethod
-    def through(cls, P: ProjectivePoint, Q: ProjectivePoint) -> "Line":
-        check_same_field(P.field, Q.field)
-        if P == Q:
-            raise ValueError("two distinct points are needed to span a line")
-        return cls.from_coeffs(P.field, _cross(P.coords, Q.coords))
-
     def contains(self, P: ProjectivePoint) -> bool:
         return self.field.of(sum(c * x for c, x in zip(self.coeffs, P.coords))) == 0
 
@@ -133,43 +126,47 @@ def common_conic(points) -> Optional[HomoPoly]:
 # spanned-line machinery
 
 def spanned_lines(points):
-    """Distinct lines through point pairs, each with its incidence set."""
+    """Distinct lines through point pairs with their incidence sets, by the
+    first pair on each; cross products and incidences run on the points'
+    integer representatives (residues over F_p), one ``Line`` per line."""
     points = tuple(points)
-    seen = {}
-    for i, j in itertools.combinations(range(len(points)), 2):
-        L = Line.through(points[i], points[j])
-        if L not in seen:
-            seen[L] = frozenset(
-                k for k, P in enumerate(points) if L.contains(P)
-            )
-    return list(seen.items())
+    fld = points[0].field if points else QQ
+    p = None if fld == QQ else fld.p
+    for P in points:
+        check_same_field(fld, P.field)
+    vs = [P.integer_coords() for P in points]
+    if len(set(vs)) < len(vs):  # canonical representatives
+        raise ValueError("two distinct points are needed to span a line")
+    found, done = [], set()  # done: pairs on a line already found
+    for i, j in itertools.combinations(range(len(vs)), 2):
+        if (i, j) not in done:
+            a, b, c = _cross(vs[i], vs[j])
+            dots = (a * x + b * y + c * z for x, y, z in vs)
+            on = [k for k, v in enumerate(dots) if (v if p is None else v % p) == 0]
+            done.update(itertools.combinations(on, 2))
+            found.append((Line.from_coeffs(fld, (a, b, c)), frozenset(on)))
+    return found
 
 
-def detect_line_arrangement(points) -> Optional[ArrangementWitness]:
+def detect_line_arrangement(points, spanned=None) -> Optional[ArrangementWitness]:
     """Search for line arrangements whose intersection set equals the points.
 
-    Candidates are the pair-spanned lines.  A subset is a witness when every
-    point lies on at least two chosen lines and every pairwise intersection
-    of chosen lines is a configuration point.  Up to 12 candidates every
-    subset is tried (smallest first); past that a greedy pass adds lines by
-    point richness while refusing any line that intersects a chosen one
-    outside the configuration, and the witness is flagged non-exhaustive.
+    Candidates are the pair-spanned lines, ``spanned`` if given.  A subset is
+    a witness when every point lies on at least two chosen lines and every
+    two chosen lines meet at a configuration point, one both carry.  Up to
+    12 candidates every subset is tried (smallest first); past that a greedy
+    pass adds lines by point richness while refusing any line that meets a
+    chosen one outside the configuration; that witness is non-exhaustive.
     """
     points = tuple(points)
     if len(points) < 2:
         raise ValueError("need at least two points")
-    point_set = set(points)
-    cands = spanned_lines(points)
     # deterministic order: richest lines first, then by coefficient string
-    cands.sort(key=lambda lc: (-len(lc[1]), repr(lc[0])))
+    cands = sorted(spanned_lines(points) if spanned is None else spanned,
+                   key=lambda lc: (-len(lc[1]), repr(lc[0])))
     lines = [L for L, _ in cands]
     masks = [sum(1 << k for k in inc) for _, inc in cands]
     n = len(lines)
-    meet_inside = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            inside = lines[i].intersect(lines[j]) in point_set
-            meet_inside[i][j] = meet_inside[j][i] = inside
     full = (1 << len(points)) - 1
 
     def witness(chosen, exhaustive):
@@ -190,15 +187,14 @@ def detect_line_arrangement(points) -> Optional[ArrangementWitness]:
     if n <= EXHAUSTIVE_CANDIDATE_LIMIT:
         for size in range(2, n + 1):
             for combo in itertools.combinations(range(n), size):
-                if all(meet_inside[i][j] for a, i in enumerate(combo)
-                       for j in combo[a + 1:]):
+                if all(masks[i] & masks[j] for a, i in enumerate(combo) for j in combo[a + 1:]):
                     found = witness(combo, True)
                     if found is not None:
                         return found
         return None
     chosen = []
     for i in range(n):
-        if all(meet_inside[i][j] for j in chosen):
+        if all(masks[i] & masks[j] for j in chosen):
             chosen.append(i)
     return witness(chosen, False) if len(chosen) >= 2 else None
 
@@ -220,21 +216,12 @@ def is_star_configuration(points) -> Optional[tuple]:
         p += 1
     if p * (p - 1) // 2 != r:
         return None
-    rich = [L for L, inc in spanned_lines(points) if len(inc) == p - 1]
-    if len(rich) < p:
-        return None
-    point_set = set(points)
+    rich = [(L, inc) for L, inc in spanned_lines(points) if len(inc) == p - 1]
     for combo in itertools.combinations(rich, p):
-        pts = set()
-        ok = True
-        for L1, L2 in itertools.combinations(combo, 2):
-            q = L1.intersect(L2)
-            if q in pts or q not in point_set:
-                ok = False
-                break
-            pts.add(q)
-        if ok and pts == point_set:
-            return p, tuple(combo)
+        # C(p, 2) distinct meets in the configuration are all r points
+        meets = [a & b for (_, a), (_, b) in itertools.combinations(combo, 2)]
+        if all(meets) and len(set(meets)) == r:
+            return p, tuple(L for L, _ in combo)
     return None
 
 
@@ -249,20 +236,15 @@ def is_type9(points) -> bool:
     points = tuple(points)
     if len(points) != 6:
         return False
-    by_count = {}
-    for L, inc in spanned_lines(points):
-        by_count.setdefault(len(inc), []).append((L, inc))
-    if any(c >= 4 for c in by_count):
+    incs = [inc for _, inc in spanned_lines(points)]
+    rich = [inc for inc in incs if len(inc) == 3]
+    if len(rich) != 3 or any(len(inc) >= 4 for inc in incs):
         return False
-    rich = by_count.get(3, [])
-    if len(rich) != 3:
-        return False
-    L1, L2, L3 = (L for L, _ in rich)
-    vertices = {L1.intersect(L2), L2.intersect(L3), L1.intersect(L3)}
-    # Each rich line then holds two vertices and exactly one other point,
-    # and no other point lies on two of them (they would meet there, so it
-    # would be a vertex): the three leftovers sit one per line.
-    return len(vertices) == 3 and vertices.issubset(points)
+    vertices = [a & b for a, b in itertools.combinations(rich, 2)]
+    # Three distinct vertices in the configuration: each rich line then holds
+    # two of them and exactly one other point, and no other point lies on two
+    # of them (it would be a vertex): the three leftovers sit one per line.
+    return all(vertices) and len(set(vertices)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The dimension of the degree-d forms vanishing to order m_i at points P_i is
 the corank of a condition matrix whose rows are derivative evaluations.
-Ranks are computed either exactly (fraction-free elimination over cleared
-integers) or modulo seeded 31-bit primes.  Modular ranks can only drop, so
-a full-column-rank verdict modulo one prime already certifies emptiness of
+Ranks are computed either exactly, fraction-free on integer rows (Bareiss
+for condition matrices, ``modp_rref`` for the geometry predicates' small
+ones), or modulo seeded 31-bit primes.  Modular ranks can only drop, so a
+full-column-rank verdict modulo one prime already certifies emptiness of
 the rational system, and a modular rank equal to min(rows, columns) is the
 exact rank; nonzero modular kernels are only certified after an exact
 recomputation or a dimension count.  ``_rank_mod_p`` takes every rank,
@@ -407,19 +408,15 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
 
     The one elimination for every exact field.  Below 2^31 residues are
     int64, whose products of two cannot overflow; a larger p works in
-    Python ints and Q in Python ints and Fractions (object arrays), so no
-    float ever appears.  Rows from the current rank down are zero left of
-    the current column, so each step updates only the columns from there
-    on.  ``rank_only`` clears only below each pivot (no back-substitution):
-    the rank and pivots are the same, the returned matrix is a row echelon
-    form.
+    Python ints, and Q in ``_rref_over_q`` on integer rows, so no float
+    ever appears.  Rows from the current rank down are zero left of the
+    current column, so each step updates only the columns from there on.
+    ``rank_only`` clears only below each pivot (no back-substitution): the
+    rank and pivots are the same, the returned matrix is a row echelon form.
     """
     if p is None:
-        A = A.astype(object)
-    elif p < 2**31:
-        A = (A % p).astype(np.int64, copy=False)
-    else:
-        A = A.astype(object) % p
+        return _rref_over_q(A, rank_only)
+    A = (A % p).astype(np.int64, copy=False) if p < 2**31 else A.astype(object) % p
     nr, nc = A.shape
     rank = 0
     pivots = []
@@ -432,21 +429,53 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
         r = rank + int(nz[0])
         if r != rank:
             A[[rank, r]] = A[[r, rank]]
-        if p is None:
-            A[rank, col:] = A[rank, col:] * (1 / Fraction(A[rank, col]))
-        else:
-            A[rank, col:] = A[rank, col:] * pow(int(A[rank, col]), -1, p) % p
+        A[rank, col:] = A[rank, col:] * pow(int(A[rank, col]), -1, p) % p
         if rank_only:  # the swap moved a row that is zero at col to row r
             others = rank + nz[1:]
         else:
             others = np.nonzero(A[:, col])[0]
             others = others[others != rank]
         if others.size:
-            update = A[others, col:] - A[others, col][:, None] * A[rank, col:][None, :]
-            A[others, col:] = update if p is None else update % p
+            A[others, col:] = (A[others, col:]
+                               - A[others, col][:, None] * A[rank, col:][None, :]) % p
         pivots.append(col)
         rank += 1
     return rank, pivots, A
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _rref_over_q(A, rank_only):
+    """``modp_rref`` over Q, fraction-free (as in Bareiss 1968, with a gcd
+    for his exact division) on rows cleared of denominators: a pivot
+    a = row_r[col] clears row_i to the primitive part of a * row_i -
+    row_i[col] * row_r, a nonzero multiple of the row Fractions would give.
+    The RREF is unique, so pivot rows divided by their pivots are the same."""
+    nr, nc = A.shape
+    rows = []
+    for row in A.tolist():
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append(_primitive([int(x * den) for x in row]))
+    rank, pivots = 0, []
+    for col in range(nc):
+        r = next((i for i in range(rank, nr) if rows[i][col]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        a = rows[rank][col]
+        for i in range(rank + 1 if rank_only else 0, nr):
+            b = rows[i][col]
+            if b and i != rank:
+                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], rows[rank])])
+        pivots.append(col)
+        rank += 1
+    R = np.zeros((nr, nc), dtype=object)
+    for i, col in enumerate(pivots):
+        R[i] = [Fraction(x, rows[i][col]) for x in rows[i]]
+    return rank, pivots, R
 
 
 def modp_nullspace(A: np.ndarray, p: Optional[int]):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 
-from .algebra import HomoPoly, field_from_string, field_to_string, point
+from .algebra import AlgebraError, HomoPoly, field_from_string, field_to_string, point
 
 SCHEMA = "fatpoints/1"
 
@@ -29,7 +29,7 @@ def points_to_json_dict(points) -> dict:
         raise ValueError("need at least one point")
     fld = points[0].field
     return record("points", field=field_to_string(fld),
-                  points=[[fld.format(c) for c in P.coords] for P in points])
+                  points=[list(P.coord_strings()) for P in points])
 
 
 def points_from_json_dict(d: dict):
@@ -37,6 +37,8 @@ def points_from_json_dict(d: dict):
         raise ValueError('a points file must be a JSON object with a "points" list')
     if d.get("schema") not in (None, SCHEMA):
         raise ValueError(f"unsupported schema {d.get('schema')!r}")
+    if "field" not in d:
+        raise ValueError('a points file needs a "field" tag, "rational" or "prime:P"')
     fld = field_from_string(d["field"])
     points = []
     for i, coords in enumerate(d["points"]):
@@ -45,7 +47,10 @@ def points_from_json_dict(d: dict):
                 and all(type(c) in (str, int) for c in coords)):
             raise ValueError(f"point {i} must be three coordinates, each a decimal "
                              f"string or an integer; got {coords!r}")
-        points.append(point(fld, coords))
+        try:
+            points.append(point(fld, coords))
+        except (ValueError, AlgebraError) as exc:
+            raise type(exc)(f"point {i}: {exc}") from exc
     return tuple(points)
 
 

@@ -26,8 +26,14 @@ check it now makes through the factors.
 
 ``coeff``, ``power`` and ``line_form`` read a coefficient, raise a form to
 a power and turn a ``Line`` into its linear form; only tests need them.
+
+``line_through`` spans a ``Line`` from two points' normalized coordinates,
+and ``spanned_lines_by_pairs`` builds one for every pair of points, tests
+every point with ``Line.contains`` and keeps the first of equal lines: the
+reference for ``spanned_lines``, which works on integer representatives.
 """
 
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -45,6 +51,7 @@ from fatpoints.algebra import (
     poly,
     poly_from_vector,
 )
+from fatpoints.geometry import Line
 
 
 def coeff(f, mono):
@@ -65,6 +72,26 @@ def power(f, n):
 def line_form(L):
     """The linear form of a ``Line``."""
     return linear_form(L.field, L.coeffs)
+
+
+def line_through(P, Q):
+    """The ``Line`` through two distinct points of one field."""
+    check_same_field(P.field, Q.field)
+    if P == Q:
+        raise ValueError("two distinct points are needed to span a line")
+    (a, b, c), (x, y, z) = P.coords, Q.coords
+    return Line.from_coeffs(P.field, (b * z - c * y, c * x - a * z, a * y - b * x))
+
+
+def spanned_lines_by_pairs(points):
+    """Distinct pair-spanned lines with their incidence sets, in the order
+    of their first pair, by ``line_through`` and ``Line.contains``."""
+    seen = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        L = line_through(points[i], points[j])
+        if L not in seen:
+            seen[L] = frozenset(k for k, P in enumerate(points) if L.contains(P))
+    return list(seen.items())
 
 
 def coordinate_frame(P):

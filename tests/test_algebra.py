@@ -2,13 +2,14 @@
 
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import power
+from helpers import line_through, power
 from fatpoints.algebra import (
     QQ,
     FieldMismatchError,
@@ -139,6 +140,20 @@ def test_integer_coords_primitive():
     assert P.integer_coords() == (3, 4, 5)
     Q = point(QQ, Fraction(1, 2), Fraction(1, 3), 1)
     assert Q.integer_coords() == (3, 2, 6)
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7)], ids=repr)
+def test_point_memos_follow_the_point_not_its_representative(field):
+    P, Q = point(field, 2, 4, 2), point(field, 1, 2, 1)
+    assert hash(P) == hash(Q) == hash((field, P.coords))
+    assert repr(P) == repr(Q) == "(1 : 2 : 1)" and P.coord_strings() == ("1", "2", "1")
+    # P's memos are all filled and R's are not: they stay out of equality
+    P.integer_coords()
+    assert None not in (P._hash, P._text, P._ints)
+    R = point(field, 3, 6, 3)
+    assert (R._hash, R._text, R._ints) == (None, None, None)
+    assert P == R
+    assert [f.name for f in fields(P) if f.compare] == ["field", "coords"]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +353,7 @@ def test_products_and_euler_relation_hold_at_points(data, field):
 def test_lines_contain_their_points_and_meets(data, field):
     P, Q, R = (point(field, data.draw(triples(field))) for _ in range(3))
     if P != Q:
-        L = Line.through(P, Q)
+        L = line_through(P, Q)
         assert L.contains(P) and L.contains(Q)
         det = det3(P.integer_coords(), Q.integer_coords(), R.integer_coords())
         assert L.contains(R) == (field.of(det) == 0)

@@ -402,12 +402,17 @@ def _points_file(field, coords):
     (_points_file("prime:7", [0.5, 1, 1]), "point 1 "),
     (_points_file("rational", [True, 1, 1]), "point 1 "),
     (_points_file("rational", "123"), "point 1 "),
-    (_points_file("rational", ["1/0", "1", "1"]), "zero denominator in '1/0'"),
-    (_points_file("rational", ["1" * 700 + "/0", "1", "1"]), "zero denominator"),
+    (_points_file("rational", ["1/0", "1", "1"]), "point 1: zero denominator in '1/0'"),
+    (_points_file("rational", ["1" * 700 + "/0", "1", "1"]), "point 1: zero denominator"),
+    (_points_file("rational", ["0", "0", "0"]), "point 1: (0 : 0 : 0) is not a projective"),
+    (_points_file("prime:7", ["1/7", "0", "1"]), "point 1: denominator of 1/7 vanishes"),
+    (_points_file("rational", ["x", "0", "1"]), "point 1: "),
     ('{"field": "rational", "points": 5}', '"points" list'),
     ('[["0", "0", "1"]]', '"points" list'),
+    ('{"points": [["0", "0", "1"]]}', '"field" tag, "rational" or "prime:P"'),
 ], ids=["two", "four", "float", "float-mod-7", "bool", "string", "1/0", "long-1/0",
-        "points-not-a-list", "not-an-object"])
+        "origin", "1/7-mod-7", "not-a-number", "points-not-a-list", "not-an-object",
+        "no-field"])
 def test_points_files_are_checked_where_they_enter(tmp_path, capsys, text, message):
     pts = tmp_path / "pts.json"
     pts.write_text(text)

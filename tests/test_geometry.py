@@ -1,12 +1,21 @@
 """Incidence predicates, configuration detectors, and the singular scan."""
 
+import itertools
 import random
 
 import pytest
 
-from helpers import coeff, enumerate_projective_plane, line_form, nullspace_in_field
+from helpers import (
+    coeff,
+    enumerate_projective_plane,
+    line_form,
+    line_through,
+    nullspace_in_field,
+    spanned_lines_by_pairs,
+)
 from fatpoints.algebra import (
     QQ,
+    FieldMismatchError,
     evaluate,
     monomial_basis,
     order_of_vanishing,
@@ -14,9 +23,11 @@ from fatpoints.algebra import (
     poly,
     poly_from_vector,
     prime_field,
+    reduce_points,
 )
 from fatpoints.configs import (
     collinear,
+    dual_hesse,
     general,
     on_conic,
     star,
@@ -31,6 +42,7 @@ from fatpoints.geometry import (
     is_star_configuration,
     is_type9,
     singular_points_over_Fp,
+    spanned_lines,
 )
 
 
@@ -47,12 +59,12 @@ def test_line_normalization_and_membership():
 
 def test_line_through_and_intersect():
     P, Q = point(QQ, 0, 0, 1), point(QQ, 0, 1, 1)
-    L = Line.through(P, Q)
+    L = line_through(P, Q)
     assert L.contains(P) and L.contains(Q)
     M = Line.from_coeffs(QQ, (0, 1, 0))  # y = 0
     assert L.intersect(M) == point(QQ, 0, 0, 1)
     with pytest.raises(ValueError):
-        Line.through(P, P)
+        line_through(P, P)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,42 @@ def test_collinear_and_conic_agree_with_the_field_oracle(field):
 
 
 # ---------------------------------------------------------------------------
+# spanned lines
+
+def _spanned_line_configurations():
+    rng = random.Random(17)
+    small = sorted({point(QQ, c) for c in itertools.product(range(-2, 3), repeat=3) if any(c)},
+                   key=repr)
+    plane5 = list(enumerate_projective_plane(prime_field(5)))
+    yield from (general(rng.randint(2, 9), seed=rng.randrange(10**6)) for _ in range(10))
+    yield from (collinear(r) for r in (2, 3, 6))
+    yield from (star(p, seed)[0] for p, seed in ((3, 0), (4, 1), (5, 2)))
+    yield from (type9(), on_conic(6), dual_hesse(13), dual_hesse(31))
+    yield reduce_points(general(7, seed=5), prime_field(2**61 - 1))
+    for _ in range(15):  # many collinear triples and quadruples
+        yield tuple(rng.sample(small, rng.randint(2, 9)))
+        yield tuple(rng.sample(plane5, rng.randint(2, 9)))
+
+
+def test_spanned_lines_match_the_pairwise_oracle():
+    for pts in _spanned_line_configurations():
+        got = spanned_lines(pts)
+        assert got == spanned_lines_by_pairs(pts)
+        # the meet of two spanned lines is a point of the configuration
+        # exactly when both carry it, which the detectors rely on
+        for (L1, a), (L2, b) in itertools.combinations(got, 2):
+            assert (L1.intersect(L2) in pts) == bool(a & b)
+
+
+def test_spanned_lines_refuse_repeated_points_and_mixed_fields():
+    P, Q = point(QQ, 1, 2, 3), point(QQ, 2, 4, 6)
+    with pytest.raises(ValueError, match="two distinct points"):
+        spanned_lines((P, point(QQ, 0, 0, 1), Q))
+    with pytest.raises(FieldMismatchError):
+        spanned_lines((P, point(prime_field(7), 1, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
 # arrangements and stars
 
 def test_arrangement_star4_round_trip():
@@ -214,8 +262,6 @@ def test_type9_is_not_an_arrangement_intersection_set():
 def test_dual_hesse_is_an_arrangement_intersection_set():
     # twelve points, each on three of the nine lines, whose pairwise
     # intersections are exactly the configuration; found by the greedy pass
-    from fatpoints.configs import dual_hesse
-
     w = detect_line_arrangement(dual_hesse(31))
     assert w is not None and len(w.lines) == 9 and not w.exhaustive
     assert all(len(ix) == 3 for ix in w.incidence)

@@ -24,7 +24,7 @@ from fatpoints.algebra import (
     poly,
     prime_field,
 )
-from fatpoints.cache import CacheCorruptionError, ResultCache
+from fatpoints.cache import CacheCorruptionError, ResultCache, cache_key
 from fatpoints.configs import collinear, general, on_conic, type9
 from fatpoints.linsys import (
     AlphaReport,
@@ -185,17 +185,39 @@ def test_kernel_readers_agree_across_engines():
             assert mod == reduced
 
 
+def _fraction_matrix(rng, nr, nc):
+    """Mixed denominators, a zero row and a zero column, and rows that are
+    rational combinations of earlier ones, so the rank stops growing
+    partway down."""
+    m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(nc)]
+         for _ in range(nr)]
+    for i in range(2, nr):
+        if rng.random() < 0.5:
+            s, t = (Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(2))
+            m[i] = [s * x + t * y for x, y in zip(m[rng.randrange(i)], m[rng.randrange(i)])]
+    if nr > 1:
+        m[rng.randrange(nr)] = [Fraction(0)] * nc
+    if nc > 1:
+        zero = rng.randrange(nc)
+        m = [[0 if j == zero else x for j, x in enumerate(r)] for r in m]
+    return m
+
+
 def test_rref_over_q_is_exact_and_matches_the_field_oracle():
-    # p=None eliminates in ints and Fractions: a float would mean that a
-    # true division of ints slipped in
+    # p=None eliminates fraction-free on integer rows and returns Fractions:
+    # a float would mean that a true division of ints slipped in
     rng = random.Random(13)
     shapes = [(0, 1), (0, 4), (3, 3), (4, 2)]
     shapes += [(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(30)]
+    shapes += [(rng.randint(3, 8), rng.randint(2, 8)) for _ in range(30)]
+    deficient = 0
     for nr, nc in shapes:
-        for m in ([[0] * nc for _ in range(nr)], rand_int_matrix(rng, nr, nc, -4, 4)):
+        for m, dtypes in (([[0] * nc for _ in range(nr)], (np.int64, object)),
+                          (rand_int_matrix(rng, nr, nc, -4, 4), (np.int64, object)),
+                          (_fraction_matrix(rng, nr, nc), (object,))):
             want = rref_in_field(m, QQ)
             kernel = nullspace_in_field(m, QQ, nc)
-            for dtype in (np.int64, object):
+            for dtype in dtypes:
                 A = np.array(m, dtype=dtype).reshape(nr, nc)
                 rank, pivots, R = modp_rref(A, None)
                 assert (rank, pivots, R.tolist()) == want
@@ -204,6 +226,8 @@ def test_rref_over_q_is_exact_and_matches_the_field_oracle():
                 assert got == kernel
                 entries = [x for r in R.tolist() for x in r] + [x for v in got for x in v]
                 assert all(type(x) in (int, Fraction) for x in entries)
+            deficient += 0 < want[0] < min(nr, nc)
+    assert deficient >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +718,24 @@ def test_bracket_works_only_from_alpha_minus_one(monkeypatch, tmp_path, r):
     assert alpha_sequence(pts, 5, MultiPrime(2), cache=warm).alphas == alphas
     assert (warm.hits, warm.misses) == (len(writes), 0)
     assert sorted(tmp_path.iterdir()) == files
+
+
+def test_cache_keys_do_not_change():
+    # recorded before points memoized their formatted coordinates: a key
+    # that changes would make every existing cache directory miss
+    half = Fraction(-1, 2)
+    rational = FatPointScheme((point(QQ, 2, 4, 2), point(QQ, half, 0, 1), point(QQ, 0, 1, 0)),
+                              (2, 1, 3))
+    assert (cache_key(rational, 5, MultiPrime(2), False)
+            == "94cfd30d832cad251d6743085dd2673ff131466ab54cace99a40034ec72ce223")
+    F31 = prime_field(31)
+    modular = FatPointScheme((point(F31, 1, 2, 3), point(F31, 30, 0, 1)), (2, 2))
+    assert (cache_key(modular, 4, ExactRational(), True)
+            == "09ab48ae168bfc128ea2230c420617c6cfa472c42d2a43ea0fd4c91b4a83f08a")
+    # another representative of the same points gives the same key
+    again = FatPointScheme((point(QQ, 1, 2, 1), point(QQ, -1, 0, 2), point(QQ, 0, 5, 0)),
+                           (2, 1, 3))
+    assert cache_key(again, 5, MultiPrime(2), False) == cache_key(rational, 5, MultiPrime(2), False)
 
 
 @pytest.mark.parametrize("upper", [None, 0, 1, 2, 3, 4, 6, 9, 40])
