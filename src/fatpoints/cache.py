@@ -5,8 +5,9 @@ canonical JSON, so hits are byte-identical to recomputation.  Writes go
 through a temporary file and an atomic rename, which tolerates concurrent
 readers and a single writer per key.  In verify mode every lookup misses
 on purpose and the subsequent store compares against what is already on
-disk, failing loudly on any divergence.  An entry that no longer decodes
-as a report is named as corrupt, with its key and path.
+disk, failing loudly on any divergence.  A hit is one open and one read.
+An entry that is not UTF-8, not JSON or misses a field, and a hit whose
+counts contradict its key, are named as corrupt, with the key and path.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import hashlib
 import json
 import os
 import tempfile
+from math import comb
 from pathlib import Path
 
 from .algebra import AlgebraError, field_to_string
-from .linsys import report_from_json_dict
+from .linsys import expected_dim, report_from_json_dict
 from .serialize import dump_json
 
 
@@ -54,53 +56,79 @@ def cache_key(scheme, d: int, strategy, want_kernel: bool) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _decode(key, path, text, field):
+def _contradiction(r, scheme, d):
+    """What in report ``r`` contradicts its key (``scheme``, ``d``), or None."""
+    v = vars(r)
+    for name in ("degree", "expected_dim", "actual_dim", "superabundance", "rank", "nrows",
+                 "ncols"):
+        if type(v[name]) is not int:
+            return f"{name} {v[name]!r} is not an integer"
+    exp = expected_dim(scheme, d)
+    for name, want in (("degree", d), ("ncols", comb(d + 2, 2)), ("actual_dim", r.ncols - r.rank),
+                       ("expected_dim", exp), ("superabundance", r.actual_dim - max(exp, 0))):
+        if v[name] != want:
+            return f"{name} is {v[name]}, not {want}"
+    if r.kernel is not None and len(r.kernel) != r.actual_dim:
+        return f"{len(r.kernel)} kernel forms for actual_dim {r.actual_dim}"
+    return None
+
+
+def _decode(key, path, data, scheme, d=None):
+    """The report in the bytes ``data`` of an entry; with ``d``, one that
+    contradicts its key is corrupt too."""
     try:
-        return report_from_json_dict(json.loads(text), field)
+        report = report_from_json_dict(json.loads(data.decode()), scheme.field)
     except (AlgebraError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CacheCorruptionError(
-            f"cache entry {key} at {path} is corrupt: {exc!r}"
-        ) from exc
+        problem = repr(exc)
+    else:
+        problem = None if d is None else _contradiction(report, scheme, d)
+    if problem is not None:
+        raise CacheCorruptionError(f"cache entry {key} at {path} is corrupt: {problem}")
+    return report
+
+
+def _read(path):
+    """The bytes at ``path`` in one unbuffered read, or None if it is missing."""
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
 
 
 class ResultCache:
     def __init__(self, root, verify: bool = False):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.root, "")
         self.verify = verify
         self.hits = 0
         self.misses = 0
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def get_report(self, scheme, d, strategy, want_kernel):
         key = cache_key(scheme, d, strategy, want_kernel)
-        path = self._path(key)
-        if self.verify or not path.exists():
+        path = f"{self._prefix}{key}.json"
+        data = None if self.verify else _read(path)
+        if data is None:
             self.misses += 1
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            report = _decode(key, path, fh.read(), scheme.field)
+        report = _decode(key, path, data, scheme, d)
         self.hits += 1
         return report
 
     def put_report(self, scheme, d, strategy, want_kernel, report):
         key = cache_key(scheme, d, strategy, want_kernel)
-        path = self._path(key)
-        blob = dump_json(report.to_json_dict())
-        if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = fh.read()
+        path = f"{self._prefix}{key}.json"
+        blob = dump_json(report.to_json_dict()).encode()
+        existing = _read(path)
+        if existing is not None:
             if existing != blob:
-                _decode(key, path, existing, scheme.field)  # unreadable: corrupt
-                raise CacheVerificationError(
-                    f"cache entry {key} disagrees with recomputation"
-                )
+                _decode(key, path, existing, scheme)  # unreadable: corrupt
+                raise CacheVerificationError(f"cache entry {key} disagrees with recomputation")
             return
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, path)
         except BaseException:

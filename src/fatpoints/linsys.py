@@ -3,7 +3,7 @@
 The dimension of the degree-d forms vanishing to order m_i at points P_i is
 the corank of a condition matrix whose rows are derivative evaluations.
 Ranks are computed either exactly, fraction-free on integer rows (Bareiss
-for condition matrices, ``modp_rref`` for the geometry predicates' small
+for condition matrices, ``_rref_over_q`` for the geometry predicates' small
 ones), or modulo seeded 31-bit primes.  Modular ranks can only drop, so a
 full-column-rank verdict modulo one prime already certifies emptiness of
 the rational system, and a modular rank equal to min(rows, columns) is the
@@ -415,7 +415,11 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
     rank and pivots are the same, the returned matrix is a row echelon form.
     """
     if p is None:
-        return _rref_over_q(A, rank_only)
+        pivots, rows = _rref_over_q(A, rank_only)
+        R = np.zeros(A.shape, dtype=object)
+        for i, col in enumerate(pivots):
+            R[i] = [Fraction(x, rows[i][col]) for x in rows[i]]
+        return len(pivots), pivots, R
     A = (A % p).astype(np.int64, copy=False) if p < 2**31 else A.astype(object) % p
     nr, nc = A.shape
     rank = 0
@@ -449,11 +453,11 @@ def _primitive(row):
 
 
 def _rref_over_q(A, rank_only):
-    """``modp_rref`` over Q, fraction-free (as in Bareiss 1968, with a gcd
-    for his exact division) on rows cleared of denominators: a pivot
-    a = row_r[col] clears row_i to the primitive part of a * row_i -
+    """Pivots and rows of ``modp_rref`` over Q, fraction-free (as in Bareiss
+    1968, with a gcd for his exact division) on rows cleared of denominators:
+    a pivot a = row_r[col] clears row_i to the primitive part of a * row_i -
     row_i[col] * row_r, a nonzero multiple of the row Fractions would give.
-    The RREF is unique, so pivot rows divided by their pivots are the same."""
+    The RREF is unique: its rows are the pivot rows divided by their pivots."""
     nr, nc = A.shape
     rows = []
     for row in A.tolist():
@@ -472,26 +476,28 @@ def _rref_over_q(A, rank_only):
                 rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], rows[rank])])
         pivots.append(col)
         rank += 1
-    R = np.zeros((nr, nc), dtype=object)
-    for i, col in enumerate(pivots):
-        R[i] = [Fraction(x, rows[i][col]) for x in rows[i]]
-    return rank, pivots, R
+    return pivots, rows
 
 
 def modp_nullspace(A: np.ndarray, p: Optional[int]):
     """Kernel basis over F_p (over Q when ``p`` is None) read off the RREF,
     one vector per free column: the free entry is 1, each pivot entry is
-    minus its row's and the rest are 0."""
-    _, pivots, R = modp_rref(A, p)
-    R = (-R if p is None else -R % p).tolist()
+    minus its row's and the rest are 0.  Over Q no RREF is formed: a pivot
+    entry is Fraction(-row[f], row[pivot]) of the integer rows of
+    ``_rref_over_q``, made only at the free columns."""
+    if p is None:
+        pivots, rows = _rref_over_q(A, False)
+    else:
+        _, pivots, R = modp_rref(A, p)
+        rows = R.tolist()
     basis = []
     for f in range(A.shape[1]):
         if f in pivots:
             continue
         v = [0] * A.shape[1]
         v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = R[i][f]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[f], row[pc]) if p is None else -row[f] % p
         basis.append(tuple(v))
     return basis
 
@@ -806,13 +812,14 @@ def alpha_search(
     lo = max(scheme.max_multiplicity, 1, start or 0)
     rational = scheme.field == QQ
     p = None if rational else scheme.field.p
+    conditions = sum(comb(m + 1, 2) for m in scheme.multiplicities)
     hi = lo  # the first degree with a positive count or refused
     while True:
         try:
             _check_system(scheme, hi, p)
         except CharacteristicTooSmallError:
             break
-        if expected_dim(scheme, hi) > 0:
+        if comb(hi + 2, 2) > conditions:
             break
         hi += 1
     first_prime = None
@@ -949,11 +956,14 @@ def alpha_diff(
     return hi - lo
 
 
+_REPORT_FIELDS = tuple((f.name, f.default) for f in fields(LinearSystemReport))
+
+
 def report_from_json_dict(d: dict, field) -> LinearSystemReport:
     """The report of ``to_json_dict``; a missing required field raises
     KeyError naming it."""
-    values = {f.name: d[f.name] if f.default is MISSING else d.get(f.name, f.default)
-              for f in fields(LinearSystemReport)}
+    values = {name: d[name] if default is MISSING else d.get(name, default)
+              for name, default in _REPORT_FIELDS}
     values["primes"] = tuple(values["primes"])
     if values["kernel"] is not None:
         values["kernel"] = tuple(

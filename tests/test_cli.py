@@ -354,6 +354,29 @@ def test_cache_verify_detects_corruption(tmp_path, capsys):
     assert code == 1 and "disagrees" in err
 
 
+def test_every_entry_alphaseq_writes_passes_the_hit_check(tmp_path, capsys):
+    # a false positive of the key check would make the warm rerun exit 1
+    cache = tmp_path / "cache"
+    argvs = [("alphaseq", "--family", *family, "--kmax", "5", "--cache", str(cache))
+             for family in (("on_conic", "--r", "6"), ("collinear", "--r", "6"), ("type9",))]
+    cold = [run(capsys, *argv) for argv in argvs]
+    entries = {f.name: f.read_bytes() for f in cache.iterdir()}
+    assert len(entries) >= 15 and all(code == 0 for code, _, _ in cold)
+    assert [run(capsys, *argv) for argv in argvs] == cold
+    assert {f.name: f.read_bytes() for f in cache.iterdir()} == entries
+
+
+def test_a_non_utf8_entry_is_an_error_line(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ("alphaseq", "--family", "on_conic", "--r", "5", "--kmax", "3", "--cache", str(cache))
+    run(capsys, *args)
+    victim = next(cache.glob("*.json"))
+    victim.write_bytes(b'{"actual_dim":\xff}')
+    code, _, err = run(capsys, *args)
+    assert code == 1
+    assert err.startswith("error:") and "corrupt" in err and str(victim) in err
+
+
 def _truncate_one_entry(cache):
     victim = next(cache.glob("*.json"))
     victim.write_text(victim.read_text()[:40])

@@ -203,18 +203,25 @@ def _fraction_matrix(rng, nr, nc):
     return m
 
 
-def test_rref_over_q_is_exact_and_matches_the_field_oracle():
-    # p=None eliminates fraction-free on integer rows and returns Fractions:
-    # a float would mean that a true division of ints slipped in
+def _q_cases():
+    """(nr, nc, zero, integer, fraction) matrices of 64 shapes for the
+    exact RREF: all zero, small integers, and ``_fraction_matrix``."""
     rng = random.Random(13)
     shapes = [(0, 1), (0, 4), (3, 3), (4, 2)]
     shapes += [(rng.randint(1, 6), rng.randint(1, 7)) for _ in range(30)]
     shapes += [(rng.randint(3, 8), rng.randint(2, 8)) for _ in range(30)]
-    deficient = 0
     for nr, nc in shapes:
-        for m, dtypes in (([[0] * nc for _ in range(nr)], (np.int64, object)),
-                          (rand_int_matrix(rng, nr, nc, -4, 4), (np.int64, object)),
-                          (_fraction_matrix(rng, nr, nc), (object,))):
+        yield (nr, nc, [[0] * nc for _ in range(nr)], rand_int_matrix(rng, nr, nc, -4, 4),
+               _fraction_matrix(rng, nr, nc))
+
+
+def test_rref_over_q_is_exact_and_matches_the_field_oracle():
+    # p=None eliminates fraction-free on integer rows and returns Fractions:
+    # a float would mean that a true division of ints slipped in
+    deficient = 0
+    for nr, nc, zero, integer, fraction in _q_cases():
+        for m, dtypes in ((zero, (np.int64, object)), (integer, (np.int64, object)),
+                          (fraction, (object,))):
             want = rref_in_field(m, QQ)
             kernel = nullspace_in_field(m, QQ, nc)
             for dtype in dtypes:
@@ -228,6 +235,28 @@ def test_rref_over_q_is_exact_and_matches_the_field_oracle():
                 assert all(type(x) in (int, Fraction) for x in entries)
             deficient += 0 < want[0] < min(nr, nc)
     assert deficient >= 20
+
+
+def test_modp_nullspace_over_q_equals_the_field_oracle():
+    # entry by entry and by type: the free columns hold the ints 1 and 0,
+    # the pivot columns Fractions
+    cases = [(nr, nc, m) for nr, nc, _, _, m in _q_cases()]
+    assert len(cases) == 64
+    cases += [(0, 3, []), (3, 4, [[0] * 4] * 3),
+              (3, 3, [[Fraction(1, 2), 0, 1], [0, 0, 0], [Fraction(-3, 4), 0, 2]])]
+    for nr, nc, m in cases:
+        got = modp_nullspace(np.array(m, dtype=object).reshape(nr, nc), None)
+        want = nullspace_in_field(m, QQ, nc)
+        pivots = rref_in_field(m, QQ)[1]
+        free = [c for c in range(nc) if c not in pivots]
+        assert len(got) == len(want) == len(free)
+        for f, u, v in zip(free, got, want):
+            assert u == v
+            for j, x in enumerate(u):
+                if j in pivots:
+                    assert type(x) is Fraction
+                else:
+                    assert type(x) is int and x == (j == f)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +830,77 @@ def test_a_kernel_coefficient_with_a_zero_denominator_is_corrupt(tmp_path):
     with pytest.raises(CacheCorruptionError, match="zero denominator in '1/0'") as exc:
         system_dim(scheme, 1, ExactRational(), want_kernel=True, cache=ResultCache(tmp_path))
     assert victim.stem in str(exc.value) and str(victim) in str(exc.value)
+
+
+def _kernel_entry(tmp_path):
+    """A scheme and the one cache entry of its exact kernel report at d = 4:
+    a conic through six double points (rank 14, one form, expected -3)."""
+    scheme = FatPointScheme.uniform(conic_points(6), 2)
+    system_dim(scheme, 4, ExactRational(), want_kernel=True, cache=ResultCache(tmp_path))
+    return scheme, next(tmp_path.glob("*.json"))
+
+
+def test_a_non_utf8_entry_is_corrupt_on_lookup_and_on_verify(tmp_path):
+    scheme, victim = _kernel_entry(tmp_path)
+    victim.write_bytes(b'{"actual_dim":\xff}')
+    for verify in (False, True):
+        with pytest.raises(CacheCorruptionError, match="UnicodeDecodeError") as exc:
+            system_dim(scheme, 4, ExactRational(), want_kernel=True,
+                       cache=ResultCache(tmp_path, verify=verify))
+        assert victim.stem in str(exc.value) and str(victim) in str(exc.value)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("actual_dim", "0", "actual_dim '0' is not an integer"),
+    ("rank", True, "rank True is not an integer"),
+    ("nrows", 18.0, "nrows 18.0 is not an integer"),
+    ("degree", 5, "degree is 5, not 4"),
+    ("ncols", 16, "ncols is 16, not 15"),
+    ("rank", 13, "actual_dim is 1, not 2"),
+    ("expected_dim", -2, "expected_dim is -2, not -3"),
+    ("superabundance", 2, "superabundance is 2, not 1"),
+    ("kernel", [], "0 kernel forms for actual_dim 1"),
+], ids=["str", "bool", "float", "degree", "ncols", "rank", "expected_dim",
+        "superabundance", "kernel"])
+def test_a_hit_that_contradicts_its_key_is_corrupt(tmp_path, field, value, message):
+    scheme, victim = _kernel_entry(tmp_path)
+    data = json.loads(victim.read_text())
+    data[field] = value
+    victim.write_text(dump_json(data))
+    with pytest.raises(CacheCorruptionError, match=re.escape(message)) as exc:
+        system_dim(scheme, 4, ExactRational(), want_kernel=True, cache=ResultCache(tmp_path))
+    assert victim.stem in str(exc.value) and str(victim) in str(exc.value)
+
+
+def test_a_string_dimension_does_not_lower_alpha(tmp_path):
+    # read as a kernel, "0" at degree 7 would make alpha(3Z) 7, not 8
+    scheme = FatPointScheme.uniform(general(6, seed=3), 3)
+    assert alpha(scheme, cache=ResultCache(tmp_path)) == 8
+    entries = {f: json.loads(f.read_text()) for f in tmp_path.glob("*.json")}
+    victim, data = next((f, e) for f, e in entries.items() if e["degree"] == 7)
+    data["actual_dim"] = "0"
+    victim.write_text(dump_json(data))
+    with pytest.raises(CacheCorruptionError, match="actual_dim") as exc:
+        alpha(scheme, cache=ResultCache(tmp_path))
+    assert str(victim) in str(exc.value)
+
+
+def test_a_cache_hit_is_one_read_and_verify_mode_opens_nothing(tmp_path, monkeypatch):
+    scheme, d, strategy = FatPointScheme.uniform(TRIANGLE, 2), 3, MultiPrime(2)
+    cache = ResultCache(tmp_path)
+    assert cache.get_report(scheme, d, strategy, False) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    report = system_dim(scheme, d, strategy, cache=cache)
+    assert cache.get_report(scheme, d, strategy, False) == report
+    assert (cache.hits, cache.misses) == (1, 2)
+    verify = ResultCache(tmp_path, verify=True)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("verify mode opened a file")
+
+    monkeypatch.setattr("builtins.open", no_open)
+    assert verify.get_report(scheme, d, strategy, False) is None
+    assert (verify.hits, verify.misses) == (0, 1)
 
 
 def _report_json(rank, nrows, ncols, d, exp, existence, primes):
