@@ -1,18 +1,18 @@
 """Linear systems of plane curves with assigned base multiplicities.
 
 The dimension of the degree-d forms vanishing to order m_i at points P_i is
-the corank of a condition matrix whose rows are derivative evaluations.
-Ranks are computed either exactly, fraction-free on integer rows (Bareiss
-for condition matrices, ``_rref_over_q`` for the geometry predicates' small
-ones), or modulo seeded 31-bit primes.  Modular ranks can only drop, so a
-full-column-rank verdict modulo one prime already certifies emptiness of
-the rational system, and a modular rank equal to min(rows, columns) is the
-exact rank; nonzero modular kernels are only certified after an exact
-recomputation or a dimension count.  ``_rank_mod_p`` takes every rank,
-mod p, over a scheme's own F_p or over Q; it and exact kernels may move
-three points to the coordinate vertices first (``_framed``), leaving only
-the other points' rows on the monomials the vertices do not fix, over Q
-only when that matrix is cheaper for Bareiss.
+the corank of a condition matrix whose rows are derivative evaluations, with
+point-free factors kept per (d, m, p) (``_tables``).  Ranks are computed
+either exactly, fraction-free on integer rows (Bareiss for condition matrices,
+``_rref_over_q`` for the geometry predicates' small ones), or modulo seeded
+31-bit primes.  Modular ranks can only drop, so a full-column-rank verdict
+modulo one prime already certifies emptiness of the rational system, and a
+modular rank equal to min(rows, columns) is the exact rank; nonzero modular
+kernels are only certified after an exact recomputation or a dimension count.
+``_rank_mod_p`` takes every rank, mod p, over a scheme's own F_p or over Q; it
+and exact kernels may move three points to the coordinate vertices first
+(``_framed``), leaving only the other points' rows on the monomials the
+vertices do not fix, over Q only when that matrix is cheaper for Bareiss.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, perm
 from typing import Optional
 
@@ -146,40 +146,59 @@ def _imposed(scheme: FatPointScheme, d: int, p: Optional[int]):
             for i, (P, m) in enumerate(zip(scheme.points, scheme.multiplicities)) if m]
 
 
+def _mod(x, p: int):
+    """x mod p in place: numpy's // by a scalar is several times its %."""
+    x -= x // p * p
+    return x
+
+
+def _product(factors, p: Optional[int]):
+    """The entrywise product of residue arrays mod p (exact when None)."""
+    return reduce(lambda a, b: a * b if p is None else _mod(a * b, p), factors)
+
+
+@lru_cache(maxsize=128)
+def _tables(d: int, m: int, p: Optional[int]):
+    """The point-free part of ``_derivative_rows`` for multiplicity m in
+    degree d, read-only: F[beta, mu] = prod_c perm(mu_c, beta_c) (mod p) and
+    the indices max(mu_c - beta_c, 0) + c (d + 1) into a point's powers."""
+    mons, betas = np.array(monomial_basis(d)), np.array(monomial_basis(m - 1))
+    fall = np.array([[perm(e, j) for j in range(m)] for e in range(d + 1)], dtype=object)
+    fall = fall if p is None else (fall % p).astype(np.int64)
+    F = _product([fall[mons[:, c], betas[:, None, c]] for c in range(3)], p)
+    E = (np.maximum(mons[:, None] - betas, 0) + (d + 1) * np.arange(3)).T
+    E = E.astype(np.min_scalar_type(3 * d + 2), order="C")
+    F.flags.writeable = E.flags.writeable = False
+    return F, E
+
+
 def _derivative_rows(imposed, d: int, p: Optional[int]):
-    """The condition matrix of ``_imposed`` entries as a numpy array, from
-    one formula.
+    """The condition matrix of ``_imposed`` entries, from one formula.
 
     The row of (P, beta) at monomial mu is the beta-partial of x^mu at the
     integer coordinates of P: prod_c perm(mu_c, beta_c) * P_c^(mu_c - beta_c),
     where perm(e, j) = e (e-1) ... (e-j+1) is 0 for j > e.  With a prime the
     entries are int64 residues mod p; without one they are exact Python ints
-    (object dtype).
+    (object dtype).  Per call only the powers P_c^e are made; ``_tables``
+    gives the rest, once for each group of points of equal m.
     """
     dtype = object if p is None else np.int64
-
-    def reduce(a):
-        return a if p is None else a % p
-
-    mons = np.array(monomial_basis(d), dtype=np.int64)
-    betas = np.array(
-        [beta for _, _, m in imposed for beta in monomial_basis(m - 1)], dtype=np.int64
-    ).reshape(-1, 3)
-    owner = np.repeat(np.arange(len(imposed)), [comb(m + 1, 2) for _, _, m in imposed])
-    fall = np.array([[reduce(perm(e, j)) for j in range(d + 1)] for e in range(d + 1)],
-                    dtype=dtype)
-    coords = np.array(
-        [[reduce(c) for c in P] for _, P, _ in imposed], dtype=dtype
-    ).reshape(-1, 3)
     pows = np.ones((len(imposed), 3, d + 1), dtype=dtype)
-    for e in range(1, d + 1):
-        pows[:, :, e] = reduce(pows[:, :, e - 1] * coords)
-    rows = np.ones((len(betas), len(mons)), dtype=dtype)
-    for c in range(3):
-        mu, beta = mons[None, :, c], betas[:, None, c]
-        rows = reduce(rows * fall[mu, beta])
-        rows = reduce(rows * pows[owner[:, None], c, np.maximum(mu - beta, 0)])
-    return rows
+    pows[..., 1:2] = np.array([[c if p is None else c % p for c in P] for _, P, _ in imposed],
+                              dtype=dtype).reshape(-1, 3, 1)
+    k = 1
+    while k < d:  # x^(k+j) = x^k x^j for 1 <= j <= n
+        n = min(k, d - k)
+        pows[..., k + 1:k + n + 1] = _product([pows[..., 1:n + 1], pows[..., k:k + 1]], p)
+        k *= 2
+    pows = pows.reshape(len(imposed), 3 * (d + 1))
+    ms = [m for _, _, m in imposed]
+    blocks = {}
+    for m in set(ms):
+        group = [i for i, mi in enumerate(ms) if mi == m]
+        F, E = _tables(d, m, p)
+        blocks.update(zip(group, _product([F, *np.take(pows[group], E, 1).swapaxes(0, 1)], p)))
+    return np.concatenate([np.empty((0, comb(d + 2, 2)), dtype), *map(blocks.get, range(len(ms)))])
 
 
 def build_condition_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:
@@ -407,10 +426,11 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
     returns (rank, pivot cols, rref).
 
     The one elimination for every exact field.  Below 2^31 residues are
-    int64, whose products of two cannot overflow; a larger p works in
-    Python ints, and Q in ``_rref_over_q`` on integer rows, so no float
-    ever appears.  Rows from the current rank down are zero left of the
-    current column, so each step updates only the columns from there on.
+    int64, where a residue minus a product of two stays within 2^62; a
+    larger p works in Python ints, and Q in ``_rref_over_q`` on integer rows, so no
+    float ever appears.  A nonzero diagonal entry is the pivot without a
+    search.  The pivot row and the rows below it are zero left of the
+    current column, so each step clears whole contiguous rows in place.
     ``rank_only`` clears only below each pivot (no back-substitution): the
     rank and pivots are the same, the returned matrix is a row echelon form.
     """
@@ -420,28 +440,23 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
         for i, col in enumerate(pivots):
             R[i] = [Fraction(x, rows[i][col]) for x in rows[i]]
         return len(pivots), pivots, R
-    A = (A % p).astype(np.int64, copy=False) if p < 2**31 else A.astype(object) % p
+    A = (A % p).astype(np.int64, order="C", copy=False) if p < 2**31 else A.astype(object) % p
     nr, nc = A.shape
     rank = 0
     pivots = []
     for col in range(nc):
         if rank >= nr:
             break
-        nz = np.nonzero(A[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        r = rank + int(nz[0])
-        if r != rank:
-            A[[rank, r]] = A[[r, rank]]
-        A[rank, col:] = A[rank, col:] * pow(int(A[rank, col]), -1, p) % p
-        if rank_only:  # the swap moved a row that is zero at col to row r
-            others = rank + nz[1:]
-        else:
-            others = np.nonzero(A[:, col])[0]
-            others = others[others != rank]
-        if others.size:
-            A[others, col:] = (A[others, col:]
-                               - A[others, col][:, None] * A[rank, col:][None, :]) % p
+        if not A[rank, col]:
+            nz = np.flatnonzero(A[rank:, col])
+            if not nz.size:
+                continue
+            A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
+        row = A[rank]
+        row[:] = row * pow(int(row[col]), -1, p) % p
+        for block in (A[rank + 1:],) if rank_only else (A[rank + 1:], A[:rank]):
+            block -= block[:, col, None] * row
+            _mod(block, p)
         pivots.append(col)
         rank += 1
     return rank, pivots, A

@@ -4,7 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, perm, prod
 
 import numpy as np
 import pytest
@@ -139,6 +139,63 @@ def test_modp_rank_matches_exact_on_generic_input():
             rank, pivots, R = modp_rref(A, q)
             assert (rank, pivots, R.tolist()) == rref_in_field(A.tolist(), F)
             assert modp_rref(A, q, rank_only=True)[:2] == (rank, pivots)
+
+
+def _rare_branch_matrices():
+    """(name, matrix, p) for the elimination's rare branches: zero diagonal
+    entries whose pivot lies in a deep row, all-zero first, middle and last
+    columns, a column-major layout, degenerate shapes, p = 2, and every
+    entry p - 1 at the largest int64 prime, which makes the largest
+    intermediate values."""
+    big = 2**31 - 1
+    deep = np.zeros((6, 5), dtype=np.int64)
+    deep[5, 0] = deep[4, 1] = deep[3, 2] = 3
+    deep[0, 3:] = [1, 2]
+    deep[5, 4] = 5
+    yield "deep pivots", deep, 7
+    rng = random.Random(41)
+    dense = np.array([[rng.randrange(1, 101) for _ in range(7)] for _ in range(6)])
+    for cols in ([0], [3], [6], [0, 3, 6]):
+        A = dense.copy()
+        A[:, cols] = 0
+        yield f"zero columns {cols}", A, 101
+    # a framed matrix is a column selection, laid out column-major
+    yield "column-major", np.asfortranarray(dense), 101
+    for shape in ((0, 4), (4, 0), (1, 4), (4, 1), (0, 0)):
+        yield f"shape {shape}", np.array(rand_int_matrix(rng, *shape, 0, 6)).reshape(shape), 7
+    yield "p = 2", np.array(rand_int_matrix(rng, 7, 6, 0, 1)), 2
+    yield "p = 2, singular", np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]), 2
+    yield "all p - 1", np.full((5, 6), big - 1), big
+    ones = np.full((6, 6), big - 1)
+    ones[np.diag_indices(6)] = big - 2
+    yield "p - 1 off the diagonal", ones, big
+
+
+def test_modp_rref_rare_branches_match_the_field_oracle():
+    # nonzero diagonal entries skip the pivot search, whole rows are
+    # cleared in place, and residues are reduced with floor division; the
+    # RREF is unique, so the generic field engine must agree entry by entry
+    for name, A, p in _rare_branch_matrices():
+        before = A.copy()
+        rank, pivots, R = modp_rref(A, p)
+        assert (rank, pivots, R.tolist()) == rref_in_field(A.tolist(), prime_field(p)), name
+        assert R.dtype == np.int64 and ((0 <= R) & (R < p)).all(), name
+        assert modp_rref(A, p, rank_only=True)[:2] == (rank, pivots), name
+        assert (A == before).all(), name
+
+
+def test_modp_rref_on_a_framed_condition_matrix():
+    # the matrix search eliminates at alpha - 1 for nine general quintuple
+    # points, about 90 x 75: the frame's rows leave full column rank
+    scheme = FatPointScheme.uniform(general(9, seed=0), 5)
+    d = alpha(scheme) - 1
+    p = strategy_primes(MultiPrime(2))[0]
+    covered, A, frame = linsys._framed(linsys._imposed(scheme, d, p), d, p)
+    assert frame is not None and A.shape[0] >= 85 and A.shape[1] >= 70
+    rank, pivots, R = modp_rref(A, p)
+    assert (rank, pivots, R.tolist()) == rref_in_field(A.tolist(), prime_field(p))
+    assert modp_rref(A, p, rank_only=True)[:2] == (rank, pivots)
+    assert covered + rank == comb(d + 2, 2)
 
 
 def test_modp_rank_is_only_a_lower_bound():
@@ -374,6 +431,67 @@ def test_modular_matrix_matches_exact_reduction():
     assert modular.shape == exact.shape
     for i, row in enumerate(exact):
         assert [x % p for x in row] == list(modular[i])
+
+
+def _formula_cases():
+    """(name, scheme, d, p) for the modular and exact condition matrices."""
+    rng = random.Random(17)
+    pts = tuple(point(QQ, rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(1, 9))
+                for _ in range(5))
+    for d in (0, 1, 3, 5):
+        # m = 7 is capped at d + 1, and m = 0 imposes nothing
+        yield f"mixed d={d}", FatPointScheme(pts, (3, 0, 1, 7, 2)), d, 1000003
+    yield "p = 2^31 - 1", FatPointScheme(pts, (4, 4, 2, 1, 3)), 6, 2**31 - 1
+    yield "frame alone", FatPointScheme(TRIANGLE + (point(QQ, 1, 1, 1),), (2, 2, 2, 0)), 3, 101
+    for p, m, d in ((2, 1, 3), (3, 1, 4), (13, 3, 7)):
+        fld = prime_field(p)
+        pts_p = [point(fld, *c) for c in
+                 ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 1, 0), (2, 5, 1))]
+        yield f"F_{p}", FatPointScheme.uniform(pts_p, m), d, p
+
+
+def _rows_by_formula(scheme, d):
+    """The condition rows entry by entry in Python ints, in point order:
+    prod_c perm(mu_c, beta_c) P_c^(mu_c - beta_c) with m capped at d + 1."""
+    return [[prod(perm(e, b) * c ** max(e - b, 0) for c, e, b in zip(P.integer_coords(), mu, beta))
+             for mu in monomial_basis(d)]
+            for P, m in zip(scheme.points, scheme.multiplicities) if m
+            for beta in monomial_basis(min(m, d + 1) - 1)]
+
+
+def test_one_formula_gives_both_fields_condition_matrices():
+    # the exact rows are the formula's Python ints, and the int64 residue
+    # rows mod p are those reduced mod p, on every branch of the tables' keys
+    for name, scheme, d, p in _formula_cases():
+        exact = build_condition_matrix(scheme, d)
+        modular = condition_matrix_mod_p(scheme, d, p)
+        want = _rows_by_formula(scheme, d)
+        assert [[int(x) for x in row] for row in exact] == [
+            row if scheme.field == QQ else [x % p for x in row] for row in want], name
+        assert modular.dtype == np.int64 and modular.shape == exact.shape, name
+        assert modular.tolist() == [[int(x) % p for x in row] for row in exact], name
+
+
+def test_a_frame_with_no_other_conditions_leaves_an_empty_matrix():
+    # the fourth point has multiplicity 0, so the frame's moved rows are none
+    scheme = FatPointScheme(TRIANGLE + (point(QQ, 1, 1, 1),), (2, 2, 2, 0))
+    for p in (None, 101):
+        covered, R, frame = linsys._framed(linsys._imposed(scheme, 3, p), 3, p)
+        assert frame is not None and covered == 9 and R.shape[0] == 0
+        assert linsys._derivative_rows([], 3, p).shape == (0, comb(5, 2))
+        assert linsys._rank_mod_p(scheme, 3, p) == (9, 9)
+
+
+def test_condition_matrices_never_share_the_kept_tables():
+    # writing into a returned matrix must not reach the tables kept per
+    # (d, m, p): the next build of the same system is unchanged
+    for name, scheme, d, p in _formula_cases():
+        for build in (lambda: condition_matrix_mod_p(scheme, d, p),
+                      lambda: build_condition_matrix(scheme, d)):
+            first = build()
+            want = first.copy()
+            first += 1
+            assert (build() == want).all(), name
 
 
 def test_condition_rows_match_formal_derivatives():
