@@ -1,6 +1,9 @@
 """Content-addressed store for linear-system reports.
 
-Keys hash the normalized scheme, degree, field, and strategy; values are
+Keys hash the normalized scheme, degree, field, strategy and kind: a
+``system_dim`` report without or with its kernel, or an alpha-search probe
+entry (``linsys.PROBE``), which is the first prime's report where it has
+full column rank and the strategy's report otherwise.  Values are
 canonical JSON, so hits are byte-identical to recomputation.  Writes go
 through a temporary file and an atomic rename, which tolerates concurrent
 readers and a single writer per key.  In verify mode every lookup misses
@@ -20,7 +23,7 @@ from math import comb
 from pathlib import Path
 
 from .algebra import AlgebraError, field_to_string
-from .linsys import expected_dim, report_from_json_dict
+from .linsys import PROBE, expected_dim, report_from_json_dict
 from .serialize import dump_json
 
 
@@ -40,19 +43,24 @@ def _strategy_tag(strategy) -> str:
     return ":".join(parts)
 
 
-def cache_key(scheme, d: int, strategy, want_kernel: bool) -> str:
-    fld = scheme.field
-    payload = {
-        "field": field_to_string(fld),
-        "points": sorted(
-            [list(P.coord_strings()), m]
-            for P, m in zip(scheme.points, scheme.multiplicities)
-        ),
-        "degree": d,
-        "strategy": _strategy_tag(strategy),
-        "kernel": want_kernel,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+_KINDS = {False: "false", True: "true", PROBE: '"probe"'}
+
+
+def cache_key(scheme, d: int, strategy, kind) -> str:
+    """The key of the report at (``scheme``, ``d``) under ``strategy``:
+    ``kind`` is False or True for a ``system_dim`` report without or with
+    its kernel, and ``PROBE`` for an alpha-search probe entry.
+
+    The hashed text is the canonical JSON of {"degree", "field", "kernel":
+    kind, "points": sorted [[coordinate strings], m], "strategy"}, written
+    directly: sorting the formatted points sorts them as lists, because the
+    closing quote sorts below every character of a coordinate (``-``, ``/``,
+    digits) and distinct points have distinct coordinates.
+    """
+    points = ",".join(sorted('[["%s","%s","%s"],%d]' % (*P.coord_strings(), m)
+                             for P, m in zip(scheme.points, scheme.multiplicities)))
+    blob = '{"degree":%d,"field":"%s","kernel":%s,"points":[%s],"strategy":"%s"}' % (
+        d, field_to_string(scheme.field), _KINDS[kind], points, _strategy_tag(strategy))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -105,8 +113,8 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
 
-    def get_report(self, scheme, d, strategy, want_kernel):
-        key = cache_key(scheme, d, strategy, want_kernel)
+    def get_report(self, scheme, d, strategy, kind):
+        key = cache_key(scheme, d, strategy, kind)
         path = f"{self._prefix}{key}.json"
         data = None if self.verify else _read(path)
         if data is None:
@@ -116,8 +124,8 @@ class ResultCache:
         self.hits += 1
         return report
 
-    def put_report(self, scheme, d, strategy, want_kernel, report):
-        key = cache_key(scheme, d, strategy, want_kernel)
+    def put_report(self, scheme, d, strategy, kind, report):
+        key = cache_key(scheme, d, strategy, kind)
         path = f"{self._prefix}{key}.json"
         blob = dump_json(report.to_json_dict()).encode()
         existing = _read(path)

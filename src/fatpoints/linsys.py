@@ -56,6 +56,10 @@ class PrimeTooLargeError(AlgebraError):
 # prime field), as opposed to agreement modulo search primes
 CERTIFIED_EXISTENCE = ("expected_dim", "kernel", "rank")
 
+# the cache kind of an alpha-search probe entry, beside the False and True of
+# a ``system_dim`` report without or with its kernel
+PROBE = "probe"
+
 
 # ---------------------------------------------------------------------------
 # schemes
@@ -100,6 +104,13 @@ class FatPointScheme:
     def uniform(cls, points, k: int) -> "FatPointScheme":
         points = tuple(points)
         return cls(points, (k,) * len(points))
+
+    def _with_multiplicities(self, mults: tuple) -> "FatPointScheme":
+        """These points, checked once already, with non-negative ints ``mults``."""
+        scheme = object.__new__(FatPointScheme)
+        object.__setattr__(scheme, "points", self.points)
+        object.__setattr__(scheme, "multiplicities", mults)
+        return scheme
 
 
 def expected_dim(scheme: FatPointScheme, d: int) -> int:
@@ -721,6 +732,24 @@ def _modular_report(scheme, d, strategy, first=None):
     return _report(scheme, d, rank, nrows, strategy.label(), primes)
 
 
+def _probe_entry(scheme, d, strategy, cache=None):
+    """The alpha-search probe of degree d under a modular ``strategy``: the
+    first prime's own report when it has full column rank, the whole
+    emptiness certificate, and otherwise the strategy's report from that
+    elimination.  With a cache it is read or written as a ``PROBE`` entry."""
+    entry = None if cache is None else cache.get_report(scheme, d, strategy, PROBE)
+    if entry is None:
+        p = strategy_primes(strategy)[0]
+        rank, nrows = _rank_mod_p(scheme, d, p)
+        if rank == comb(d + 2, 2):
+            entry = _report(scheme, d, rank, nrows, "SINGLE_PRIME", (p,))
+        else:
+            entry = _modular_report(scheme, d, strategy, (rank, nrows))
+        if cache is not None:
+            cache.put_report(scheme, d, strategy, PROBE, entry)
+    return entry
+
+
 def system_dim(
     scheme: FatPointScheme,
     d: int,
@@ -807,13 +836,16 @@ def alpha_search(
     and the report at alpha.  hi, the first degree with a positive
     dimension count, needs no matrix and no cache lookup; the search probes
     min(``upper``, hi - 1) and then bisects, each degree at most once; the
-    hint ``upper`` certifies nothing.  Without a cache, a rational scheme
-    under a modular strategy is probed modulo its first prime alone, and
-    at alpha the remaining primes complete from that
-    elimination the report ``system_dim`` would give; every other probe is
-    a ``system_dim`` report.  A report that finds its degree empty after
-    all (an escalated prime split, or a certified search's exact recheck)
-    moves the search on to the next degree.
+    hint ``upper`` certifies nothing.  A rational scheme under a modular
+    strategy is probed by ``_probe_entry``, with or without a cache: only
+    full column rank modulo the first prime counts as empty, and where
+    that prime finds a kernel the remaining primes complete from its
+    elimination the report ``system_dim`` would give.  With a cache each
+    probe is one ``PROBE`` entry, so a warm search reads one entry per
+    probe and ``reports`` is the same with and without a cache.  Every
+    other probe is a ``system_dim`` report.  A report that finds its
+    degree empty after all (an escalated prime split, or a certified
+    search's exact recheck) moves the search on to the next degree.
 
     ``reports`` holds one ``(d, entry)`` pair per probe, in order, then the
     report at the value unless its probe was the last entry, and the exact
@@ -838,19 +870,20 @@ def alpha_search(
             break
         hi += 1
     first_prime = None
-    if rational and cache is None and isinstance(strategy, (SinglePrime, MultiPrime)):
+    if rational and isinstance(strategy, (SinglePrime, MultiPrime)):
         first_prime = strategy_primes(strategy)[0]
     probes = {}
     trail = []
 
     def probe(d):
-        """Whether degree d is proved empty, keeping what decided it."""
+        """Whether degree d is proved empty, keeping the report that
+        decided it."""
         if first_prime is None:
             got = entry = system_dim(scheme, d, strategy=strategy, cache=cache)
             empty = got.actual_dim == 0
         else:
-            got = _rank_mod_p(scheme, d, first_prime)
-            empty = got[0] == comb(d + 2, 2)
+            got = _probe_entry(scheme, d, strategy, cache)
+            empty = got.primes == (first_prime,) and got.actual_dim == 0
             entry = "full_rank_mod_p" if empty else "deficient_mod_p"
         probes[d] = got
         trail.append((d, entry))
@@ -871,8 +904,6 @@ def alpha_search(
         if d not in probes and probe(d):
             continue
         report = probes[d]
-        if first_prime is not None:
-            report = _modular_report(scheme, d, strategy, report)
         if trail[-1][1] is not report:
             trail.append((d, report))
         if report.actual_dim == 0:
@@ -914,12 +945,12 @@ def alpha_sequence(
     """Initial degrees of kZ for k = 1..k_max with warm-started searches."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    points = tuple(points)
+    simple = FatPointScheme.uniform(points, 1)  # checks the points once
     alphas = []
     entries = []
     start = None
     for k in range(1, k_max + 1):
-        scheme = FatPointScheme.uniform(points, k)
+        scheme = simple._with_multiplicities((k,) * len(simple.points))
         # alpha(kZ) <= alpha(jZ) + alpha((k-j)Z): the product of two curves
         upper = min(map(sum, zip(alphas, reversed(alphas))), default=None)
         av = alpha_search(scheme, strategy, certify_existence, start, cache, upper)

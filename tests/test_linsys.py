@@ -1,5 +1,6 @@
 """Condition matrices, rank engines, and initial-degree searches."""
 
+import hashlib
 import json
 import random
 import re
@@ -14,8 +15,10 @@ from fatpoints import linsys
 from fatpoints.algebra import (
     QQ,
     CharacteristicTooSmallError,
+    FieldMismatchError,
     ReductionError,
     evaluate,
+    field_to_string,
     linear_form,
     monomial_basis,
     order_of_vanishing,
@@ -24,9 +27,10 @@ from fatpoints.algebra import (
     poly,
     prime_field,
 )
-from fatpoints.cache import CacheCorruptionError, ResultCache, cache_key
+from fatpoints.cache import CacheCorruptionError, ResultCache, _strategy_tag, cache_key
 from fatpoints.configs import collinear, general, on_conic, type9
 from fatpoints.linsys import (
+    PROBE,
     AlphaReport,
     CertificationError,
     ExactRational,
@@ -630,6 +634,17 @@ def test_alpha_sequence_six_conic_points():
     assert rep.alphas == (2, 4, 6, 8, 10)
 
 
+def test_alpha_sequence_checks_its_points_once():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        alpha_sequence(TRIANGLE + TRIANGLE[:1], 3)
+    with pytest.raises(FieldMismatchError):
+        alpha_sequence(TRIANGLE + (point(prime_field(31), 1, 2, 3),), 3)
+    # the unchecked schemes of its steps equal the checked ones
+    unchecked = FatPointScheme.uniform(TRIANGLE, 1)._with_multiplicities((3,) * 3)
+    assert unchecked == FatPointScheme.uniform(TRIANGLE, 3)
+    assert hash(unchecked) == hash(FatPointScheme.uniform(TRIANGLE, 3))
+
+
 def test_alpha_report_requires_strict_growth():
     with pytest.raises(ValueError):
         AlphaReport((2, 2), (0,), ({}, {}))
@@ -867,6 +882,108 @@ def test_bracket_works_only_from_alpha_minus_one(monkeypatch, tmp_path, r):
     assert sorted(tmp_path.iterdir()) == files
 
 
+SEARCH_CONFIGS = {"on_conic6": on_conic(6), "collinear6": collinear(6),
+                  "general5": general(5, seed=0)}
+
+
+def _cached_searches(scheme, strategy, root):
+    """The search of ``scheme`` without a cache, cold into ``root`` and warm
+    from it, and the warm cache."""
+    plain = linsys.alpha_search(scheme, strategy)
+    cold = linsys.alpha_search(scheme, strategy, cache=ResultCache(root))
+    warm_cache = ResultCache(root)
+    return plain, cold, linsys.alpha_search(scheme, strategy, cache=warm_cache), warm_cache
+
+
+@pytest.mark.parametrize("strategy", [MultiPrime(2), SinglePrime(), ExactRational()],
+                         ids=["multiprime", "prime", "exact"])
+@pytest.mark.parametrize("name", sorted(SEARCH_CONFIGS))
+def test_a_cache_leaves_the_search_trail_unchanged(tmp_path, strategy, name):
+    for k in range(1, 5):
+        scheme = FatPointScheme.uniform(SEARCH_CONFIGS[name], k)
+        plain, cold, warm, warm_cache = _cached_searches(scheme, strategy, tmp_path)
+        assert plain == cold == warm
+        # a warm search reads one entry per probed degree
+        probed = {d for d, entry in plain.reports if entry != "expected_dim"}
+        assert (warm_cache.hits, warm_cache.misses) == (len(probed), 0)
+
+
+@pytest.mark.parametrize("unlucky", [0, 1], ids=["first_prime", "second_prime"])
+def test_a_cache_leaves_a_prime_split_trail_unchanged(monkeypatch, tmp_path, unlucky):
+    # one prime loses a rank at every degree: the reports escalate to the
+    # exact rank, and an unlucky first prime finds empty degrees deficient
+    bad = strategy_primes(MultiPrime(2))[unlucky]
+    rank_mod_p = linsys._rank_mod_p
+
+    def split(scheme, d, p):
+        rank, nrows = rank_mod_p(scheme, d, p)
+        return (rank - 1 if p == bad else rank), nrows
+
+    monkeypatch.setattr(linsys, "_rank_mod_p", split)
+    exact = []
+    for k in range(1, 4):
+        scheme = FatPointScheme.uniform(on_conic(6), k)
+        plain, cold, warm, _ = _cached_searches(scheme, MultiPrime(2), tmp_path)
+        assert plain == cold == warm
+        assert plain.value == alpha(scheme, ExactRational())
+        exact += [e for _, e in plain.reports if not isinstance(e, str)]
+    assert exact and all(e.certification == "EXACT_RATIONAL" for e in exact)
+    assert any(e.actual_dim == 0 for e in exact) == (unlucky == 0)
+
+
+def test_a_cold_cached_sequence_runs_the_second_prime_only_on_kernels(monkeypatch, tmp_path):
+    first, second = strategy_primes(MultiPrime(2))
+    ranks = {}
+    rank_mod_p = linsys._rank_mod_p
+
+    def spy(scheme, d, p):
+        got = rank_mod_p(scheme, d, p)
+        ranks[scheme, d, p] = got[0]
+        return got
+
+    monkeypatch.setattr(linsys, "_rank_mod_p", spy)
+    for name, pts in SEARCH_CONFIGS.items():
+        alpha_sequence(pts, 5, cache=ResultCache(tmp_path / name))
+    seconds = [(scheme, d) for scheme, d, p in ranks if p == second]
+    assert seconds
+    assert all(ranks[scheme, d, first] < comb(d + 2, 2) for scheme, d in seconds)
+
+
+def test_a_probe_entry_that_contradicts_its_key_is_corrupt(tmp_path):
+    # degree 7 is hi - 1 for six general triple points, empty modulo the
+    # first prime: its probe entry is that prime's report alone
+    scheme = FatPointScheme.uniform(general(6, seed=3), 3)
+    assert alpha(scheme, cache=ResultCache(tmp_path)) == 8
+    victim = tmp_path / f"{cache_key(scheme, 7, MultiPrime(2), PROBE)}.json"
+    data = json.loads(victim.read_text())
+    assert (data["certification"], data["primes"], data["actual_dim"]) == (
+        "SINGLE_PRIME", [strategy_primes(MultiPrime(2))[0]], 0)
+    data["rank"] -= 1
+    victim.write_text(dump_json(data))
+    with pytest.raises(CacheCorruptionError, match="actual_dim is 0, not 1") as exc:
+        alpha(scheme, cache=ResultCache(tmp_path))
+    assert victim.stem in str(exc.value) and str(victim) in str(exc.value)
+
+
+def test_a_cache_of_dimension_reports_only_misses_on_probes(tmp_path):
+    # a cache written when every cached probe was a system_dim report holds
+    # those reports at the probed degrees; the probe keys never read them
+    pts = general(6, seed=3)
+    want = alpha_sequence(pts, 5).alphas
+    old = ResultCache(tmp_path)
+    for k in range(1, 6):
+        scheme = FatPointScheme.uniform(pts, k)
+        for d in range(k, 4 * k):
+            if expected_dim(scheme, d) <= 0:
+                system_dim(scheme, d, MultiPrime(2), cache=old)
+    files = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    cache = ResultCache(tmp_path)
+    assert alpha_sequence(pts, 5, cache=cache).alphas == want
+    assert cache.hits == 0 and cache.misses > 0
+    after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert files.items() < after.items() and len(after) == len(files) + cache.misses
+
+
 def test_cache_keys_do_not_change():
     # recorded before points memoized their formatted coordinates: a key
     # that changes would make every existing cache directory miss
@@ -883,6 +1000,47 @@ def test_cache_keys_do_not_change():
     again = FatPointScheme((point(QQ, 1, 2, 1), point(QQ, -1, 0, 2), point(QQ, 0, 5, 0)),
                            (2, 1, 3))
     assert cache_key(again, 5, MultiPrime(2), False) == cache_key(rational, 5, MultiPrime(2), False)
+
+
+def _json_cache_key(scheme, d, strategy, kind):
+    """The key as first written: SHA-256 of json.dumps of a payload dict."""
+    payload = {
+        "field": field_to_string(scheme.field),
+        "points": sorted([list(P.coord_strings()), m]
+                         for P, m in zip(scheme.points, scheme.multiplicities)),
+        "degree": d,
+        "strategy": _strategy_tag(strategy),
+        "kernel": kind,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_cache_keys_match_their_json_formula():
+    # coordinates that are prefixes of one another ("1", "10", "1/2", "-1")
+    # sort as strings inside the formatted points as they do as lists
+    F31 = prime_field(31)
+    pools = [
+        [point(QQ, *c) for c in ((1, 10, 1), (1, 1, 1), (1, 1, 2), (10, 1, 1), (-1, 1, 1),
+                                 (1, -1, 1), (1, 0, 0), (1, 1, 0), (1, 10, 0), (-1, 10, 2),
+                                 (10, -1, 1), (1, -10, 1))],
+        [point(F31, *c) for c in ((1, 10, 1), (10, 1, 1), (1, 1, 1), (3, 30, 1), (30, 3, 1),
+                                  (1, 0, 0), (0, 1, 0), (1, 3, 0))],
+    ]
+    rng = random.Random(5)
+    checked = 0
+    for pool in pools:
+        for _ in range(40):
+            pts = rng.sample(pool, rng.randint(1, len(pool)))
+            mults = [rng.choice((0, 1, 2, 3, 10, 12)) for _ in pts]
+            scheme = FatPointScheme(tuple(pts), tuple(mults))
+            for strategy in (ExactRational(), SinglePrime(), MultiPrime(2), MultiPrime(3, seed=4)):
+                for kind in (False, True, PROBE):
+                    d = rng.randint(0, 20)
+                    assert (cache_key(scheme, d, strategy, kind)
+                            == _json_cache_key(scheme, d, strategy, kind))
+                    checked += 1
+    assert checked == 960
 
 
 @pytest.mark.parametrize("upper", [None, 0, 1, 2, 3, 4, 6, 9, 40])
