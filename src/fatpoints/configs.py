@@ -121,18 +121,11 @@ def on_conic(r: int):
     return tuple(point(QQ, 1, t, t * t) for t in range(r))
 
 
-def _no_three_collinear(pts, q) -> bool:
-    """Whether ``q`` lies on no line through two of ``pts``, so adding it to
-    points with no three collinear keeps them so."""
-    c = q.integer_coords()
-    return all(det3(a.integer_coords(), b.integer_coords(), c)
-               for a, b in itertools.combinations(pts, 2))
-
-
 def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
     """Seeded random rational points with integer coordinates in [-H, H].
 
-    Points are redrawn until pairwise distinct with no three collinear.
+    Points are redrawn until pairwise distinct with no three collinear,
+    tested on the integer draws (a, b, 1); only accepted draws become points.
     Genericity beyond that is certified downstream by the exact rank
     computations themselves.
     """
@@ -148,11 +141,9 @@ def general(r: int, seed: int, height: int = DEFAULT_HEIGHT):
         if attempts > 10000:
             raise ValueError("rejection sampling failed; widen the height")
         c = (rng.randint(-height, height), rng.randint(-height, height), 1)
-        q = point(QQ, *c)
-        if q in pts or not _no_three_collinear(pts, q):
-            continue
-        pts.append(q)
-    return tuple(pts)
+        if c not in pts and all(det3(a, b, c) for a, b in itertools.combinations(pts, 2)):
+            pts.append(c)
+    return tuple(point(QQ, *c) for c in pts)
 
 
 def star(p: int, seed: int):

@@ -157,9 +157,9 @@ def _imposed(scheme: FatPointScheme, d: int, p: Optional[int]):
             for i, (P, m) in enumerate(zip(scheme.points, scheme.multiplicities)) if m]
 
 
-def _mod(x, p: int):
-    """x mod p in place: numpy's // by a scalar is several times its %."""
-    x -= x // p * p
+def _mod(x, p: int, t=None):
+    """x mod p in place, through the scratch array t if given (// beats numpy's % severalfold)."""
+    x -= np.multiply(np.floor_divide(x, p, out=t), p, out=t)
     return x
 
 
@@ -169,11 +169,12 @@ def _product(factors, p: Optional[int]):
 
 
 @lru_cache(maxsize=128)
-def _tables(d: int, m: int, p: Optional[int]):
+def _tables(d: int, m: int, p: Optional[int], caps: Optional[tuple]):
     """The point-free part of ``_derivative_rows`` for multiplicity m in
-    degree d, read-only: F[beta, mu] = prod_c perm(mu_c, beta_c) (mod p) and
-    the indices max(mu_c - beta_c, 0) + c (d + 1) into a point's powers."""
-    mons, betas = np.array(monomial_basis(d)), np.array(monomial_basis(m - 1))
+    degree d on the monomials ``_off(d, caps)`` keeps, read-only:
+    F[beta, mu] = prod_c perm(mu_c, beta_c) (mod p) and the indices
+    max(mu_c - beta_c, 0) + c (d + 1) into a point's powers."""
+    mons, betas = np.array(monomial_basis(d))[_off(d, caps)], np.array(monomial_basis(m - 1))
     fall = np.array([[perm(e, j) for j in range(m)] for e in range(d + 1)], dtype=object)
     fall = fall if p is None else (fall % p).astype(np.int64)
     F = _product([fall[mons[:, c], betas[:, None, c]] for c in range(3)], p)
@@ -183,8 +184,17 @@ def _tables(d: int, m: int, p: Optional[int]):
     return F, E
 
 
-def _derivative_rows(imposed, d: int, p: Optional[int]):
-    """The condition matrix of ``_imposed`` entries, from one formula.
+@lru_cache(maxsize=128)
+def _off(d: int, caps: Optional[tuple]):
+    """The read-only mask of the degree-d monomials with mu_c <= caps[c], all if caps is None."""
+    off = (np.array(monomial_basis(d)) <= (d if caps is None else caps)).all(axis=1)
+    off.flags.writeable = False
+    return off
+
+
+def _derivative_rows(imposed, d: int, p: Optional[int], caps: Optional[tuple] = None):
+    """The condition matrix of ``_imposed`` entries, from one formula, on
+    the monomials that ``_off(d, caps)`` keeps.
 
     The row of (P, beta) at monomial mu is the beta-partial of x^mu at the
     integer coordinates of P: prod_c perm(mu_c, beta_c) * P_c^(mu_c - beta_c),
@@ -207,9 +217,10 @@ def _derivative_rows(imposed, d: int, p: Optional[int]):
     blocks = {}
     for m in set(ms):
         group = [i for i, mi in enumerate(ms) if mi == m]
-        F, E = _tables(d, m, p)
+        F, E = _tables(d, m, p, caps)
         blocks.update(zip(group, _product([F, *np.take(pows[group], E, 1).swapaxes(0, 1)], p)))
-    return np.concatenate([np.empty((0, comb(d + 2, 2)), dtype), *map(blocks.get, range(len(ms)))])
+    empty = np.empty((0, np.count_nonzero(_off(d, caps))), dtype)
+    return np.concatenate([empty, *map(blocks.get, range(len(ms)))])
 
 
 def build_condition_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:
@@ -265,10 +276,10 @@ def _framed(imposed, d: int, p: Optional[int]):
     or None) for the condition matrix mod p, or over Q when ``p`` is None.
 
     The frame is the first non-collinear triple, highest multiplicities
-    first, and its matrix the other points' moved rows on the monomials
-    off U.  Mod p it is taken when p > d and p does not divide its det, over
-    Q when ``_bareiss_cost`` is lower for it; otherwise the matrix is the
-    unframed condition matrix and |U| is 0.
+    first, and its matrix the other points' moved rows built only on the
+    monomials off U.  Mod p it is taken when p > d and p does not divide its
+    det, over Q when ``_bareiss_cost`` is lower for it; otherwise the matrix
+    is the unframed condition matrix and |U| is 0.
     """
     order = sorted(imposed, key=lambda u: -u[2])
     frame = None
@@ -281,11 +292,10 @@ def _framed(imposed, d: int, p: Optional[int]):
     A = _derivative_rows(imposed, d, p) if frame is None or p is None else None
     if frame is not None:
         (_, a, _), (_, b, _), (_, c, _) = frame
-        off = (np.array(monomial_basis(d)) <= [d - m for _, _, m in frame]).all(axis=1)
         moved = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
-        R = _derivative_rows(moved, d, p)[:, off]
+        R = _derivative_rows(moved, d, p, tuple(d - m for _, _, m in frame))
         if A is None or _bareiss_cost(R) < _bareiss_cost(A):
-            return int((~off).sum()), R, frame
+            return comb(d + 2, 2) - R.shape[1], R, frame
     return 0, A, None
 
 
@@ -436,14 +446,15 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
     """Reduced row echelon form over F_p, or over Q when ``p`` is None;
     returns (rank, pivot cols, rref).
 
-    The one elimination for every exact field.  Below 2^31 residues are
-    int64, where a residue minus a product of two stays within 2^62; a
-    larger p works in Python ints, and Q in ``_rref_over_q`` on integer rows, so no
-    float ever appears.  A nonzero diagonal entry is the pivot without a
-    search.  The pivot row and the rows below it are zero left of the
-    current column, so each step clears whole contiguous rows in place.
-    ``rank_only`` clears only below each pivot (no back-substitution): the
-    rank and pivots are the same, the returned matrix is a row echelon form.
+    The one elimination for every exact field: int64 residues below 2^31
+    (a product of two minus another stays within 2^62), Python ints above,
+    integer rows over Q (``_rref_over_q``), and never a float.  A nonzero
+    diagonal entry is the pivot without a search.  Each step clears whole
+    rows in place (the pivot row is zero left of its pivot), fraction-free:
+    row r becomes a r - r[col] x pivot row for the pivot a, in one scratch
+    buffer per call.  Pivot rows get their leading 1 at the end.
+    ``rank_only`` clears only below each pivot and scales none: the rank and
+    pivots are the same, the returned matrix is a row echelon form.
     """
     if p is None:
         pivots, rows = _rref_over_q(A, rank_only)
@@ -451,7 +462,11 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
         for i, col in enumerate(pivots):
             R[i] = [Fraction(x, rows[i][col]) for x in rows[i]]
         return len(pivots), pivots, R
-    A = (A % p).astype(np.int64, order="C", copy=False) if p < 2**31 else A.astype(object) % p
+    if p >= 2**31 or A.dtype == object:  # ints >= 2^63 would overflow int64
+        A = A.astype(object) % p
+    if p < 2**31:
+        A = _mod(A.astype(np.int64, order="C"), p)
+    buf = np.empty_like(A)
     nr, nc = A.shape
     rank = 0
     pivots = []
@@ -459,17 +474,21 @@ def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
         if rank >= nr:
             break
         if not A[rank, col]:
-            nz = np.flatnonzero(A[rank:, col])
+            nz = A[rank:, col].nonzero()[0]
             if not nz.size:
                 continue
             A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
         row = A[rank]
-        row[:] = row * pow(int(row[col]), -1, p) % p
         for block in (A[rank + 1:],) if rank_only else (A[rank + 1:], A[:rank]):
-            block -= block[:, col, None] * row
-            _mod(block, p)
+            t = np.multiply(block[:, col, None], row, out=buf[:len(block)])
+            block *= row[col]
+            block -= t
+            _mod(block, p, t)
         pivots.append(col)
         rank += 1
+    if not rank_only:
+        inv = np.array([pow(int(x), -1, p) for x in A[range(rank), pivots]], A.dtype)
+        _mod(np.multiply(A[:rank], inv[:, None], out=A[:rank]), p)
     return rank, pivots, A
 
 

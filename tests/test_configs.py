@@ -1,12 +1,13 @@
 """Generators: determinism, structure, and cross-detector behavior."""
 
 import itertools
+import random
 import re
 
 import pytest
 
 from fatpoints import configs
-from fatpoints.algebra import QQ, order_of_vanishing, point
+from fatpoints.algebra import QQ, det3, order_of_vanishing, point
 from fatpoints.configs import (
     ConfigSpec,
     collinear,
@@ -79,6 +80,50 @@ def test_general_refuses_a_negative_height():
         general(3, seed=0, height=-5)
     # height 0 leaves only (0 : 0 : 1), enough for a single point
     assert general(1, seed=0, height=0) == (point(QQ, 0, 0, 1),)
+
+
+def _fraction_point_general(r, seed, height):
+    """``general`` as it drew before it tested integer draws: a Fraction
+    point per candidate, checked on its integer coordinates."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    if height < 0:
+        raise ValueError(f"need height >= 0; got {height}")
+    rng = random.Random(f"fatpoints.general:{seed}:{r}:{height}")
+    pts = []
+    attempts = 0
+    while len(pts) < r:
+        attempts += 1
+        if attempts > 10000:
+            raise ValueError("rejection sampling failed; widen the height")
+        q = point(QQ, rng.randint(-height, height), rng.randint(-height, height), 1)
+        if q in pts or not all(det3(a.integer_coords(), b.integer_coords(), q.integer_coords())
+                               for a, b in itertools.combinations(pts, 2)):
+            continue
+        pts.append(q)
+    return tuple(pts)
+
+
+def _drawn(gen, r, seed, height):
+    try:
+        return repr(gen(r, seed, height))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_general_draws_what_the_fraction_point_draw_did():
+    # the same points, reprs and refusals over r = 1..9; heights 0-2 run
+    # out of points with no three collinear and ask to widen the height
+    # after 10000 draws, so only a few of those run
+    cases = [(r, seed, h) for h in (5, 30, 999) for r in range(1, 10) for seed in range(40)]
+    cases += [(r, 0, 0) for r in (1, 2)] + [(r, 0, 1) for r in range(1, 8)]
+    cases += [(r, seed, 2) for r in range(1, 10) for seed in (0, 1)]
+    refusals = 0
+    for r, seed, height in cases:
+        want = _drawn(_fraction_point_general, r, seed, height)
+        assert _drawn(general, r, seed, height) == want, (r, seed, height)
+        refusals += "widen the height" in want
+    assert refusals >= 3
 
 
 def test_star_family_incidence():

@@ -12,11 +12,13 @@ import pytest
 
 from helpers import coeff, enumeration_dimension, nullspace_in_field, rref_in_field
 from fatpoints import linsys
+from fatpoints.analysis import repro_all
 from fatpoints.algebra import (
     QQ,
     CharacteristicTooSmallError,
     FieldMismatchError,
     ReductionError,
+    det3,
     evaluate,
     field_to_string,
     linear_form,
@@ -186,6 +188,34 @@ def test_modp_rref_rare_branches_match_the_field_oracle():
         assert R.dtype == np.int64 and ((0 <= R) & (R < p)).all(), name
         assert modp_rref(A, p, rank_only=True)[:2] == (rank, pivots), name
         assert (A == before).all(), name
+
+
+def _reduction_inputs():
+    """(name, matrix, p) whose entries need reducing before elimination:
+    negative int64 entries, entries near +-2^62, and Python ints of 2^63
+    and more, which an int64 cast would overflow, in an object array."""
+    rng = random.Random(43)
+    yield "negative", np.array(rand_int_matrix(rng, 6, 7, -10**6, -1)), 101
+    yield "mixed signs", np.array(rand_int_matrix(rng, 7, 5, -10**9, 10**9)), 2**31 - 1
+    for p in (7, 2147483629):
+        near = [[s * (2**62 - rng.randrange(1000)) for s in rng.choices((1, -1), k=6)]
+                for _ in range(5)]
+        yield f"near +-2^62 mod {p}", np.array(near, dtype=np.int64), p
+    huge = [[rng.choice((1, -1)) * (2**63 + rng.randrange(2**70)) for _ in range(5)]
+            for _ in range(6)]
+    yield "object past 2^63", np.array(huge, dtype=object), 1000003
+
+
+def test_modp_rref_reduces_any_integer_input():
+    # the input is reduced on a copy, by floor division for int64 and by %
+    # before the int64 cast for Python ints, and the caller's matrix is kept
+    for name, A, p in _reduction_inputs():
+        before = A.copy()
+        rank, pivots, R = modp_rref(A, p)
+        assert (rank, pivots, R.tolist()) == rref_in_field(A.tolist(), prime_field(p)), name
+        assert R.dtype == np.int64 and ((0 <= R) & (R < p)).all(), name
+        assert modp_rref(A, p, rank_only=True)[:2] == (rank, pivots), name
+        assert A.dtype == before.dtype and (A == before).all(), name
 
 
 def test_modp_rref_on_a_framed_condition_matrix():
@@ -496,6 +526,114 @@ def test_condition_matrices_never_share_the_kept_tables():
             want = first.copy()
             first += 1
             assert (build() == want).all(), name
+
+
+def _kept_column_cases():
+    """(name, imposed, d, p, caps) over random schemes with unequal
+    multiplicities, among them caps of -1 (a frame vertex of multiplicity
+    d + 1, which keeps no column) and no imposed rows at all."""
+    rng = random.Random(53)
+    for case in range(24):
+        d = rng.randint(0, 7)
+        pts = [(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(-3, 9))
+               for _ in range(rng.randint(0, 5))]
+        imposed = [(i, P, rng.randint(1, d + 1)) for i, P in enumerate(pts) if any(P)]
+        caps = tuple(rng.randint(-1, d) for _ in range(3))
+        for p in (101, 2147483629, None):
+            yield f"case {case} p={p}", imposed, d, p, caps
+    yield "capped vertex", [(0, (2, 3, 5), 2)], 4, 101, (-1, 2, 3)
+
+
+def test_kept_column_build_equals_the_masked_full_build():
+    # oracle: the full build with the mask _framed used to make per call
+    for name, imposed, d, p, caps in _kept_column_cases():
+        off = (np.array(monomial_basis(d)) <= list(caps)).all(axis=1)
+        want = linsys._derivative_rows(imposed, d, p)[:, off]
+        got = linsys._derivative_rows(imposed, d, p, caps)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tolist() == want.tolist(), name
+        assert (linsys._off(d, caps) == off).all(), name
+
+
+def _old_framed(imposed, d, p):
+    """``_framed``'s frame choice and its full build cut down to the columns
+    off U afterwards, the way it was computed before the kept-column build."""
+    covered, R, frame = linsys._framed(imposed, d, p)
+    if frame is None:
+        return covered, R, frame
+    (_, a, _), (_, b, _), (_, c, _) = frame
+    rest = [u for u in sorted(imposed, key=lambda u: -u[2]) if u not in frame]
+    moved = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m)
+             for i, X, m in rest]
+    off = (np.array(monomial_basis(d)) <= [d - m for _, _, m in frame]).all(axis=1)
+    return int((~off).sum()), linsys._derivative_rows(moved, d, p)[:, off], frame
+
+
+@pytest.mark.parametrize("p", [101, 2147483629, None])
+def test_framed_ranks_match_the_full_build_and_the_full_matrix(p):
+    rng = random.Random(59)
+    schemes = [
+        # the frame vertices have m = d + 1 at d = 3: U is every monomial
+        (FatPointScheme(TRIANGLE + (point(QQ, 1, 1, 1), point(QQ, 2, 3, 1)),
+                        (4, 5, 4, 1, 2)), 3),
+        # a frame with no moved rows
+        (FatPointScheme(TRIANGLE + (point(QQ, 1, 1, 1),), (2, 3, 2, 0)), 4),
+    ]
+    for _ in range(10):
+        pts = general(rng.randint(3, 8), seed=rng.randrange(1000), height=40)
+        mults = tuple(rng.randint(0, 4) for _ in pts)
+        schemes.append((FatPointScheme(pts, mults), rng.randint(1, 9)))
+    for scheme, d in schemes:
+        if max(scheme.multiplicities) == 0:
+            continue
+        imposed = linsys._imposed(scheme, d, p)
+        covered, R, frame = linsys._framed(imposed, d, p)
+        old_covered, old_R, _ = _old_framed(imposed, d, p)
+        assert (covered, R.tolist()) == (old_covered, old_R.tolist())
+        assert covered + R.shape[1] == comb(d + 2, 2) or frame is None
+        full = build_condition_matrix(scheme, d)
+        rank = (bareiss_echelon(full.tolist())[0] if p is None
+                else modp_rref(condition_matrix_mod_p(scheme, d, p), p)[0])
+        assert linsys._rank_mod_p(scheme, d, p) == (rank, full.shape[0])
+
+
+def test_framed_ranks_build_only_the_columns_they_eliminate(monkeypatch):
+    # every entry a search's framed builds make is eliminated: none is
+    # built and then dropped
+    counts = {"built": 0, "eliminated": 0}
+    build, eliminate = linsys._derivative_rows, linsys.modp_rref
+
+    def counted_build(*args):
+        R = build(*args)
+        counts["built"] += R.size
+        return R
+
+    def counted_elimination(A, p, **kwargs):
+        counts["eliminated"] += A.size
+        return eliminate(A, p, **kwargs)
+
+    monkeypatch.setattr(linsys, "_derivative_rows", counted_build)
+    monkeypatch.setattr(linsys, "modp_rref", counted_elimination)
+    alpha_sequence(general(8, seed=2), 4)
+    assert counts["eliminated"] > 0 and counts["built"] == counts["eliminated"]
+
+
+def test_table_caches_are_read_only_and_hold_a_repro_pass():
+    mask = linsys._off(5, (2, 4, -1))
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
+    F, E = linsys._tables(5, 2, 101, (2, 4, 3))
+    with pytest.raises(ValueError):
+        F[0, 0] = 1
+    # a second pass of repro --all in one process builds no table again:
+    # a pass's keys, caps included, fit the bounded cache
+    linsys._tables.cache_clear()
+    repro_all()
+    first = linsys._tables.cache_info()
+    assert first.currsize < first.maxsize
+    repro_all()
+    second = linsys._tables.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
 
 
 def test_condition_rows_match_formal_derivatives():
