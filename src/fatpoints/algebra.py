@@ -249,6 +249,8 @@ def point(field, a, b=None, c=None) -> ProjectivePoint:
             break
     if last is None:
         raise ValueError("(0 : 0 : 0) is not a projective point")
+    if coords[last] == field.one:  # normalized already
+        return ProjectivePoint(field, coords)
     inv = field.inv(coords[last])
     return ProjectivePoint(field, tuple(field.of(x * inv) for x in coords))
 
@@ -305,9 +307,19 @@ class HomoPoly:
     field: object
     degree: int
     terms: tuple  # ((a, b, c), coefficient), graded-lex sorted
+    # memo of integer_terms: not compared, so equality ignores it
+    _ints: Optional[tuple] = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def integer_terms(self) -> tuple:
+        """The terms scaled by the lcm of their denominators (residues stay)."""
+        if self._ints is None:
+            den = math.lcm(*(c.denominator for _, c in self.terms))
+            ints = tuple((m, c.numerator * (den // c.denominator)) for m, c in self.terms)
+            object.__setattr__(self, "_ints", ints)
+        return self._ints
 
     def __mul__(self, other):
         check_same_field(self.field, other.field)
@@ -396,29 +408,43 @@ def partial_derivative(f: HomoPoly, var: int) -> HomoPoly:
 # ---------------------------------------------------------------------------
 # order of vanishing from Taylor coefficients
 
-def order_of_vanishing(f: HomoPoly, P: ProjectivePoint):
-    """Multiplicity of ``f`` at ``P``; ``math.inf`` for the zero form.
+def order_of_vanishing(f: HomoPoly, P: ProjectivePoint, bound: Optional[int] = None):
+    """Multiplicity of ``f`` at ``P``, ``math.inf`` for the zero form, or
+    min(multiplicity, ``bound``), which sums only the levels below it.
 
     Write P's integer representative as (A, B, C) in the coordinate order
     k, l, j, where j is its last nonzero coordinate.  The multiplicity is
     the least total degree u + v of a term of f(A + Cs, B + Ct, C), whose
-    coefficient of s^u t^v is C^(u+v) times the Hasse derivative
-    sum f_abc C(a, u) C(b, v) A^(a-u) B^(b-v) C^c.  Binomials rather than
-    iterated derivatives keep the check valid in every characteristic.
+    coefficient of s^u t^v is C^(u+v) times the Hasse derivative sum_a
+    C(a, u) A^(a-u) T[a][v], T[a][v] = sum_b f_abc C^c C(b, v) B^(b-v).
+    Binomials rather than iterated derivatives keep the check valid in
+    every characteristic.
     """
     check_same_field(f.field, P.field)
+    (k, l, j), AA, BB, CC = _hasse_tables(P, f.degree)
+    rows = {}
+    for m, c in f.integer_terms():
+        rows.setdefault(m[k], []).append((BB[m[l]], c * CC[m[j]]))
+    T = {a: [] for a in rows}
+    top = f.degree + 1 if bound is None else min(bound, f.degree + 1)
+    for level in range(top):
+        for a, terms in rows.items():
+            T[a].append(sum(c * Bb[level] for Bb, c in terms))
+        for u in range(level + 1):
+            if f.field.of(sum(AA[a][u] * T[a][level - u] for a in rows)):
+                return level
+    return math.inf if bound is None else bound
+
+
+@lru_cache(maxsize=16)
+def _hasse_tables(P: ProjectivePoint, d: int):
+    """The axes (k, l, j) of ``order_of_vanishing`` at P and, to degree d,
+    C(a, u) A^(a-u) and C(b, v) B^(b-v) (0 for u > a, v > b) and C^c; the
+    cache shares them, so callers only read them."""
     coords = P.integer_coords()
     j = max(i for i in range(3) if coords[i])
     k, l = (i for i in range(3) if i != j)
     A, B, C = coords[k], coords[l], coords[j]
-    den = math.lcm(*(c.denominator for _, c in f.terms))
-    terms = [(m[k], m[l], m[j], int(c * den)) for m, c in f.terms]
-    for level in range(f.degree + 1):
-        for u in range(level + 1):
-            v = level - u
-            total = sum(c * math.comb(a, u) * math.comb(b, v)
-                        * A ** (a - u) * B ** (b - v) * C ** e
-                        for a, b, e, c in terms if a >= u and b >= v)
-            if f.field.of(total):
-                return level
-    return math.inf
+    AA, BB = ([[math.comb(a, u) * X ** (a - u) if u <= a else 0 for u in range(d + 1)]
+               for a in range(d + 1)] for X in (A, B))
+    return (k, l, j), AA, BB, [C ** c for c in range(d + 1)]

@@ -239,9 +239,11 @@ def nodal_curve(spec: ConfigSpec):
 
 
 def _binary_form_values(coeffs, s, u, p):
-    # value of sum coeffs[i] s^(d-i) u^i
-    d = len(coeffs) - 1
-    return sum(c * pow(s, d - i, p) * pow(u, i, p) for i, c in enumerate(coeffs)) % p
+    # value of sum coeffs[i] s^(d-i) u^i mod p, by Horner's rule
+    acc, ui = 0, 1
+    for c in coeffs:
+        acc, ui = (acc * s + c * ui) % p, ui * u % p
+    return acc
 
 
 def _implicitize_parameterization(forms, d: int, p: int) -> Optional[HomoPoly]:

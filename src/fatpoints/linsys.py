@@ -303,7 +303,7 @@ def _bareiss_cost(A) -> int:
     """Rows x columns x largest entry bit length of an exact matrix, which
     Bareiss's time grows with: framing trades fewer rows and columns for
     about twice the bits."""
-    return A.shape[0] * A.shape[1] * max((x.bit_length() for x in A.flat), default=0)
+    return A.shape[0] * A.shape[1] * max(map(abs, A.flat), default=0).bit_length()
 
 
 def _pull_back(vectors, frame, d: int):
@@ -414,32 +414,43 @@ def bareiss_echelon(rows):
 def rational_nullspace(rows, ncols: Optional[int] = None):
     """Primitive integer basis of the right kernel of an integer matrix.
 
-    One basis vector per free column, back-substituted exactly through the
-    Bareiss echelon form with Fraction arithmetic and then cleared of
-    denominators.
+    One basis vector per free column, back-substituted through the Bareiss
+    echelon form in integers: scaled by D, the last pivot (the pivot
+    minor's determinant), the vector is integral by Cramer's rule, so every
+    division is exact; it is then divided by its gcd.
     """
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     rank, pivots, ech = bareiss_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    D = ech[rank - 1][pivots[-1]] if rank else 1
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = D
         for i in range(rank - 1, -1, -1):
             pc = pivots[i]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if v[j]:
-                    s += Fraction(ech[i][j]) * v[j]
-            v[pc] = -s / ech[i][pc]
-        # v[f] = 1, so den * v has coprime entries: only the sign is chosen
-        den = math.lcm(*(x.denominator for x in v))
-        if next(x for x in v if x) < 0:
-            den = -den
-        basis.append(tuple(int(x * den) for x in v))
+            q, r = divmod(-sum(x * y for x, y in zip(ech[i][pc + 1:], v[pc + 1:]) if y),
+                          ech[i][pc])
+            if r:
+                raise CertificationError(f"inexact back-substitution at column {pc}")
+            v[pc] = q
+        g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+        basis.append(tuple(x // g for x in v))
     return basis
+
+
+def _exact_nullspace(A, p: int):
+    """``rational_nullspace`` of the integer matrix A; when A is tall, from
+    only its rows independent mod p (the pivot columns of A^T mod p), which
+    are independent over Q, so their kernel holds A's.  It is accepted only
+    if every vector satisfies all rows of A over Z (the kernels, and so their
+    RREF bases, are then equal); otherwise it is recomputed from all rows."""
+    if A.shape[0] > A.shape[1]:
+        vectors = rational_nullspace(A[modp_rref(A.T, p, rank_only=True)[1]].tolist(), A.shape[1])
+        if not vectors or not A.dot(np.array(vectors, dtype=object).T).any():
+            return vectors
+    return rational_nullspace(A.tolist(), A.shape[1])
 
 
 def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
@@ -677,9 +688,9 @@ class AlphaReport:
 # dimension computation
 
 def _verify_kernel(scheme: FatPointScheme, polys) -> None:
-    for g in polys:
-        for P, m in zip(scheme.points, scheme.multiplicities):
-            if m and order_of_vanishing(g, P) < m:
+    for P, m in zip(scheme.points, scheme.multiplicities):
+        for g in polys:
+            if m and order_of_vanishing(g, P, m) < m:
                 raise CertificationError(
                     f"kernel element fails the multiplicity-{m} check at {P}"
                 )
@@ -716,7 +727,7 @@ def _exact_report(scheme, d, want_kernel):
 
     A rank alone is one ``_rank_mod_p`` at the scheme's prime, or over Q.
     A kernel over F_p is ``modp_nullspace`` of the condition matrix; over Q
-    it is ``rational_nullspace`` of the matrix ``_framed`` picks, and
+    it is ``_exact_nullspace`` of the matrix ``_framed`` picks, and
     ``_pull_back`` turns a framed kernel into the condition matrix's RREF
     kernel basis, the one ``rational_nullspace`` would give.  Every kernel
     form is checked at every point in the original coordinates.
@@ -730,7 +741,7 @@ def _exact_report(scheme, d, want_kernel):
     nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
     if p is None:
         _, rows, frame = _framed(imposed, d, None)
-        vectors = _pull_back(rational_nullspace(rows.tolist(), rows.shape[1]), frame, d)
+        vectors = _pull_back(_exact_nullspace(rows, strategy_primes(SinglePrime())[0]), frame, d)
     else:
         vectors = modp_nullspace(_derivative_rows(imposed, d, p), p)
     kernel = tuple(poly_from_vector(scheme.field, d, v) for v in vectors)

@@ -9,10 +9,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import line_through, power
+from helpers import line_form, line_through, power
 from fatpoints.algebra import (
     QQ,
     FieldMismatchError,
+    HomoPoly,
     det3,
     evaluate,
     field_from_string,
@@ -156,6 +157,14 @@ def test_point_memos_follow_the_point_not_its_representative(field):
     assert [f.name for f in fields(P) if f.compare] == ["field", "coords"]
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(101)])
+def test_normalized_input_gives_the_point_the_rescaling_gives(field):
+    for a, b, c in ((Fraction(1, 2), 3, 1), (5, 1, 0), (1, 0, 0), (-3, 7, 1)):
+        fast, scaled = point(field, a, b, c), point(field, 2 * a, 2 * b, 2 * c)
+        assert fast == scaled and fast.coords == scaled.coords
+        assert list(map(type, fast.coords)) == list(map(type, scaled.coords))
+
+
 # ---------------------------------------------------------------------------
 # monomial basis
 
@@ -287,6 +296,61 @@ def test_order_matches_derivative_conditions(field):
             assert (ord_direct >= m) == brute_order_at_least(f, P, m)
             checked += 1
     assert checked >= 100
+
+
+def derivative_order(f, P):
+    """Independent oracle: the least L at which some iterated partial of
+    order L is nonzero at P, math.inf for the zero form.
+
+    Valid over QQ and over F_p with p > degree.
+    """
+    level = {f}
+    for L in range(f.degree + 1):
+        if any(not g.is_zero() and evaluate(g, P) != g.field.zero for g in level):
+            return L
+        if L < f.degree:
+            level = {partial_derivative(g, v) for g in level for v in range(3)}
+    return math.inf
+
+
+def _order_cases(field, rng):
+    """Random forms, products of lines through P times a form off P (of
+    known multiplicity), and zero forms, at points with and without a zero
+    last coordinate."""
+    for i in range(40):
+        d = rng.randint(1, 5)
+        P = rand_point(field, rng)
+        if i % 4 == 0:
+            P = point(field, rng.randint(1, 9), rng.randint(0, 9), 0)
+        if i % 8 == 0:
+            P = point(field, 1, 0, 0)
+        yield rand_poly(field, d, rng), P, None
+        yield poly(field, d, {}), P, math.inf
+        k = rng.randint(0, d)
+        while True:
+            g = rand_poly(field, d - k, rng)
+            if not g.is_zero() and evaluate(g, P) != field.zero:
+                break
+        f = g
+        for _ in range(k):
+            Q = P
+            while Q == P:
+                Q = rand_point(field, rng)
+            f = f * line_form(line_through(P, Q))
+        yield f, P, k
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(101)])
+def test_order_and_bounded_order_match_the_derivative_oracle(field):
+    rng = random.Random(41)
+    assert [x.name for x in fields(HomoPoly) if x.compare] == ["field", "degree", "terms"]
+    for f, P, known in _order_cases(field, rng):
+        order = derivative_order(f, P)
+        if known is not None:
+            assert order == known
+        assert order_of_vanishing(f, P) == order
+        for bound in range(f.degree + 3):
+            assert order_of_vanishing(f, P, bound) == min(order, bound)
 
 
 def test_order_is_additive_on_products():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -112,6 +113,50 @@ def test_rational_nullspace_annihilates():
             assert any(v)
             for row in m:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def test_rational_nullspace_is_the_primitive_rref_basis():
+    # the integer back-substitution gives each RREF kernel vector (free
+    # entry 1) cleared of denominators and signed by its first entry
+    rng = random.Random(29)
+    for _ in range(40):
+        nr, nc = rng.randint(0, 7), rng.randint(1, 9)
+        m = rand_int_matrix(rng, nr, nc, -10**6, 10**6)
+        for i in range(2, nr):  # rows that are combinations of earlier ones
+            if rng.random() < 0.4:
+                a, b = m[rng.randrange(i)], m[rng.randrange(i)]
+                m[i] = [rng.randint(-5, 5) * x + rng.randint(-5, 5) * y for x, y in zip(a, b)]
+        want = []
+        for v in nullspace_in_field(m, QQ, nc):
+            den = math.lcm(*(x.denominator for x in v))
+            den = -den if next(x for x in v if x) < 0 else den
+            want.append(tuple(int(x * den) for x in v))
+        assert rational_nullspace(m, nc) == want
+
+
+def test_rational_nullspace_refuses_an_inexact_back_substitution(monkeypatch):
+    # an echelon form no Bareiss elimination gives: its last pivot 3 does not
+    # clear the denominator 2 of the first row
+    monkeypatch.setattr(linsys, "bareiss_echelon",
+                        lambda rows: (2, [0, 1], [[2, 0, 1], [0, 3, 1]]))
+    with pytest.raises(linsys.CertificationError, match="inexact"):
+        rational_nullspace([[2, 0, 1], [0, 3, 1]], 3)
+
+
+def test_row_choice_falls_back_to_all_rows_when_the_rank_drops_mod_p(monkeypatch):
+    p = strategy_primes(SinglePrime())[0]
+    # rank 2 over Q, 1 mod p: the chosen row 0 alone has a 2-dimensional kernel
+    A = np.array([[1, 0, 0], [0, p, 0], [0, 2 * p, 0], [1, p, 0]], dtype=object)
+    calls = []
+    monkeypatch.setattr(linsys, "bareiss_echelon",
+                        lambda rows, _f=bareiss_echelon: calls.append(len(rows)) or _f(rows))
+    assert linsys._exact_nullspace(A, p) == rational_nullspace(A.tolist()) == [(0, 0, 1)]
+    assert calls == [1, 4, 4]  # the chosen row, the fallback, the oracle
+    # rank 2 mod p too: Bareiss sees only two rows and the check accepts them
+    B = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]], dtype=object)
+    calls.clear()
+    assert linsys._exact_nullspace(B, p) == rational_nullspace(B.tolist()) == [(1, 1, -1)]
+    assert calls == [2, 4]
 
 
 def rand_modp_matrices(rng, q):
@@ -668,19 +713,20 @@ def test_condition_rows_match_formal_derivatives():
 def test_exact_kernel_eliminates_once(monkeypatch):
     calls = {"bareiss_echelon": 0, "modp_rref": 0}
     for name in calls:
-        def counting(*args, _name=name, _original=getattr(linsys, name)):
+        def counting(*args, _name=name, _original=getattr(linsys, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(linsys, name, counting)
+    # the tall rational matrix: one rank-only modp_rref picks its rows
     rational = FatPointScheme.uniform(conic_points(6), 2)
     rep = system_dim(rational, 4, ExactRational(), want_kernel=True)
     assert (rep.rank, len(rep.kernel)) == (14, 1)
-    assert calls == {"bareiss_echelon": 1, "modp_rref": 0}
+    assert calls == {"bareiss_echelon": 1, "modp_rref": 1}
     modular = FatPointScheme.uniform(conic_points(6, prime_field(101)), 2)
     rep = system_dim(modular, 4, ExactRational(), want_kernel=True)
     assert (rep.rank, len(rep.kernel)) == (14, 1)
-    assert calls == {"bareiss_echelon": 1, "modp_rref": 1}
+    assert calls == {"bareiss_echelon": 1, "modp_rref": 2}
 
 
 # ---------------------------------------------------------------------------
