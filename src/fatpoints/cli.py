@@ -288,8 +288,7 @@ def cmd_repro(args) -> int:
         reports = repro_all(registry)
     elif args.id:
         if args.id not in registry["examples"]:
-            print(f"unknown example id {args.id!r}", file=sys.stderr)
-            return 1
+            raise UsageError(f"unknown example id {args.id!r}")
         reports = [repro(args.id, registry)]
     else:
         raise UsageError("pass --id ID or --all")

@@ -4,15 +4,16 @@ The dimension of the degree-d forms vanishing to order m_i at points P_i is
 the corank of a condition matrix whose rows are derivative evaluations, with
 point-free factors kept per (d, m, p) (``_tables``).  Ranks are computed
 either exactly, fraction-free on integer rows (Bareiss for condition matrices,
-``_rref_over_q`` for the geometry predicates' small ones), or modulo seeded
-31-bit primes.  Modular ranks can only drop, so a full-column-rank verdict
-modulo one prime already certifies emptiness of the rational system, and a
-modular rank equal to min(rows, columns) is the exact rank; nonzero modular
-kernels are only certified after an exact recomputation or a dimension count.
-``_rank_mod_p`` takes every rank, mod p, over a scheme's own F_p or over Q; it
-and exact kernels may move three points to the coordinate vertices first
-(``_framed``), leaving only the other points' rows on the monomials the
-vertices do not fix, over Q only when that matrix is cheaper for Bareiss.
+``_rref_over_q`` for the geometry predicates' small ones and ``_pull_back``),
+or modulo seeded 31-bit primes (``modp_rref``).  Modular ranks can only drop,
+so a full-column-rank verdict modulo one prime already certifies emptiness of
+the rational system, and a modular rank equal to min(rows, columns) is the
+exact rank; nonzero modular kernels are only certified after an exact
+recomputation or a dimension count.  ``_rank_mod_p`` takes every rank, mod p,
+over a scheme's own F_p or over Q; it and exact kernels may move three points
+to the coordinate vertices first (``_framed``), leaving only the other points'
+rows on the monomials the vertices do not fix, over Q only when the
+coordinates show, before any build, that this matrix is cheaper for Bareiss.
 """
 
 from __future__ import annotations
@@ -278,32 +279,33 @@ def _framed(imposed, d: int, p: Optional[int]):
     The frame is the first non-collinear triple, highest multiplicities
     first, and its matrix the other points' moved rows built only on the
     monomials off U.  Mod p it is taken when p > d and p does not divide its
-    det, over Q when ``_bareiss_cost`` is lower for it; otherwise the matrix
-    is the unframed condition matrix and |U| is 0.
+    det, over Q when ``_height_cost`` is lower for the moved points on the
+    columns off U than for all points on all columns; otherwise the matrix
+    is the unframed condition matrix and |U| is 0.  Only the chosen matrix
+    is built.
     """
     order = sorted(imposed, key=lambda u: -u[2])
-    frame = None
     for k in range(2, len(order)):
         det = det3(order[0][1], order[1][1], order[k][1])
         if det:
-            if p is None or (p > d and det % p):
-                frame, rest = (order[0], order[1], order[k]), order[2:k] + order[k + 1:]
+            frame, rest = (order[0], order[1], order[k]), order[2:k] + order[k + 1:]
+            (_, a, _), (_, b, _), (_, c, _) = frame
+            moved = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
+            caps = tuple(d - m for _, _, m in frame)
+            ncols = int(np.count_nonzero(_off(d, caps)))
+            if (_height_cost(moved, ncols) < _height_cost(imposed, comb(d + 2, 2))
+                    if p is None else p > d and det % p):
+                return comb(d + 2, 2) - ncols, _derivative_rows(moved, d, p, caps), frame
             break
-    A = _derivative_rows(imposed, d, p) if frame is None or p is None else None
-    if frame is not None:
-        (_, a, _), (_, b, _), (_, c, _) = frame
-        moved = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m) for i, X, m in rest]
-        R = _derivative_rows(moved, d, p, tuple(d - m for _, _, m in frame))
-        if A is None or _bareiss_cost(R) < _bareiss_cost(A):
-            return comb(d + 2, 2) - R.shape[1], R, frame
-    return 0, A, None
+    return 0, _derivative_rows(imposed, d, p), None
 
 
-def _bareiss_cost(A) -> int:
-    """Rows x columns x largest entry bit length of an exact matrix, which
-    Bareiss's time grows with: framing trades fewer rows and columns for
-    about twice the bits."""
-    return A.shape[0] * A.shape[1] * max(map(abs, A.flat), default=0).bit_length()
+def _height_cost(imposed, ncols: int) -> int:
+    """Rows x ncols x largest coordinate bit length of ``imposed`` entries,
+    known before any build, for Bareiss's cost: rows x columns x largest entry
+    bit length, which grows with the coordinates' (the adjugate doubles them)."""
+    return (sum(comb(m + 1, 2) for _, _, m in imposed) * ncols
+            * max((abs(x) for _, P, _ in imposed for x in P), default=0).bit_length())
 
 
 def _pull_back(vectors, frame, d: int):
@@ -314,18 +316,15 @@ def _pull_back(vectors, frame, d: int):
 
     The products l1^i l2^j l3^k are dense arrays P[s, t] of the
     coefficients of x^s y^t z^(e-s-t), each one linear form times an
-    earlier one.  The pulled-back vectors span the kernel; their reverse-
-    column echelon, fraction-free and cleared above and below each pivot,
-    has one row per free column f (its last nonzero entry) proportional to
-    the RREF vector of f, which primitive scaling with a positive first
-    entry then fixes.
+    earlier one.  The pulled-back vectors span the kernel, and that basis
+    is their RREF with the columns reversed (one row per free column f,
+    whose last nonzero entry it is): ``_rref_over_q`` of the reversed
+    columns, each row reversed back, last pivot first, and ``_normalized``.
     """
     if frame is None or not vectors:
         return vectors
     (_, a, _), (_, b, _), (_, c, _) = frame
-    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    forms = ([det3(e, b, c) for e in unit], [det3(a, e, c) for e in unit],
-             [det3(a, b, e) for e in unit])
+    forms = np.cross(np.array([b, c, a], dtype=object), np.array([c, a, b], dtype=object))
     mons = monomial_basis(d)
     at = tuple(np.array(mons)[:, :2].T)
     products = {(0, 0, 0): np.ones((1, 1), dtype=object)}
@@ -343,26 +342,14 @@ def _pull_back(vectors, frame, d: int):
 
     S = np.array([product(mu)[at] for mu in mons
                   if all(e <= d - m for e, (_, _, m) in zip(mu, frame))], dtype=object)
-    rows = np.array(vectors, dtype=object).dot(S).tolist()
-    done = []
-    for col in reversed(range(len(mons))):
-        k = next((k for k, r in enumerate(rows) if r[col]), None)
-        if k is None:
-            continue
-        piv = rows.pop(k)
-        for r in rows + done:
-            if r[col]:
-                r[:] = [piv[col] * x - r[col] * y for x, y in zip(r, piv)]
-                g = math.gcd(*r)
-                r[:] = [x // g for x in r]
-        done.append(piv)
-    basis = []
-    for r in reversed(done):
-        g = math.gcd(*r)
-        if next(x for x in r if x) < 0:
-            g = -g
-        basis.append(tuple(x // g for x in r))
-    return basis
+    pivots, rows = _rref_over_q(np.array(vectors, dtype=object).dot(S)[:, ::-1])
+    return [_normalized(r[::-1]) for r in reversed(rows[:len(pivots)])]
+
+
+def _normalized(v) -> tuple:
+    """The kernel vector v divided by its gcd, first nonzero entry positive."""
+    g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
+    return tuple(x // g for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +422,7 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
             if r:
                 raise CertificationError(f"inexact back-substitution at column {pc}")
             v[pc] = q
-        g = math.gcd(*v) * (1 if next(x for x in v if x) > 0 else -1)
-        basis.append(tuple(x // g for x in v))
+        basis.append(_normalized(v))
     return basis
 
 
@@ -453,26 +439,19 @@ def _exact_nullspace(A, p: int):
     return rational_nullspace(A.tolist(), A.shape[1])
 
 
-def modp_rref(A: np.ndarray, p: Optional[int], rank_only: bool = False):
-    """Reduced row echelon form over F_p, or over Q when ``p`` is None;
-    returns (rank, pivot cols, rref).
+def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
+    """Reduced row echelon form over F_p; returns (rank, pivot cols, rref).
 
-    The one elimination for every exact field: int64 residues below 2^31
+    The one elimination for every prime field: int64 residues below 2^31
     (a product of two minus another stays within 2^62), Python ints above,
-    integer rows over Q (``_rref_over_q``), and never a float.  A nonzero
-    diagonal entry is the pivot without a search.  Each step clears whole
-    rows in place (the pivot row is zero left of its pivot), fraction-free:
-    row r becomes a r - r[col] x pivot row for the pivot a, in one scratch
-    buffer per call.  Pivot rows get their leading 1 at the end.
+    and never a float (over Q, ``_rref_over_q``).  A nonzero diagonal entry
+    is the pivot without a search.  Each step clears whole rows in place
+    (the pivot row is zero left of its pivot), fraction-free: row r becomes
+    a r - r[col] x pivot row for the pivot a, in one scratch buffer per
+    call.  Pivot rows get their leading 1 at the end.
     ``rank_only`` clears only below each pivot and scales none: the rank and
     pivots are the same, the returned matrix is a row echelon form.
     """
-    if p is None:
-        pivots, rows = _rref_over_q(A, rank_only)
-        R = np.zeros(A.shape, dtype=object)
-        for i, col in enumerate(pivots):
-            R[i] = [Fraction(x, rows[i][col]) for x in rows[i]]
-        return len(pivots), pivots, R
     if p >= 2**31 or A.dtype == object:  # ints >= 2^63 would overflow int64
         A = A.astype(object) % p
     if p < 2**31:
@@ -508,12 +487,14 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_over_q(A, rank_only):
-    """Pivots and rows of ``modp_rref`` over Q, fraction-free (as in Bareiss
-    1968, with a gcd for his exact division) on rows cleared of denominators:
-    a pivot a = row_r[col] clears row_i to the primitive part of a * row_i -
-    row_i[col] * row_r, a nonzero multiple of the row Fractions would give.
-    The RREF is unique: its rows are the pivot rows divided by their pivots."""
+def _rref_over_q(A):
+    """Pivots and integer rows of the RREF over Q of a matrix of ints or
+    Fractions, fraction-free (as in Bareiss 1968, with a gcd for his exact
+    division) on rows cleared of denominators: a pivot a = row_r[col] clears
+    every other row_i to the primitive part of a * row_i - row_i[col] *
+    row_r, a nonzero multiple of the row Fractions would give.  The RREF is
+    unique: its rows are the pivot rows divided by their pivots.  It gives
+    the kernels of ``modp_nullspace`` over Q and the basis of ``_pull_back``."""
     nr, nc = A.shape
     rows = []
     for row in A.tolist():
@@ -526,7 +507,7 @@ def _rref_over_q(A, rank_only):
             continue
         rows[rank], rows[r] = rows[r], rows[rank]
         a = rows[rank][col]
-        for i in range(rank + 1 if rank_only else 0, nr):
+        for i in range(nr):
             b = rows[i][col]
             if b and i != rank:
                 rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], rows[rank])])
@@ -542,7 +523,7 @@ def modp_nullspace(A: np.ndarray, p: Optional[int]):
     entry is Fraction(-row[f], row[pivot]) of the integer rows of
     ``_rref_over_q``, made only at the free columns."""
     if p is None:
-        pivots, rows = _rref_over_q(A, False)
+        pivots, rows = _rref_over_q(A)
     else:
         _, pivots, R = modp_rref(A, p)
         rows = R.tolist()
@@ -727,10 +708,10 @@ def _exact_report(scheme, d, want_kernel):
 
     A rank alone is one ``_rank_mod_p`` at the scheme's prime, or over Q.
     A kernel over F_p is ``modp_nullspace`` of the condition matrix; over Q
-    it is ``_exact_nullspace`` of the matrix ``_framed`` picks, and
-    ``_pull_back`` turns a framed kernel into the condition matrix's RREF
-    kernel basis, the one ``rational_nullspace`` would give.  Every kernel
-    form is checked at every point in the original coordinates.
+    it is ``_exact_nullspace`` of the one matrix ``_framed`` picks and
+    builds, and ``_pull_back`` turns a framed kernel into the condition
+    matrix's RREF kernel basis, the one ``rational_nullspace`` would give.
+    Every kernel form is checked at every point in the original coordinates.
     """
     p = None if scheme.field == QQ else scheme.field.p
     certification, primes = ("EXACT_RATIONAL", ()) if p is None else ("SINGLE_PRIME", (p,))

@@ -13,8 +13,8 @@ order at every point.  Orders are read from the recentered expansion at
 each point, vectorized so that q^N forms stay tractable; a random sample is
 always cross-checked against literal order_of_vanishing calls.
 
-The field-scalar RREF is the reference for ``modp_rref`` and
-``modp_nullspace``: plain lists of field scalars, eliminated with Python
+The field-scalar RREF is the reference for ``modp_rref``, ``_rref_over_q``
+and ``modp_nullspace``: plain lists of field scalars, eliminated with Python
 arithmetic and reduced by ``of``, so it shares no code with the numpy engine.
 
 The plane-scan oracle walks the points of ``enumerate_projective_plane``

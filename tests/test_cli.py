@@ -165,7 +165,7 @@ def test_repro_single_row(capsys):
 
 def test_repro_unknown_id(capsys):
     code, _, err = run(capsys, "repro", "--id", "ex-nonsense")
-    assert code == 1 and "unknown example id" in err
+    assert code == 1 and err.startswith("error: unknown example id")
 
 
 def test_repro_literature_dual_hesse_row_fails(capsys):

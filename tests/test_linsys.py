@@ -352,8 +352,9 @@ def _q_cases():
 
 
 def test_rref_over_q_is_exact_and_matches_the_field_oracle():
-    # p=None eliminates fraction-free on integer rows and returns Fractions:
-    # a float would mean that a true division of ints slipped in
+    # _rref_over_q eliminates fraction-free on integer rows: its rows are
+    # ints, and divided by their pivots they are the RREF; a float would
+    # mean that a true division of ints slipped in
     deficient = 0
     for nr, nc, zero, integer, fraction in _q_cases():
         for m, dtypes in ((zero, (np.int64, object)), (integer, (np.int64, object)),
@@ -362,12 +363,13 @@ def test_rref_over_q_is_exact_and_matches_the_field_oracle():
             kernel = nullspace_in_field(m, QQ, nc)
             for dtype in dtypes:
                 A = np.array(m, dtype=dtype).reshape(nr, nc)
-                rank, pivots, R = modp_rref(A, None)
-                assert (rank, pivots, R.tolist()) == want
-                assert modp_rref(A, None, rank_only=True)[:2] == (rank, pivots)
+                pivots, rows = linsys._rref_over_q(A)
+                R = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+                assert (len(pivots), pivots, R + rows[len(pivots):]) == want
+                assert all(type(x) is int for r in rows for x in r)
                 got = modp_nullspace(A, None)
                 assert got == kernel
-                entries = [x for r in R.tolist() for x in r] + [x for v in got for x in v]
+                entries = [x for v in got for x in v]
                 assert all(type(x) in (int, Fraction) for x in entries)
             deficient += 0 < want[0] < min(nr, nc)
     assert deficient >= 20
@@ -661,6 +663,85 @@ def test_framed_ranks_build_only_the_columns_they_eliminate(monkeypatch):
     monkeypatch.setattr(linsys, "modp_rref", counted_elimination)
     alpha_sequence(general(8, seed=2), 4)
     assert counts["eliminated"] > 0 and counts["built"] == counts["eliminated"]
+
+
+def _bareiss_cost(A):
+    return A.shape[0] * A.shape[1] * max(map(abs, A.flat), default=0).bit_length()
+
+
+def _built_frame_choice(imposed, d):
+    """Oracle: whether the exact frame is taken by the rule ``_framed`` had
+    before it read its choice off coordinates, which built the unframed and
+    the framed matrix and kept the one of lower rows x columns x largest
+    entry bit length."""
+    order = sorted(imposed, key=lambda u: -u[2])
+    for k in range(2, len(order)):
+        if det3(order[0][1], order[1][1], order[k][1]):
+            (_, a, _), (_, b, _), (_, c, _) = frame = (order[0], order[1], order[k])
+            moved = [(i, (det3(X, b, c), det3(a, X, c), det3(a, b, X)), m)
+                     for i, X, m in order[2:k] + order[k + 1:]]
+            R = linsys._derivative_rows(moved, d, None, tuple(d - m for _, _, m in frame))
+            return _bareiss_cost(R) < _bareiss_cost(linsys._derivative_rows(imposed, d, None))
+    return False
+
+
+def _random_rational_schemes(n):
+    """(scheme, d): n seeded schemes of up to 9 points, integer or fractional
+    coordinates (some at z = 0) of heights 5 to 10^4, m <= 6, m <= d <= 14."""
+    rng = random.Random(97)
+    for _ in range(n):
+        height = rng.choice((5, 30, 999, 10**4))
+        pts, r = [], rng.randint(1, 9)
+        while len(pts) < r:
+            if rng.random() < 0.5:
+                c = (rng.randint(-height, height), rng.randint(-height, height),
+                     rng.choice((0, 1, rng.randint(1, height))))
+            else:
+                c = (Fraction(rng.randint(-height, height), rng.randint(1, height)),
+                     Fraction(rng.randint(-height, height), rng.randint(1, height)), 1)
+            if any(c) and point(QQ, *c) not in pts:
+                pts.append(point(QQ, *c))
+        mults = [rng.randint(0, 6) for _ in pts]
+        mults[0] = mults[0] or 1
+        yield FatPointScheme(tuple(pts), tuple(mults)), rng.randint(max(mults), 14)
+
+
+def test_exact_frame_choice_is_read_off_coordinates_before_building(monkeypatch):
+    # each rational _framed call builds one matrix, and takes the frame
+    # exactly when the two-build oracle does: every such call of a repro
+    # pass, and random schemes
+    calls = []
+    framed = linsys._framed
+    monkeypatch.setattr(linsys, "_framed", lambda *args: calls.append(args) or framed(*args))
+    repro_all()
+    monkeypatch.undo()
+    cases = [(imposed, d) for imposed, d, p in calls if p is None]
+    assert len(cases) == 20
+    cases += [(linsys._imposed(scheme, d, None), d)
+              for scheme, d in _random_rational_schemes(300)]
+    builds = []
+    build = linsys._derivative_rows
+    monkeypatch.setattr(linsys, "_derivative_rows",
+                        lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(linsys, "bareiss_echelon", None)  # no elimination runs
+    taken = 0
+    for imposed, d in cases:
+        builds.clear()
+        covered, R, frame = linsys._framed(imposed, d, None)
+        assert len(builds) == 1
+        want = _built_frame_choice(imposed, d)
+        assert (frame is not None) == want, (imposed, d)
+        taken += want
+    assert min(taken, len(cases) - taken) > 30  # both sides are drawn
+    # sixteen general double, triple and quadruple points stay unframed: the
+    # adjugate would double the entry bits of a matrix that loses few rows
+    nagata = general(16, 0)
+    for k, d, shape in ((2, 8, (48, 45)), (3, 13, (96, 105)), (4, 17, (160, 171))):
+        imposed = linsys._imposed(FatPointScheme.uniform(nagata, k), d, None)
+        builds.clear()
+        covered, R, frame = linsys._framed(imposed, d, None)
+        assert (covered, frame, R.shape, len(builds)) == (0, None, shape, 1)
+        assert not _built_frame_choice(imposed, d)
 
 
 def test_table_caches_are_read_only_and_hold_a_repro_pass():
