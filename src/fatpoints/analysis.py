@@ -100,6 +100,11 @@ def _certified_alphas(points, k_max):
     return rep.alphas, certified
 
 
+def _exact_label(field) -> str:
+    """The label ``system_dim`` gives an exact report over ``field``."""
+    return "EXACT_RATIONAL" if field == QQ else "SINGLE_PRIME"
+
+
 def _collinear(points):
     line = are_collinear(points)
     return line is not None, {"line": repr(line) if line else None}
@@ -162,15 +167,15 @@ class Implication:
         if holds:
             return TheoremVerdict(self.theorem, True, True, CONSISTENT, cert,
                                   witness, context)
-        if cert != "EXACT_RATIONAL":
+        label = _exact_label(points[0].field)
+        if cert != label:
             exact, certified = _certified_alphas(points, k)
             context["alphas_certified"] = list(exact)
             if not self.hypothesis(exact, k):
                 context["escalated"] = "hypothesis failed certified recheck"
-                return TheoremVerdict(self.theorem, False, None, VACUOUS,
-                                      "EXACT_RATIONAL", {}, context)
+                return TheoremVerdict(self.theorem, False, None, VACUOUS, label, {}, context)
             if certified:
-                cert = "EXACT_RATIONAL"
+                cert = label
         status = INCONSISTENT
         if self.exception is not None:
             status, witness = self.exception(points, k, witness)
@@ -328,7 +333,7 @@ def conjecture_search(
             exact, certified = _certified_alphas(pts, k)
             tail_exact = tuple(b - a for a, b in zip(exact, exact[1:]))[k - 5:]
             hit["alphas"] = list(exact)
-            hit["certification"] = "EXACT_RATIONAL" if certified else "MIXED"
+            hit["certification"] = _exact_label(field) if certified else "MIXED"
             if not all(x == difference for x in tail_exact):
                 continue
             bad.append(hit)

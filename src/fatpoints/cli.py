@@ -283,6 +283,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    if args.all and args.id:
+        raise UsageError("pass either --id or --all, not both")
     registry = load_registry()
     if args.all:
         reports = repro_all(registry)

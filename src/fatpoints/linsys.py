@@ -14,6 +14,8 @@ over a scheme's own F_p or over Q; it and exact kernels may move three points
 to the coordinate vertices first (``_framed``), leaving only the other points'
 rows on the monomials the vertices do not fix, over Q only when the
 coordinates show, before any build, that this matrix is cheaper for Bareiss.
+``_entry`` alone answers every rank question (a dimension report, its
+kernel or an alpha-search emptiness probe) and reads and writes a cache.
 """
 
 from __future__ import annotations
@@ -731,34 +733,31 @@ def _exact_report(scheme, d, want_kernel):
                    primes, kernel, "kernel")
 
 
-def _modular_report(scheme, d, strategy, first=None):
-    """The report of a modular strategy; ``first`` is the (rank, nrows)
-    already found modulo the strategy's first prime, if any."""
-    primes = strategy_primes(strategy)
-    rank, nrows = first or _rank_mod_p(scheme, d, primes[0])
-    for p in primes[1:]:
-        if _rank_mod_p(scheme, d, p)[0] != rank:
-            # primes disagree: escalate to the exact computation
-            return _exact_report(scheme, d, want_kernel=False)
-    return _report(scheme, d, rank, nrows, strategy.label(), primes)
-
-
-def _probe_entry(scheme, d, strategy, cache=None):
-    """The alpha-search probe of degree d under a modular ``strategy``: the
-    first prime's own report when it has full column rank, the whole
-    emptiness certificate, and otherwise the strategy's report from that
-    elimination.  With a cache it is read or written as a ``PROBE`` entry."""
-    entry = None if cache is None else cache.get_report(scheme, d, strategy, PROBE)
-    if entry is None:
-        p = strategy_primes(strategy)[0]
-        rank, nrows = _rank_mod_p(scheme, d, p)
-        if rank == comb(d + 2, 2):
-            entry = _report(scheme, d, rank, nrows, "SINGLE_PRIME", (p,))
+def _entry(scheme, d, strategy, kind, cache=None):
+    """The report of degree d that ``kind`` asks for, through ``cache`` if
+    given: False or True for a ``system_dim`` report without or with its
+    kernel, ``PROBE`` for an alpha-search probe.  A prime-field scheme,
+    ``ExactRational`` and a kernel are exact; otherwise the first prime
+    runs, a ``PROBE`` at full column rank is its own report (the whole
+    emptiness certificate), and the remaining primes complete the
+    strategy's report, escalated to the exact rank on a split."""
+    report = None if cache is None else cache.get_report(scheme, d, strategy, kind)
+    if report is None:
+        want_kernel = kind is not PROBE and kind
+        if scheme.field != QQ or isinstance(strategy, ExactRational) or want_kernel:
+            report = _exact_report(scheme, d, want_kernel)
         else:
-            entry = _modular_report(scheme, d, strategy, (rank, nrows))
+            primes = strategy_primes(strategy)
+            rank, nrows = _rank_mod_p(scheme, d, primes[0])
+            if kind is PROBE and rank == comb(d + 2, 2):
+                report = _report(scheme, d, rank, nrows, "SINGLE_PRIME", primes[:1])
+            elif any(_rank_mod_p(scheme, d, p)[0] != rank for p in primes[1:]):
+                report = _exact_report(scheme, d, False)  # primes disagree
+            else:
+                report = _report(scheme, d, rank, nrows, strategy.label(), primes)
         if cache is not None:
-            cache.put_report(scheme, d, strategy, PROBE, entry)
-    return entry
+            cache.put_report(scheme, d, strategy, kind, report)
+    return report
 
 
 def system_dim(
@@ -774,17 +773,7 @@ def system_dim(
     computed per the requested strategy.  Schemes over a prime field are
     always eliminated exactly over that field.
     """
-    if cache is not None:
-        hit = cache.get_report(scheme, d, strategy, want_kernel)
-        if hit is not None:
-            return hit
-    if scheme.field != QQ or isinstance(strategy, ExactRational) or want_kernel:
-        report = _exact_report(scheme, d, want_kernel)
-    else:
-        report = _modular_report(scheme, d, strategy)
-    if cache is not None:
-        cache.put_report(scheme, d, strategy, want_kernel, report)
-    return report
+    return _entry(scheme, d, strategy, want_kernel, cache)
 
 
 def kernel_basis(scheme: FatPointScheme, d: int, strategy=ExactRational()):
@@ -847,16 +836,14 @@ def alpha_search(
     and the report at alpha.  hi, the first degree with a positive
     dimension count, needs no matrix and no cache lookup; the search probes
     min(``upper``, hi - 1) and then bisects, each degree at most once; the
-    hint ``upper`` certifies nothing.  A rational scheme under a modular
-    strategy is probed by ``_probe_entry``, with or without a cache: only
-    full column rank modulo the first prime counts as empty, and where
-    that prime finds a kernel the remaining primes complete from its
-    elimination the report ``system_dim`` would give.  With a cache each
-    probe is one ``PROBE`` entry, so a warm search reads one entry per
-    probe and ``reports`` is the same with and without a cache.  Every
-    other probe is a ``system_dim`` report.  A report that finds its
-    degree empty after all (an escalated prime split, or a certified
-    search's exact recheck) moves the search on to the next degree.
+    hint ``upper`` certifies nothing.  Each probe is one ``_entry`` call
+    and, with a cache, one entry, so a warm search reads one entry per
+    probe and ``reports`` is the same with and without a cache.  A rational
+    scheme under a modular strategy asks the ``PROBE`` question: only full
+    column rank modulo the first prime counts as empty.  Every other probe
+    is the ``system_dim`` report.  A report that finds its degree empty
+    after all (an escalated prime split, or a certified search's exact
+    recheck) moves the search on to the next degree.
 
     ``reports`` holds one ``(d, entry)`` pair per probe, in order, then the
     report at the value unless its probe was the last entry, and the exact
@@ -880,23 +867,18 @@ def alpha_search(
         if comb(hi + 2, 2) > conditions:
             break
         hi += 1
-    first_prime = None
-    if rational and isinstance(strategy, (SinglePrime, MultiPrime)):
-        first_prime = strategy_primes(strategy)[0]
+    kind = PROBE if rational and isinstance(strategy, (SinglePrime, MultiPrime)) else False
     probes = {}
     trail = []
 
     def probe(d):
         """Whether degree d is proved empty, keeping the report that
         decided it."""
-        if first_prime is None:
-            got = entry = system_dim(scheme, d, strategy=strategy, cache=cache)
-            empty = got.actual_dim == 0
-        else:
-            got = _probe_entry(scheme, d, strategy, cache)
-            empty = got.primes == (first_prime,) and got.actual_dim == 0
+        entry = probes[d] = _entry(scheme, d, strategy, kind, cache)
+        empty = entry.actual_dim == 0
+        if kind is PROBE:  # empty only at the first prime's full rank
+            empty = empty and entry.primes == strategy_primes(strategy)[:1]
             entry = "full_rank_mod_p" if empty else "deficient_mod_p"
-        probes[d] = got
         trail.append((d, entry))
         return empty
 

@@ -2,13 +2,14 @@
 
 import pytest
 
-from fatpoints.algebra import order_of_vanishing
+from fatpoints.algebra import QQ, order_of_vanishing, prime_field
 from fatpoints import analysis, configs, linsys
 from fatpoints.analysis import (
     CONSISTENT,
     EXCEPTION,
     IMPLICATIONS,
     INCONSISTENT,
+    Implication,
     UNDECIDED,
     VACUOUS,
     check_double_unit_step_collinear,
@@ -21,6 +22,7 @@ from fatpoints.analysis import (
 )
 from fatpoints.configs import (
     collinear,
+    dual_hesse,
     general,
     on_conic,
     rational_nodal_nodes,
@@ -187,6 +189,26 @@ def test_implication_table_drives_the_checkers():
         IMPLICATIONS["uniform-step-two"].check(pts, 3)
 
 
+def _violated(hypothesis):
+    """A row whose conclusion never holds."""
+    return Implication("fake", "fake", "k", 2, hypothesis, lambda points: (False, {}))
+
+
+def test_a_violation_carries_its_fields_exact_label():
+    # over F_p the computed alphas are exact already: SINGLE_PRIME, no recheck
+    v = _violated(lambda a, k: True).check(dual_hesse(31), 2)
+    assert (v.status, v.certification) == (INCONSISTENT, "SINGLE_PRIME")
+    assert "alphas_certified" not in v.context
+    # precomputed alphas that the recheck refutes are vacuous, still over F_p
+    v = _violated(lambda a, k: a[0] == 1).check(dual_hesse(31), 2, alphas=(1, 2))
+    assert (v.status, v.certification) == (VACUOUS, "SINGLE_PRIME")
+    assert v.context["escalated"] == "hypothesis failed certified recheck"
+    # over Q the modular alphas are rechecked and certified exactly
+    v = _violated(lambda a, k: True).check(on_conic(6), 2)
+    assert (v.status, v.certification) == (INCONSISTENT, "EXACT_RATIONAL")
+    assert v.context["alphas_certified"] == v.context["alphas"]
+
+
 def test_verdict_json_shape():
     d = check_minimal_gap_collinear(collinear(4), k=3).to_json_dict()
     assert d["kind"] == "theorem_verdict"
@@ -230,15 +252,17 @@ def test_search_reproducible():
 
 
 def test_search_reports_certified_counterexamples(monkeypatch):
-    # with the conclusion forced false, every hit is rechecked exactly
+    # with the conclusion forced false, every hit is rechecked exactly, and
+    # over F_p exact is that field's own SINGLE_PRIME
     monkeypatch.setattr(analysis, "common_conic", lambda points: None)
-    rep = conjecture_search(trials=3, r_range=(4, 4), seed=0)
-    assert [h["trial"] for h in rep.hypothesis_true] == [0, 1, 2]
-    assert rep.inconsistent == rep.hypothesis_true
-    for hit in rep.inconsistent:
-        assert hit["conic"] is False
-        assert hit["certification"] == "EXACT_RATIONAL"
-        assert hit["alphas"] == [2, 4, 6, 8, 10]
+    for field, label in ((QQ, "EXACT_RATIONAL"), (prime_field(31), "SINGLE_PRIME")):
+        rep = conjecture_search(trials=3, r_range=(4, 4), seed=0, field=field)
+        assert [h["trial"] for h in rep.hypothesis_true] == [0, 1, 2]
+        assert rep.inconsistent == rep.hypothesis_true
+        for hit in rep.inconsistent:
+            assert hit["conic"] is False
+            assert hit["certification"] == label
+            assert hit["alphas"] == [2, 4, 6, 8, 10]
     # a certified tail that breaks the pattern drops the hit
     monkeypatch.setattr(analysis, "_certified_alphas",
                         lambda points, k: ((2, 4, 6, 8, 11), True))

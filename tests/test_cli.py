@@ -168,6 +168,12 @@ def test_repro_unknown_id(capsys):
     assert code == 1 and err.startswith("error: unknown example id")
 
 
+def test_repro_refuses_id_with_all(capsys):
+    code, out, err = run(capsys, "repro", "--id", "ex-type9", "--all")
+    assert code == 1 and out == ""
+    assert err.startswith("error: pass either --id or --all, not both")
+
+
 def test_repro_literature_dual_hesse_row_fails(capsys):
     code, out, _ = run(capsys, "repro", "--id", "ex-dualhesse-p31")
     assert code == 1

@@ -31,7 +31,7 @@ from fatpoints.algebra import (
     prime_field,
 )
 from fatpoints.cache import CacheCorruptionError, ResultCache, _strategy_tag, cache_key
-from fatpoints.configs import collinear, general, on_conic, type9
+from fatpoints.configs import collinear, dual_hesse, general, on_conic, type9
 from fatpoints.linsys import (
     PROBE,
     AlphaReport,
@@ -1148,7 +1148,7 @@ def test_bracket_works_only_from_alpha_minus_one(monkeypatch, tmp_path, r):
 
 
 SEARCH_CONFIGS = {"on_conic6": on_conic(6), "collinear6": collinear(6),
-                  "general5": general(5, seed=0)}
+                  "general5": general(5, seed=0), "dual_hesse31": dual_hesse(31)}
 
 
 def _cached_searches(scheme, strategy, root):
