@@ -19,9 +19,7 @@ def main():
 
     t9 = type9()
     t9_lines = tuple(L for L, inc in spanned_lines(t9) if len(inc) == 3)
-    (out / "type9.svg").write_text(
-        render_svg(t9, t9_lines, labels=list("ABCDEF"))
-    )
+    (out / "type9.svg").write_text(render_svg(t9, t9_lines))
 
     (out / "conic6.svg").write_text(render_svg(on_conic(6)))
     (out / "minusone5.svg").write_text(render_svg(star_minus_one(5, seed=1)))

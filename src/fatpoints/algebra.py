@@ -78,6 +78,7 @@ def random_prime_31(rng) -> int:
 _BIG = 10**600
 
 
+@dataclass(frozen=True, repr=False)
 class RationalField:
     """The rationals; scalars are ``Fraction`` (always in lowest terms)."""
 
@@ -112,12 +113,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("fatpoints.QQ")
 
 
 QQ = RationalField()

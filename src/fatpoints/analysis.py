@@ -49,6 +49,7 @@ from .linsys import (
     DEFAULT_SEARCH_STRATEGY,
     FatPointScheme,
     alpha_sequence,
+    exact_label,
     parse_strategy,
     system_dim,
 )
@@ -98,11 +99,6 @@ def _certified_alphas(points, k_max):
         e["existence_certified"] in CERTIFIED_EXISTENCE for e in rep.entries
     )
     return rep.alphas, certified
-
-
-def _exact_label(field) -> str:
-    """The label ``system_dim`` gives an exact report over ``field``."""
-    return "EXACT_RATIONAL" if field == QQ else "SINGLE_PRIME"
 
 
 def _collinear(points):
@@ -167,7 +163,7 @@ class Implication:
         if holds:
             return TheoremVerdict(self.theorem, True, True, CONSISTENT, cert,
                                   witness, context)
-        label = _exact_label(points[0].field)
+        label = exact_label(points[0].field)
         if cert != label:
             exact, certified = _certified_alphas(points, k)
             context["alphas_certified"] = list(exact)
@@ -333,7 +329,7 @@ def conjecture_search(
             exact, certified = _certified_alphas(pts, k)
             tail_exact = tuple(b - a for a, b in zip(exact, exact[1:]))[k - 5:]
             hit["alphas"] = list(exact)
-            hit["certification"] = _exact_label(field) if certified else "MIXED"
+            hit["certification"] = exact_label(field) if certified else "MIXED"
             if not all(x == difference for x in tail_exact):
                 continue
             bad.append(hit)
@@ -361,14 +357,9 @@ class ReproCell:
     certification: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "provenance": self.provenance,
-            "pass": self.passed,
-            "certification": self.certification,
-        }
+        d = dict(vars(self))  # the dataclass fields
+        d["pass"] = d.pop("passed")
+        return d
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from .analysis import (
     repro_all,
 )
 from .cache import ResultCache
-from .configs import FAMILIES, ConfigSpec, generate, star
-from .geometry import detect_line_arrangement, is_star_configuration, spanned_lines
+from .configs import FAMILIES, ConfigSpec, generate
+from .geometry import detect_line_arrangement, is_star_configuration, is_type9, spanned_lines
 from .linsys import (
     CERTIFIED_EXISTENCE,
     DEFAULT_SEARCH_STRATEGY,
@@ -325,21 +325,12 @@ def cmd_search(args) -> int:
 
 def cmd_plot(args) -> int:
     pts = resolve_points(args)
-    lines = ()
-    if args.family == "star" and args.p:
-        lines = star(args.p, args.seed)[1]
-    elif args.family == "type9":
-        lines = tuple(
-            L for L, inc in spanned_lines(pts) if len(inc) == 3
-        )
-    else:
-        got = is_star_configuration(pts) if len(pts) >= 3 else None
-        if got:
-            lines = got[1]
-        else:
-            witness = detect_line_arrangement(pts) if len(pts) >= 2 else None
-            if witness:
-                lines = witness.lines
+    # the lines the points are made of, whatever produced the points
+    got = is_star_configuration(pts) if len(pts) >= 3 else None
+    witness = None if got or len(pts) < 2 else detect_line_arrangement(pts)
+    lines = got[1] if got else witness.lines if witness else ()
+    if not lines and is_type9(pts):
+        lines = tuple(L for L, inc in spanned_lines(pts) if len(inc) == 3)
     svg = render_svg(pts, lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -580,6 +580,12 @@ class MultiPrime:
 DEFAULT_SEARCH_STRATEGY = MultiPrime(2)
 
 
+def exact_label(field) -> str:
+    """The certification of an exact answer over ``field``: over a prime
+    field its own single prime is exact."""
+    return "EXACT_RATIONAL" if field == QQ else "SINGLE_PRIME"
+
+
 def parse_strategy(s: str):
     s = s.strip().lower()
     if s == "exact":
@@ -716,7 +722,7 @@ def _exact_report(scheme, d, want_kernel):
     Every kernel form is checked at every point in the original coordinates.
     """
     p = None if scheme.field == QQ else scheme.field.p
-    certification, primes = ("EXACT_RATIONAL", ()) if p is None else ("SINGLE_PRIME", (p,))
+    certification, primes = exact_label(scheme.field), (() if p is None else (p,))
     if not want_kernel:
         rank, nrows = _rank_mod_p(scheme, d, p)
         return _report(scheme, d, rank, nrows, certification, primes, witness="rank")
@@ -912,7 +918,7 @@ def alpha_search(
                           tuple(trail))
     _check_system(scheme, hi, p)  # raises where a climb would have stopped
     # the label system_dim gives when no prime split escalates
-    label = strategy.label() if rational else "SINGLE_PRIME"
+    label = strategy.label() if rational else exact_label(scheme.field)
     trail.append((hi, "expected_dim"))
     return AlphaValue(hi, "expected_dim", label, tuple(trail))
 

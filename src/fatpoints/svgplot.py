@@ -47,12 +47,10 @@ def _clip_line(a, b, c, lo_x, hi_x, lo_y, hi_y):
     return uniq[0], uniq[-1]
 
 
-def render_svg(points=(), lines=(), labels=None) -> str:
+def render_svg(points=(), lines=()) -> str:
     """An SVG document for the configuration; empty input gives an empty canvas."""
     points = tuple(points)
     lines = tuple(lines)
-    if labels is None:
-        labels = [f"P{i + 1}" for i in range(len(points))]
     affine = [_affine(P) for P in points]
     finite = [aff for aff in affine if aff is not None]
     infinite = [i for i, aff in enumerate(affine) if aff is None]
@@ -104,7 +102,7 @@ def render_svg(points=(), lines=(), labels=None) -> str:
         )
         parts.append(
             f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 8)}" '
-            f'font-family="monospace" font-size="14">{labels[idx]}</text>'
+            f'font-family="monospace" font-size="14">P{idx + 1}</text>'
         )
     # points at infinity sit on a dashed band along the top edge
     for j, idx in enumerate(infinite):
@@ -116,7 +114,7 @@ def render_svg(points=(), lines=(), labels=None) -> str:
         )
         parts.append(
             f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 8)}" '
-            f'font-family="monospace" font-size="14">{labels[idx]} (inf)</text>'
+            f'font-family="monospace" font-size="14">P{idx + 1} (inf)</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -14,6 +14,7 @@ from fatpoints.algebra import (
     QQ,
     FieldMismatchError,
     HomoPoly,
+    RationalField,
     det3,
     evaluate,
     field_from_string,
@@ -111,6 +112,13 @@ def test_field_tags():
     assert field_to_string(QQ) == "rational"
     assert field_from_string("prime:31") == prime_field(31)
     assert field_from_string("rational") == QQ
+
+
+def test_rational_fields_are_equal_and_no_prime_field_is_rational():
+    assert QQ == RationalField() and hash(QQ) == hash(RationalField())
+    assert QQ != prime_field(7) and prime_field(7) != QQ
+    assert {QQ: "rational"}[RationalField()] == "rational"
+    assert repr(QQ) == "QQ"
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,21 @@ def test_plot_points_detects_lines(tmp_path, capsys):
         assert out.count("<line") == nlines
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "star", "--p", "4", "--seed", "1"),
+    ("--family", "star", "--p", "4", "--seed", "1", "--field", "prime:101"),
+    ("--family", "type9"),
+], ids=["star", "star-F101", "type9"])
+def test_plot_draws_the_same_picture_from_the_points_file(tmp_path, capsys, argv):
+    # the drawn lines come from the points, not from the family that made them
+    pts = tmp_path / "pts.json"
+    run(capsys, "generate", *argv, "--out", str(pts))
+    code, from_family, _ = run(capsys, "plot", *argv)
+    assert code == 0
+    code, from_file, _ = run(capsys, "plot", "--points", str(pts))
+    assert code == 0 and from_file == from_family
+
+
 def test_render_svg_empty_canvas():
     svg = render_svg(())
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")

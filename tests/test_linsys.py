@@ -46,6 +46,7 @@ from fatpoints.linsys import (
     bareiss_echelon,
     build_condition_matrix,
     condition_matrix_mod_p,
+    exact_label,
     expected_dim,
     kernel_basis,
     modp_nullspace,
@@ -1496,6 +1497,9 @@ def test_report_certification_labels():
     F = prime_field(31)
     pts = conic_points(4, F)
     assert system_dim(FatPointScheme.uniform(pts, 1), 2).certification == "SINGLE_PRIME"
+    # one rule labels an exact answer over each field
+    for sch, d in ((scheme, 3), (FatPointScheme.uniform(pts, 1), 2)):
+        assert exact_label(sch.field) == system_dim(sch, d, strategy=ExactRational()).certification
 
 
 def test_report_json_round_trip_fields():
