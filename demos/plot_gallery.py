@@ -3,7 +3,6 @@
 from pathlib import Path
 
 from fatpoints.configs import on_conic, star, star_minus_one, type9
-from fatpoints.geometry import spanned_lines
 from fatpoints.svgplot import render_svg
 
 
@@ -11,15 +10,9 @@ def main():
     out = Path("gallery")
     out.mkdir(exist_ok=True)
 
-    pts, lines = star(4, seed=1)
-    (out / "star4.svg").write_text(render_svg(pts, lines))
-
-    pts, lines = star(5, seed=1)
-    (out / "star5.svg").write_text(render_svg(pts, lines))
-
-    t9 = type9()
-    t9_lines = tuple(L for L, inc in spanned_lines(t9) if len(inc) == 3)
-    (out / "type9.svg").write_text(render_svg(t9, t9_lines))
+    (out / "star4.svg").write_text(render_svg(star(4, seed=1)[0]))
+    (out / "star5.svg").write_text(render_svg(star(5, seed=1)[0]))
+    (out / "type9.svg").write_text(render_svg(type9()))
 
     (out / "conic6.svg").write_text(render_svg(on_conic(6)))
     (out / "minusone5.svg").write_text(render_svg(star_minus_one(5, seed=1)))

@@ -82,6 +82,7 @@ _BIG = 10**600
 class RationalField:
     """The rationals; scalars are ``Fraction`` (always in lowest terms)."""
 
+    p = None  # no modulus; a class attribute, not a dataclass field
     zero = Fraction(0)
     one = Fraction(1)
 

@@ -88,7 +88,8 @@ def _alphas_for(points, k_max, strategy, alphas):
 
 
 def _certified_alphas(points, k_max):
-    """Alpha values where both sides carry exact-grade certificates.
+    """Alpha values searched for exact-grade certificates, and the field's
+    exact label if both sides of every value carry one, else None.
 
     Degrees below each value are certified empty by full modular column
     rank (an exact statement); each value itself is certified nonzero by a
@@ -98,7 +99,7 @@ def _certified_alphas(points, k_max):
     certified = all(
         e["existence_certified"] in CERTIFIED_EXISTENCE for e in rep.entries
     )
-    return rep.alphas, certified
+    return rep.alphas, exact_label(points[0].field) if certified else None
 
 
 def _collinear(points):
@@ -170,8 +171,7 @@ class Implication:
             if not self.hypothesis(exact, k):
                 context["escalated"] = "hypothesis failed certified recheck"
                 return TheoremVerdict(self.theorem, False, None, VACUOUS, label, {}, context)
-            if certified:
-                cert = label
+            cert = certified or cert
         status = INCONSISTENT
         if self.exception is not None:
             status, witness = self.exception(points, k, witness)
@@ -329,7 +329,7 @@ def conjecture_search(
             exact, certified = _certified_alphas(pts, k)
             tail_exact = tuple(b - a for a, b in zip(exact, exact[1:]))[k - 5:]
             hit["alphas"] = list(exact)
-            hit["certification"] = exact_label(field) if certified else "MIXED"
+            hit["certification"] = certified or "MIXED"
             if not all(x == difference for x in tail_exact):
                 continue
             bad.append(hit)
@@ -393,8 +393,6 @@ def _predicate_value(name: str, points, spec: ConfigSpec, nodal: Callable):
         return is_type9(points)
     if name == "no_common_conic":
         return common_conic(points) is None
-    if name == "has_common_conic":
-        return common_conic(points) is not None
     if name == "collinear":
         return are_collinear(points) is not None
     if name == "is_star":

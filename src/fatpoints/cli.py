@@ -24,7 +24,6 @@ from .analysis import (
 )
 from .cache import ResultCache
 from .configs import FAMILIES, ConfigSpec, generate
-from .geometry import detect_line_arrangement, is_star_configuration, is_type9, spanned_lines
 from .linsys import (
     CERTIFIED_EXISTENCE,
     DEFAULT_SEARCH_STRATEGY,
@@ -61,7 +60,7 @@ _OPTIONS = {
     "--d": {"type": int},
     "--mults": {"help": "comma-separated multiplicities, or one value for all"},
     "--kmax": {"type": int},
-    "--seed": {"type": int},  # 0 when not given; see main
+    "--seed": {"type": int},  # absent: each family's default; search and alphaseq use 0
     "--strategy": {"help": "exact | prime | multiprime:K"},
     "--cache": {"help": "cache directory (or FATPOINTS_CACHE)"},
     "--verify-cache": {"action": "store_true"},
@@ -223,7 +222,7 @@ def cmd_alphaseq(args) -> int:
     if not args.kmax or args.kmax < 1:
         raise UsageError("--kmax >= 1 is required")
     pts = resolve_points(args)
-    rep = alpha_sequence(pts, args.kmax, **search_options(args), seed=args.seed,
+    rep = alpha_sequence(pts, args.kmax, **search_options(args), seed=args.seed or 0,
                          cache=resolve_cache(args))
     payload = rep.to_json_dict()
     payload["csv"] = rep.to_csv()
@@ -233,11 +232,7 @@ def cmd_alphaseq(args) -> int:
         if e["existence_certified"] not in CERTIFIED_EXISTENCE
     ]
     payload["warnings"] = warnings
-    pretty = "k  alpha  diff\n" + "\n".join(
-        f"{i + 1}  {a}  {'' if i == 0 else rep.diffs[i - 1]}"
-        for i, a in enumerate(rep.alphas)
-    )
-    emit(args, payload, pretty)
+    emit(args, payload, payload["csv"].replace(",", "  ").rstrip("\n"))
     return 2 if warnings else 0
 
 
@@ -304,13 +299,11 @@ def cmd_repro(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
     rep = conjecture_search(
         trials=args.trials,
         r_range=(args.r_min, args.r_max),
         k=5 if args.kmax is None else args.kmax,
-        seed=args.seed,
+        seed=args.seed or 0,
         difference=args.conjecture,
         field=field_from_string(args.field or "rational"),
     )
@@ -324,14 +317,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    pts = resolve_points(args)
-    # the lines the points are made of, whatever produced the points
-    got = is_star_configuration(pts) if len(pts) >= 3 else None
-    witness = None if got or len(pts) < 2 else detect_line_arrangement(pts)
-    lines = got[1] if got else witness.lines if witness else ()
-    if not lines and is_type9(pts):
-        lines = tuple(L for L, inc in spanned_lines(pts) if len(inc) == 3)
-    svg = render_svg(pts, lines)
+    svg = render_svg(resolve_points(args))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -361,7 +347,6 @@ def main(argv=None) -> int:
              and not (f == "--d" and args.command in ("dim", "kernel"))]
     if getattr(args, "points", None) and not args.family and given:
         args.command_parser.error(f"--points takes no family parameters: {' '.join(given)}")
-    args.seed = 0 if getattr(args, "seed", None) is None else args.seed
     try:
         return COMMANDS[args.command](args)
     except (UsageError, ValueError, KeyError, OSError, AlgebraError,

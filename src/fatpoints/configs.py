@@ -169,8 +169,6 @@ def star(p: int, seed: int):
 
 def star_minus_one(d: int, seed: int):
     """The star of d lines with the intersection of the first two removed."""
-    if d < 3:
-        raise ValueError("need at least three lines")
     pts, lines = star(d, seed)
     removed = lines[0].intersect(lines[1])
     return tuple(P for P in pts if P != removed)

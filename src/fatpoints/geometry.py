@@ -10,6 +10,7 @@ fallback used when the pool is too large to search exhaustively.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,10 +89,17 @@ class ArrangementWitness:
 # ---------------------------------------------------------------------------
 # basic predicates
 
-def _kernel(fld, rows):
-    """The kernel over ``fld`` of rows of integer representatives, which
-    only rescale the points' rows and so leave the RREF alone."""
-    return modp_nullspace(np.array(rows, dtype=object), None if fld == QQ else fld.p)
+def _kernel(points, d):
+    """The points' field and the kernel over it of their degree-d monomial
+    rows at integer representatives, which only rescale the rows and so
+    leave the RREF alone."""
+    points = tuple(points)
+    if not points:
+        raise ValueError("need at least one point")
+    fld = points[0].field
+    rows = [[x**a * y**b * z**c for a, b, c in monomial_basis(d)]
+            for x, y, z in (P.integer_coords() for P in points)]
+    return fld, modp_nullspace(np.array(rows, dtype=object), fld.p)
 
 
 def are_collinear(points) -> Optional[Line]:
@@ -100,22 +108,13 @@ def are_collinear(points) -> Optional[Line]:
     A single point vacuously lies on a line; a deterministic one through it
     is returned so that checker pipelines stay total.
     """
-    points = tuple(points)
-    if not points:
-        raise ValueError("need at least one point")
-    fld = points[0].field
-    basis = _kernel(fld, [P.integer_coords() for P in points])
+    fld, basis = _kernel(points, 1)
     return Line.from_coeffs(fld, basis[0]) if basis else None
 
 
 def common_conic(points) -> Optional[HomoPoly]:
     """A conic (possibly degenerate) through all the points, if one exists."""
-    points = tuple(points)
-    if not points:
-        raise ValueError("need at least one point")
-    fld = points[0].field
-    basis = _kernel(fld, [[x**a * y**b * z**c for a, b, c in monomial_basis(2)]
-                          for x, y, z in (P.integer_coords() for P in points)])
+    fld, basis = _kernel(points, 2)
     if not basis:
         return None
     inv = fld.inv(next(c for c in basis[0] if c))
@@ -131,7 +130,7 @@ def spanned_lines(points):
     integer representatives (residues over F_p), one ``Line`` per line."""
     points = tuple(points)
     fld = points[0].field if points else QQ
-    p = None if fld == QQ else fld.p
+    p = fld.p
     for P in points:
         check_same_field(fld, P.field)
     vs = [P.integer_coords() for P in points]
@@ -211,9 +210,7 @@ def is_star_configuration(points) -> Optional[tuple]:
     r = len(points)
     if r < 3:
         raise ValueError("need at least three points")
-    p = 3
-    while p * (p - 1) // 2 < r:
-        p += 1
+    p = (1 + math.isqrt(8 * r + 1)) // 2  # the largest p with C(p, 2) <= r
     if p * (p - 1) // 2 != r:
         return None
     rich = [(L, inc) for L, inc in spanned_lines(points) if len(inc) == p - 1]

@@ -231,7 +231,7 @@ def build_condition_matrix(scheme: FatPointScheme, d: int) -> np.ndarray:
     ``_derivative_rows``: Python ints (object dtype) at primitive integer
     representatives over Q, which only rescales each row; int64 residues
     over F_p."""
-    p = None if scheme.field == QQ else scheme.field.p
+    p = scheme.field.p
     return _derivative_rows(_imposed(scheme, d, p), d, p)
 
 
@@ -721,7 +721,7 @@ def _exact_report(scheme, d, want_kernel):
     matrix's RREF kernel basis, the one ``rational_nullspace`` would give.
     Every kernel form is checked at every point in the original coordinates.
     """
-    p = None if scheme.field == QQ else scheme.field.p
+    p = scheme.field.p
     certification, primes = exact_label(scheme.field), (() if p is None else (p,))
     if not want_kernel:
         rank, nrows = _rank_mod_p(scheme, d, p)
@@ -861,8 +861,7 @@ def alpha_search(
     if scheme.max_multiplicity == 0:
         raise ValueError("alpha needs at least one positive multiplicity")
     lo = max(scheme.max_multiplicity, 1, start or 0)
-    rational = scheme.field == QQ
-    p = None if rational else scheme.field.p
+    p = scheme.field.p
     conditions = sum(comb(m + 1, 2) for m in scheme.multiplicities)
     hi = lo  # the first degree with a positive count or refused
     while True:
@@ -873,7 +872,7 @@ def alpha_search(
         if comb(hi + 2, 2) > conditions:
             break
         hi += 1
-    kind = PROBE if rational and isinstance(strategy, (SinglePrime, MultiPrime)) else False
+    kind = PROBE if p is None and isinstance(strategy, (SinglePrime, MultiPrime)) else False
     probes = {}
     trail = []
 
@@ -918,7 +917,7 @@ def alpha_search(
                           tuple(trail))
     _check_system(scheme, hi, p)  # raises where a climb would have stopped
     # the label system_dim gives when no prime split escalates
-    label = strategy.label() if rational else exact_label(scheme.field)
+    label = strategy.label() if p is None else exact_label(scheme.field)
     trail.append((hi, "expected_dim"))
     return AlphaValue(hi, "expected_dim", label, tuple(trail))
 

@@ -7,6 +7,8 @@ so identical configurations render to identical files.
 
 from __future__ import annotations
 
+from .geometry import detect_line_arrangement, is_star_configuration, is_type9, spanned_lines
+
 CANVAS = 640
 MARGIN = 60
 POINT_RADIUS = 5
@@ -47,10 +49,19 @@ def _clip_line(a, b, c, lo_x, hi_x, lo_y, hi_y):
     return uniq[0], uniq[-1]
 
 
-def render_svg(points=(), lines=()) -> str:
-    """An SVG document for the configuration; empty input gives an empty canvas."""
+def render_svg(points=()) -> str:
+    """An SVG document for the configuration and the lines it is made of: a
+    star's lines, else a line arrangement's, else a type9 configuration's
+    three 3-point lines.  Lines are drawn over Q only, since residues mod p
+    are no real coordinates; empty input gives an empty canvas."""
     points = tuple(points)
-    lines = tuple(lines)
+    lines = ()
+    if len(points) >= 2 and points[0].field.p is None:
+        star = is_star_configuration(points) if len(points) >= 3 else None
+        witness = None if star else detect_line_arrangement(points)
+        lines = star[1] if star else witness.lines if witness else ()
+        if not lines and is_type9(points):
+            lines = tuple(L for L, inc in spanned_lines(points) if len(inc) == 3)
     affine = [_affine(P) for P in points]
     finite = [aff for aff in affine if aff is not None]
     infinite = [i for i, aff in enumerate(affine) if aff is None]

@@ -119,6 +119,7 @@ def test_rational_fields_are_equal_and_no_prime_field_is_rational():
     assert QQ != prime_field(7) and prime_field(7) != QQ
     assert {QQ: "rational"}[RationalField()] == "rational"
     assert repr(QQ) == "QQ"
+    assert QQ.p is None and prime_field(7).p == 7
 
 
 # ---------------------------------------------------------------------------

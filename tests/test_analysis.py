@@ -265,7 +265,7 @@ def test_search_reports_certified_counterexamples(monkeypatch):
             assert hit["alphas"] == [2, 4, 6, 8, 10]
     # a certified tail that breaks the pattern drops the hit
     monkeypatch.setattr(analysis, "_certified_alphas",
-                        lambda points, k: ((2, 4, 6, 8, 11), True))
+                        lambda points, k: ((2, 4, 6, 8, 11), "EXACT_RATIONAL"))
     rep = conjecture_search(trials=3, r_range=(4, 4), seed=0)
     assert rep.hypothesis_true == () and rep.inconsistent == ()
 

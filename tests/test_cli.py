@@ -7,7 +7,7 @@ import pytest
 from fatpoints.algebra import QQ, evaluate, point, poly
 from fatpoints.cli import main
 from fatpoints.serialize import points_from_json_dict, points_to_json_dict
-from fatpoints.configs import general
+from fatpoints.configs import general, star, type9
 from fatpoints.svgplot import render_svg
 
 
@@ -32,6 +32,17 @@ def test_alphaseq_conic(capsys):
                        "--kmax", "5")
     assert code == 0
     assert json.loads(out)["alphas"] == [2, 4, 6, 8, 10]
+
+
+def test_alphaseq_pretty_table(capsys):
+    # the CSV's columns, two spaces apart; the first row has no difference
+    code, out, _ = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6",
+                       "--kmax", "5", "--pretty")
+    assert code == 0
+    assert out == "k  alpha  diff\n1  2  \n2  4  2\n3  6  2\n4  8  2\n5  10  2\n"
+    code, out, _ = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6",
+                       "--kmax", "1", "--pretty")
+    assert code == 0 and out == "k  alpha  diff\n1  2  \n"
 
 
 def test_alphaseq_csv_export(tmp_path, capsys):
@@ -259,6 +270,27 @@ def test_plot_draws_the_same_picture_from_the_points_file(tmp_path, capsys, argv
     assert code == 0
     code, from_file, _ = run(capsys, "plot", "--points", str(pts))
     assert code == 0 and from_file == from_family
+
+
+def test_type9_without_seed_is_the_canonical_configuration(tmp_path, capsys):
+    for seed, want in (((), type9()), (("--seed", "0"), type9(0))):
+        out = tmp_path / "t9.json"
+        code, _, _ = run(capsys, "generate", "--family", "type9", *seed, "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text()) == points_to_json_dict(want)
+    assert type9() != type9(0)
+
+
+def test_plot_over_a_prime_field_draws_points_only(capsys):
+    # residues mod p are no real coordinates, so no line is drawn through them
+    code, out, _ = run(capsys, "plot", "--family", "dual_hesse", "--prime", "13")
+    assert code == 0
+    assert out.count("<circle") == 12 and "<line" not in out
+
+
+def test_render_svg_draws_the_lines_of_the_points():
+    assert render_svg(type9()).count("<line") == 3
+    assert render_svg(star(4, seed=1)[0]).count("<line") == 4
 
 
 def test_render_svg_empty_canvas():
