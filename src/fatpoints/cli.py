@@ -23,10 +23,9 @@ from .analysis import (
     repro_all,
 )
 from .cache import ResultCache
-from .configs import FAMILIES, ConfigSpec, generate
+from .configs import FAMILIES, PARAMETERS, ConfigSpec, generate
 from .linsys import (
     CERTIFIED_EXISTENCE,
-    DEFAULT_SEARCH_STRATEGY,
     FatPointScheme,
     alpha_search,
     alpha_sequence,
@@ -41,7 +40,6 @@ from .serialize import (
     points_to_json_dict,
     poly_to_json_dict,
     record,
-    write_json_file,
 )
 from .svgplot import render_svg
 
@@ -60,7 +58,7 @@ _OPTIONS = {
     "--d": {"type": int},
     "--mults": {"help": "comma-separated multiplicities, or one value for all"},
     "--kmax": {"type": int},
-    "--seed": {"type": int},  # absent: each family's default; search and alphaseq use 0
+    "--seed": {"type": int},  # absent: each family's default; search uses 0
     "--strategy": {"help": "exact | prime | multiprime:K"},
     "--cache": {"help": "cache directory (or FATPOINTS_CACHE)"},
     "--verify-cache": {"action": "store_true"},
@@ -75,9 +73,9 @@ _OPTIONS = {
     "--r-min": {"type": int, "default": 4},
     "--r-max": {"type": int, "default": 9},
 }
-_POINTS = "--points --family --r --p --d1 --d2 --prime --height --field --d --seed"
+_FAMILY_PARAMETERS = [f"--{n}" for n in PARAMETERS]
+_POINTS = " ".join(["--points --family --field", *_FAMILY_PARAMETERS])
 _STRATEGY_CACHE = "--strategy --cache --verify-cache"
-_FAMILY_PARAMETERS = "--r --p --d1 --d2 --prime --height --seed --d"
 _TAKES = {
     "generate": f"{_POINTS} --out --pretty",
     "alpha": f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty",
@@ -130,25 +128,19 @@ def resolve_points(args, command=""):
     if args.points:
         return _convert_field(points_from_json_dict(load_json_file(args.points)), args)
     if args.family:
-        # --d is the system degree for dim/kernel; families that need a
-        # degree parameter there take it from --p instead (or use a
-        # generated points file)
-        fam_d = args.d
-        if args.family in ("star_minus_one", "nodal_curve_nodes"):
-            if command in ("dim", "kernel"):
-                if args.p is None:
-                    raise UsageError(
-                        f"--d means the system degree for {command}; pass the "
-                        f"{args.family} size as --p, or generate a points file first"
-                    )
-                fam_d = args.p
-            elif fam_d is None:
-                fam_d = args.p
-        spec = ConfigSpec(
-            family=args.family, r=args.r, p=args.p, d=fam_d, d1=args.d1,
-            d2=args.d2, prime=args.prime, seed=args.seed, height=args.height,
-        )
-        return _convert_field(generate(spec), args)
+        spec = {n: getattr(args, n) for n in PARAMETERS}
+        if command in ("dim", "kernel"):  # --d is the system degree there
+            spec["d"] = None
+        # the families with a degree parameter also take it as --p, which is
+        # their only way to get it in dim and kernel
+        if args.family in ("star_minus_one", "nodal_curve_nodes") and spec["d"] is None:
+            if args.p is None and command in ("dim", "kernel"):
+                raise UsageError(
+                    f"--d means the system degree for {command}; pass the "
+                    f"{args.family} size as --p, or generate a points file first"
+                )
+            spec["d"], spec["p"] = args.p, None
+        return _convert_field(generate(ConfigSpec(args.family, **spec)), args)
     raise UsageError("one of --points or --family is required")
 
 
@@ -174,26 +166,34 @@ def resolve_cache(args):
     return ResultCache(root, verify=args.verify_cache)
 
 
+def strategy(args) -> dict:
+    """``strategy=`` for a library call if ``--strategy`` is given, so the
+    library's own default holds otherwise."""
+    return {"strategy": parse_strategy(args.strategy)} if args.strategy else {}
+
+
 def search_options(args) -> dict:
     """Certify existence exactly unless ``--strategy`` names the strategy."""
-    if args.strategy:
-        return {"strategy": parse_strategy(args.strategy), "certify_existence": False}
-    return {"certify_existence": True}
+    return {**strategy(args), "certify_existence": not args.strategy}
+
+
+def write(args, text: str) -> None:
+    """Write ``text`` to ``--out``, or to stdout without one."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def emit(args, payload: dict, pretty_text: str = "") -> None:
     if args.out and args.out.endswith(".csv") and "csv" in payload:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload["csv"])
-        return
-    blob = dump_json({k: v for k, v in payload.items() if k != "csv"})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-    if args.pretty and pretty_text:
+        return write(args, payload["csv"])
+    pretty = args.pretty and pretty_text
+    if args.out or not pretty:
+        write(args, dump_json({k: v for k, v in payload.items() if k != "csv"}))
+    if pretty:
         print(pretty_text)
-    elif not args.out:
-        sys.stdout.write(blob)
 
 
 def cmd_generate(args) -> int:
@@ -222,8 +222,7 @@ def cmd_alphaseq(args) -> int:
     if not args.kmax or args.kmax < 1:
         raise UsageError("--kmax >= 1 is required")
     pts = resolve_points(args)
-    rep = alpha_sequence(pts, args.kmax, **search_options(args), seed=args.seed or 0,
-                         cache=resolve_cache(args))
+    rep = alpha_sequence(pts, args.kmax, **search_options(args), cache=resolve_cache(args))
     payload = rep.to_json_dict()
     payload["csv"] = rep.to_csv()
     warnings = [
@@ -242,8 +241,7 @@ def cmd_dim(args) -> int:
     pts = resolve_points(args, "dim")
     mults = resolve_mults(args, len(pts))
     scheme = FatPointScheme(pts, mults)
-    strategy = parse_strategy(args.strategy or "multiprime:2")
-    report = system_dim(scheme, args.d, strategy=strategy, cache=resolve_cache(args))
+    report = system_dim(scheme, args.d, **strategy(args), cache=resolve_cache(args))
     payload = report.to_json_dict()
     pretty = (
         f"degree {report.degree}: actual_dim {report.actual_dim}, "
@@ -260,8 +258,7 @@ def cmd_kernel(args) -> int:
     pts = resolve_points(args, "kernel")
     mults = resolve_mults(args, len(pts))
     scheme = FatPointScheme(pts, mults)
-    strategy = parse_strategy(args.strategy or "exact")
-    basis = kernel_basis(scheme, args.d, strategy=strategy)
+    basis = kernel_basis(scheme, args.d, **strategy(args))
     payload = record("kernel", degree=args.d, dimension=len(basis),
                      basis=[poly_to_json_dict(g) for g in basis])
     emit(args, payload, "\n".join(str(g) for g in basis) or "(empty system)")
@@ -270,8 +267,7 @@ def cmd_kernel(args) -> int:
 
 def cmd_check(args) -> int:
     pts = resolve_points(args)
-    strategy = parse_strategy(args.strategy) if args.strategy else DEFAULT_SEARCH_STRATEGY
-    verdict = IMPLICATIONS[args.theorem].check(pts, args.k, strategy)
+    verdict = IMPLICATIONS[args.theorem].check(pts, args.k, **strategy(args))
     payload = verdict.to_json_dict()
     emit(args, payload, f"{verdict.theorem}: {verdict.status}")
     return 2 if verdict.status in (UNDECIDED, INCONSISTENT) else 0
@@ -294,7 +290,7 @@ def cmd_repro(args) -> int:
     for r in reports:
         print(r.table())
     if args.out:
-        write_json_file(args.out, payload)
+        write(args, dump_json(payload))
     return 0 if payload["pass"] else 1
 
 
@@ -317,12 +313,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    svg = render_svg(resolve_points(args))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    write(args, render_svg(resolve_points(args)))
     return 0
 
 
@@ -343,7 +334,7 @@ def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(argv)
     if unread:
         args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
-    given = [f for f in _FAMILY_PARAMETERS.split() if getattr(args, f[2:], None) is not None
+    given = [f for f in _FAMILY_PARAMETERS if getattr(args, f[2:], None) is not None
              and not (f == "--d" and args.command in ("dim", "kernel"))]
     if getattr(args, "points", None) and not args.family and given:
         args.command_parser.error(f"--points takes no family parameters: {' '.join(given)}")

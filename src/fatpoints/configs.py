@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from math import comb
 from typing import Optional
 
@@ -26,11 +26,11 @@ from .algebra import (
 )
 from .geometry import (
     Line,
+    curves_through,
     is_type9,
     rational_points_on_curve,
     singular_points_over_Fp,
 )
-from .linsys import FatPointScheme, condition_matrix_mod_p, modp_nullspace
 
 DEFAULT_HEIGHT = 10**4
 STAR_HEIGHT = 30  # coefficient bound of the seeded lines of ``star``
@@ -49,19 +49,19 @@ def _general(s, r):
     return general(r, s.seed or 0, DEFAULT_HEIGHT if s.height is None else s.height)
 
 
-# family -> (the ConfigSpec parameters it needs, its generator on a ConfigSpec),
-# in the order ``--family`` lists them
+# family -> (the ConfigSpec parameters it needs, the ones it may take, its
+# generator on a ConfigSpec), in the order ``--family`` lists them
 _GENERATORS = {
-    "collinear": (("r",), lambda s: collinear(s.r)),
-    "on_conic": (("r",), lambda s: on_conic(s.r)),
-    "general": (("r",), lambda s: _general(s, s.r)),
-    "star": (("p",), lambda s: star(s.p, s.seed or 0)[0]),
-    "star_minus_one": (("d",), lambda s: star_minus_one(s.d, s.seed or 0)),
-    "dual_hesse": (("prime",), lambda s: dual_hesse(s.prime)),
-    "type9": ((), lambda s: type9(s.seed)),
-    "nagata16": ((), lambda s: _general(s, 16)),
-    "nodal_curve_nodes": (("d", "prime"), lambda s: nodal_curve(s)[1]),
-    "two_nodal_union": (("d1", "d2", "prime"), lambda s: _found(
+    "collinear": (("r",), (), lambda s: collinear(s.r)),
+    "on_conic": (("r",), (), lambda s: on_conic(s.r)),
+    "general": (("r",), ("seed", "height"), lambda s: _general(s, s.r)),
+    "star": (("p",), ("seed",), lambda s: star(s.p, s.seed or 0)[0]),
+    "star_minus_one": (("d",), ("seed",), lambda s: star_minus_one(s.d, s.seed or 0)),
+    "dual_hesse": (("prime",), (), lambda s: dual_hesse(s.prime)),
+    "type9": ((), ("seed",), lambda s: type9(s.seed)),
+    "nagata16": ((), ("seed", "height"), lambda s: _general(s, 16)),
+    "nodal_curve_nodes": (("d", "prime"), ("seed",), lambda s: nodal_curve(s)[1]),
+    "two_nodal_union": (("d1", "d2", "prime"), ("seed",), lambda s: _found(
         two_nodal_union(s.d1, s.d2, s.prime, s.seed or 0), "two-nodal")),
 }
 FAMILIES = tuple(_GENERATORS)
@@ -84,12 +84,14 @@ class ConfigSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        missing = [n for n in _GENERATORS[self.family][0] if getattr(self, n) is None]
+        needs, takes, _ = _GENERATORS[self.family]
+        missing = [n for n in needs if getattr(self, n) is None]
         if missing:
             raise ValueError(
                 f"family {self.family!r} needs the parameter(s) {', '.join(missing)}")
-        if self.height is not None and self.family not in ("general", "nagata16"):
-            raise ValueError(f"family {self.family!r} takes no height")
+        extra = [n for n in PARAMETERS if n not in needs + takes and getattr(self, n) is not None]
+        if extra:
+            raise ValueError(f"family {self.family!r} takes no {', '.join(extra)}")
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -99,9 +101,12 @@ class ConfigSpec:
         return cls(**{k: v for k, v in d.items() if k != "family"}, family=d["family"])
 
 
+PARAMETERS = tuple(f.name for f in fields(ConfigSpec))[1:]  # all but the family
+
+
 def generate(spec: ConfigSpec):
     """Dispatch a ConfigSpec to its generator; returns the point tuple."""
-    return _GENERATORS[spec.family][1](spec)
+    return _GENERATORS[spec.family][2](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +263,7 @@ def _implicitize_parameterization(forms, d: int, p: int) -> Optional[HomoPoly]:
             images.add(point(F, *c))
     if len(images) < comb(d + 2, 2):
         return None
-    A = condition_matrix_mod_p(FatPointScheme.uniform(images, 1), d, p)
-    kernel = modp_nullspace(A, p)
+    _, kernel = curves_through(images, d)
     if len(kernel) != 1:
         return None
     return poly_from_vector(F, d, [int(v) for v in kernel[0]])
@@ -294,18 +298,10 @@ def rational_nodal_nodes(d: int, p: int, seed: int):
 
 def _random_curve_through(points, d: int, p: int, rng) -> Optional[HomoPoly]:
     """A seeded random member of the degree-d forms through the given points."""
-    F = prime_field(p)
-    A = condition_matrix_mod_p(FatPointScheme.uniform(points, 1), d, p)
-    kernel = modp_nullspace(A, p)
-    if not kernel:
-        return None
-    vec = [0] * A.shape[1]
-    for kv in kernel:
-        c = rng.randrange(p)
-        vec = [(a + c * b) % p for a, b in zip(vec, kv)]
-    if not any(vec):
-        return None
-    return poly_from_vector(F, d, vec)
+    fld, kernel = curves_through(points, d)
+    cs = [rng.randrange(p) for _ in kernel]
+    vec = [sum(c * v for c, v in zip(cs, col)) % p for col in zip(*kernel)]
+    return poly_from_vector(fld, d, vec) if any(vec) else None
 
 
 def two_nodal_union(d1: int, d2: int, p: int, seed: int):

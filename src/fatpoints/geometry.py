@@ -89,10 +89,10 @@ class ArrangementWitness:
 # ---------------------------------------------------------------------------
 # basic predicates
 
-def _kernel(points, d):
-    """The points' field and the kernel over it of their degree-d monomial
-    rows at integer representatives, which only rescale the rows and so
-    leave the RREF alone."""
+def curves_through(points, d):
+    """The points' field and a basis of the degree-d forms through them:
+    the kernel of their degree-d monomial rows at integer representatives,
+    which only rescale the rows and so leave the RREF alone."""
     points = tuple(points)
     if not points:
         raise ValueError("need at least one point")
@@ -108,13 +108,13 @@ def are_collinear(points) -> Optional[Line]:
     A single point vacuously lies on a line; a deterministic one through it
     is returned so that checker pipelines stay total.
     """
-    fld, basis = _kernel(points, 1)
+    fld, basis = curves_through(points, 1)
     return Line.from_coeffs(fld, basis[0]) if basis else None
 
 
 def common_conic(points) -> Optional[HomoPoly]:
     """A conic (possibly degenerate) through all the points, if one exists."""
-    fld, basis = _kernel(points, 2)
+    fld, basis = curves_through(points, 2)
     if not basis:
         return None
     inv = fld.inv(next(c for c in basis[0] if c))

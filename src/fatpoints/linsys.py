@@ -655,7 +655,7 @@ class AlphaReport:
     alphas: tuple
     diffs: tuple
     entries: tuple  # one summary dict per k
-    seed: Optional[int] = None
+    points: tuple  # the coordinate strings of each point of Z
 
     def __post_init__(self):
         a = tuple(self.alphas)
@@ -937,7 +937,6 @@ def alpha_sequence(
     k_max: int,
     strategy=DEFAULT_SEARCH_STRATEGY,
     certify_existence: bool = False,
-    seed: Optional[int] = None,
     cache=None,
 ) -> AlphaReport:
     """Initial degrees of kZ for k = 1..k_max with warm-started searches."""
@@ -963,7 +962,8 @@ def alpha_sequence(
         )
         start = av.value + 1
     diffs = tuple(b - a for a, b in zip(alphas, alphas[1:]))
-    return AlphaReport(tuple(alphas), diffs, tuple(entries), seed=seed)
+    return AlphaReport(tuple(alphas), diffs, tuple(entries),
+                       tuple(P.coord_strings() for P in simple.points))
 
 
 def _vector_alpha(points, vec, strategy, certify, cache) -> int:

@@ -74,8 +74,3 @@ def dump_json(obj: dict) -> str:
 def load_json_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def write_json_file(path, obj: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(obj))

@@ -7,6 +7,8 @@ so identical configurations render to identical files.
 
 from __future__ import annotations
 
+import math
+
 from .geometry import detect_line_arrangement, is_star_configuration, is_type9, spanned_lines
 
 CANVAS = 640
@@ -26,34 +28,12 @@ def _affine(P):
     return float(x), float(y)
 
 
-def _clip_line(a, b, c, lo_x, hi_x, lo_y, hi_y):
-    """Endpoints of {ax + by + c = 0} clipped to a rectangle, or None."""
-    pts = []
-    if abs(b) > 1e-12:
-        for x in (lo_x, hi_x):
-            y = (-c - a * x) / b
-            if lo_y - 1e-9 <= y <= hi_y + 1e-9:
-                pts.append((x, y))
-    if abs(a) > 1e-12:
-        for y in (lo_y, hi_y):
-            x = (-c - b * y) / a
-            if lo_x - 1e-9 <= x <= hi_x + 1e-9:
-                pts.append((x, y))
-    uniq = []
-    for p in pts:
-        if all(abs(p[0] - q[0]) + abs(p[1] - q[1]) > 1e-9 for q in uniq):
-            uniq.append(p)
-    if len(uniq) < 2:
-        return None
-    uniq.sort()
-    return uniq[0], uniq[-1]
-
-
 def render_svg(points=()) -> str:
     """An SVG document for the configuration and the lines it is made of: a
     star's lines, else a line arrangement's, else a type9 configuration's
-    three 3-point lines.  Lines are drawn over Q only, since residues mod p
-    are no real coordinates; empty input gives an empty canvas."""
+    three 3-point lines, clipped to the plot box by the SVG.  Lines are
+    drawn over Q only, since residues mod p are no real coordinates; empty
+    input gives an empty canvas."""
     points = tuple(points)
     lines = ()
     if len(points) >= 2 and points[0].field.p is None:
@@ -87,22 +67,29 @@ def render_svg(points=()) -> str:
             CANVAS - MARGIN - (y - lo_y) * scale,
         )
 
+    left, top = to_px(lo_x, hi_y)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS}" height="{CANVAS}" '
         f'viewBox="0 0 {CANVAS} {CANVAS}">',
         f'<rect x="0" y="0" width="{CANVAS}" height="{CANVAS}" fill="white"/>',
+        f'<clipPath id="box"><rect x="{_fmt(left)}" y="{_fmt(top)}" width='
+        f'"{_fmt((hi_x - lo_x) * scale)}" height="{_fmt((hi_y - lo_y) * scale)}"/></clipPath>',
     ]
+    # each line runs a box diagonal both ways from the foot of the
+    # perpendicular from the box centre, so it crosses the whole clip box
+    cx, cy = (lo_x + hi_x) / 2, (lo_y + hi_y) / 2
+    diag = math.hypot(hi_x - lo_x, hi_y - lo_y)
     for L in lines:
         a, b, c = map(float, L.coeffs)
-        seg = _clip_line(a, b, c, lo_x, hi_x, lo_y, hi_y)
-        if seg is None:
+        if a == b == 0:  # the line at infinity
             continue
-        (x1, y1), (x2, y2) = seg
-        px1, py1 = to_px(x1, y1)
-        px2, py2 = to_px(x2, y2)
+        t = (a * cx + b * cy + c) / (a * a + b * b)
+        u = diag / math.hypot(a, b)
+        px1, py1 = to_px(cx - a * t - b * u, cy - b * t + a * u)
+        px2, py2 = to_px(cx - a * t + b * u, cy - b * t - a * u)
         parts.append(
             f'<line x1="{_fmt(px1)}" y1="{_fmt(py1)}" x2="{_fmt(px2)}" '
-            f'y2="{_fmt(py2)}" stroke="steelblue" stroke-width="1.5"/>'
+            f'y2="{_fmt(py2)}" stroke="steelblue" stroke-width="1.5" clip-path="url(#box)"/>'
         )
     for idx, aff in enumerate(affine):
         if aff is None:

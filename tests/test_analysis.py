@@ -150,7 +150,8 @@ def _fake_engine(alphas):
                          "certification": "EXACT_RATIONAL"}
                         for i, a in enumerate(alphas))
         diffs = tuple(b - a for a, b in zip(alphas, alphas[1:]))
-        return AlphaReport(tuple(alphas), diffs, entries)
+        return AlphaReport(tuple(alphas), diffs, entries,
+                           tuple(P.coord_strings() for P in points))
     return engine
 
 

@@ -1,10 +1,13 @@
 """End-to-end command-line behavior: exit codes, round trips, determinism."""
 
 import json
+import math
+import re
 
 import pytest
 
 from fatpoints.algebra import QQ, evaluate, point, poly
+from fatpoints.geometry import Line, spanned_lines
 from fatpoints.cli import main
 from fatpoints.serialize import points_from_json_dict, points_to_json_dict
 from fatpoints.configs import general, star, type9
@@ -293,6 +296,63 @@ def test_render_svg_draws_the_lines_of_the_points():
     assert render_svg(star(4, seed=1)[0]).count("<line") == 4
 
 
+_NUM = r'"(-?[0-9.]+)"'
+FAN = tuple(point(QQ, *c) for c in ((0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 1, 3)))
+
+
+def _clip(seg, box):
+    """The part of a segment inside a rectangle (Liang-Barsky), or None."""
+    (x1, y1, x2, y2), (x0, y0, w, h) = seg, box
+    dx, dy, t0, t1 = x2 - x1, y2 - y1, 0.0, 1.0
+    for p, q in ((-dx, x1 - x0), (dx, x0 + w - x1), (-dy, y1 - y0), (dy, y0 + h - y1)):
+        if p == 0:
+            if q < 0:
+                return None
+        elif p < 0:
+            t0 = max(t0, q / p)
+        else:
+            t1 = min(t1, q / p)
+    return (x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy) if t0 < t1 else None
+
+
+@pytest.mark.parametrize("points, lines", [
+    (star(4, seed=1)[0], star(4, seed=1)[1]),
+    (star(5, seed=1)[0], star(5, seed=1)[1]),
+    (type9(), [L for L, inc in spanned_lines(type9()) if len(inc) == 3]),
+    (FAN, [Line.from_coeffs(QQ, c) for c in ((1, 0, 0), (0, 1, 0), (1, -1, 0), (1, 2, -1))]),
+], ids=["star4", "star5", "type9", "arrangement"])
+def test_plot_lines_cross_the_clip_box_through_their_points(points, lines):
+    # one clip rectangle; each line reaches past it both ways, so the clip
+    # leaves a chord from box edge to box edge, and passes through exactly
+    # the drawn points that the configuration's line carries
+    svg = render_svg(points)
+    assert svg.count("<clipPath") == 1
+    box = tuple(map(float, re.search(
+        r'<clipPath id="box"><rect x=%s y=%s width=%s height=%s/></clipPath>'
+        % ((_NUM,) * 4), svg).groups()))
+    drawn = re.findall(r"<line [^>]*>", svg)
+    assert len(drawn) == len(lines)
+    assert all('clip-path="url(#box)"' in line for line in drawn)
+    centres = [tuple(map(float, c)) for c in re.findall(r"<circle cx=%s cy=%s" % (_NUM, _NUM), svg)]
+    assert len(centres) == len(points)
+    x0, y0, w, h = box
+    on_edge = lambda x, y: (min(abs(x - x0), abs(x - x0 - w)) < 0.01 and y0 - 0.01 <= y <= y0 + h + 0.01
+                            or min(abs(y - y0), abs(y - y0 - h)) < 0.01 and x0 - 0.01 <= x <= x0 + w + 0.01)
+    through = []
+    for line in drawn:
+        x1, y1, x2, y2 = seg = tuple(map(float, re.search(
+            r"x1=%s y1=%s x2=%s y2=%s" % ((_NUM,) * 4), line).groups()))
+        chord = _clip(seg, box)
+        assert chord is not None and math.dist(chord[:2], chord[2:]) > 1
+        assert on_edge(*chord[:2]) and on_edge(*chord[2:])
+        length = math.dist(seg[:2], seg[2:])
+        through.append(frozenset(
+            i for i, (cx, cy) in enumerate(centres)
+            if abs((x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1)) / length < 0.02))
+    want = [frozenset(i for i, P in enumerate(points) if L.contains(P)) for L in lines]
+    assert sorted(through, key=sorted) == sorted(want, key=sorted)
+
+
 def test_render_svg_empty_canvas():
     svg = render_svg(())
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
@@ -304,6 +364,13 @@ def test_render_svg_point_at_infinity():
 
     svg = render_svg((point(QQ, 1, 2, 0), point(QQ, 0, 0, 1)))
     assert "(inf)" in svg
+
+
+def test_render_svg_skips_the_line_at_infinity():
+    # the coordinate triangle is a star of x = 0, y = 0 and z = 0; the last
+    # is the line at infinity, which the affine chart does not show
+    svg = render_svg((point(QQ, 1, 0, 0), point(QQ, 0, 1, 0), point(QQ, 0, 0, 1)))
+    assert svg.count("<line") == 2 and svg.count("(inf)") == 2
 
 
 def test_field_reduction_flag(capsys):
@@ -578,3 +645,46 @@ def test_generate_refuses_a_height_the_family_does_not_take(capsys, family, args
     assert code == 0
     assert all(abs(c) <= 40 for P in points_from_json_dict(json.loads(out))
                for c in P.integer_coords()[:2])
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("--family", "on_conic", "--r", "4", "--seed", "3"), "seed"),
+    (("--family", "general", "--r", "3", "--p", "8"), "p"),
+    (("--family", "dual_hesse", "--prime", "13", "--r", "2"), "r"),
+    (("--family", "general", "--r", "3", "--d", "4"), "d"),
+    (("--family", "star_minus_one", "--d", "5", "--p", "4"), "p"),
+])
+def test_a_family_refuses_the_parameters_it_ignores(capsys, argv, extra):
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"family '{argv[1]}' takes no {extra}" in err
+
+
+@pytest.mark.parametrize("command, family, generated", [
+    ("kernel", ("--family", "star_minus_one", "--p", "5", "--seed", "1"),
+     ("--family", "star_minus_one", "--d", "5", "--seed", "1")),
+    ("dim", ("--family", "nodal_curve_nodes", "--p", "4", "--prime", "17", "--seed", "0"),
+     ("--family", "nodal_curve_nodes", "--d", "4", "--prime", "17", "--seed", "0")),
+    ("dim", ("--family", "general", "--r", "6", "--seed", "42"),
+     ("--family", "general", "--r", "6", "--seed", "42")),
+])
+def test_dim_and_kernel_read_d_as_the_system_degree(tmp_path, capsys, command, family,
+                                                    generated):
+    # --p stands in for a family degree there; --d never reaches the family
+    pts = tmp_path / "pts.json"
+    run(capsys, "generate", *generated, "--out", str(pts))
+    code, from_family, _ = run(capsys, command, *family, "--d", "3")
+    assert code == 0
+    code, from_file, _ = run(capsys, command, "--points", str(pts), "--d", "3")
+    assert code == 0 and from_file == from_family
+
+
+def test_alphaseq_names_the_points_it_ran_on(capsys):
+    reports = []
+    for seed, want in (((), type9()), (("--seed", "0"), type9(0))):
+        code, out, _ = run(capsys, "alphaseq", "--family", "type9", *seed, "--kmax", "3")
+        assert code == 0
+        reports.append(json.loads(out))
+        assert reports[-1]["points"] == points_to_json_dict(want)["points"]
+        assert "seed" not in reports[-1]
+    assert reports[0] != reports[1]

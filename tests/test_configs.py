@@ -9,6 +9,8 @@ import pytest
 from fatpoints import configs
 from fatpoints.algebra import QQ, det3, order_of_vanishing, point
 from fatpoints.configs import (
+    FAMILIES,
+    PARAMETERS,
     ConfigSpec,
     collinear,
     dual_hesse,
@@ -225,6 +227,24 @@ def test_config_spec_round_trip():
     assert ConfigSpec(family="nagata16", height=40).height == 40
     with pytest.raises(ValueError, match="family 'star' takes no height"):
         ConfigSpec(family="star", p=4, height=5)
+
+
+# the parameters each family takes, required or optional, as the README lists them
+FAMILY_TAKES = {"collinear": "r", "on_conic": "r", "general": "r seed height",
+                "star": "p seed", "star_minus_one": "d seed", "dual_hesse": "prime",
+                "type9": "seed", "nagata16": "seed height", "nodal_curve_nodes": "d prime seed",
+                "two_nodal_union": "d1 d2 prime seed"}
+
+
+def test_config_spec_refuses_each_parameter_its_family_ignores():
+    assert set(FAMILY_TAKES) == set(FAMILIES)
+    for family, takes in FAMILY_TAKES.items():
+        given = dict.fromkeys(takes.split(), 1)
+        assert ConfigSpec(family, **given).to_json_dict() == {"family": family, **given}
+        for extra in PARAMETERS:
+            if extra not in given:
+                with pytest.raises(ValueError, match=f"family '{family}' takes no {extra}$"):
+                    ConfigSpec(family, **given, **{extra: 1})
 
 
 def test_generate_dispatch():

@@ -893,6 +893,8 @@ def test_alpha_sequence_three_general_points():
     rep = alpha_sequence(TRIANGLE, 6)
     assert rep.alphas == (2, 3, 5, 6, 8, 9)
     assert rep.diffs == (1, 2, 1, 2, 1)
+    # the report names its input, so two configurations give two artifacts
+    assert rep.to_json_dict()["points"] == [("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")]
 
 
 def test_alpha_sequence_six_conic_points():
@@ -913,7 +915,7 @@ def test_alpha_sequence_checks_its_points_once():
 
 def test_alpha_report_requires_strict_growth():
     with pytest.raises(ValueError):
-        AlphaReport((2, 2), (0,), ({}, {}))
+        AlphaReport((2, 2), (0,), ({}, {}), ())
 
 
 def test_alpha_diff_examples():
