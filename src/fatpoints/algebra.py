@@ -366,11 +366,13 @@ def linear_form(field, coeffs) -> HomoPoly:
 
 
 def poly_from_vector(field, degree: int, vector) -> HomoPoly:
-    """A form from its coefficients against ``monomial_basis(degree)``."""
+    """A form from its coefficients against ``monomial_basis(degree)``, in
+    ``poly``'s term order already; scalars only of the nonzero entries."""
     mons = monomial_basis(degree)
     if len(vector) != len(mons):
         raise ValueError("coefficient vector has wrong length")
-    return poly(field, degree, dict(zip(mons, vector)))
+    terms = ((m, field.of(c)) for m, c in zip(mons, vector) if c)
+    return HomoPoly(field, degree, tuple(t for t in terms if t[1]))
 
 
 def evaluate(f: HomoPoly, P: ProjectivePoint):

@@ -108,15 +108,16 @@ def _collinear(points):
 
 
 def _collinear_or_arrangement(points):
-    if are_collinear(points) is not None:
-        return True, {"collinear": True}
+    if not points:
+        raise ValueError("need at least one point")
     lines = spanned_lines(points)
+    if len(lines) < 2:  # a single point, or one line through all
+        return True, {"collinear": True}
     witness = detect_line_arrangement(points, lines)
     if witness is not None:
         return True, {"arrangement": witness.to_json_dict()}
-    exhaustive = len(lines) <= EXHAUSTIVE_CANDIDATE_LIMIT
     return False, {"collinear": False, "arrangement": None,
-                   "search_exhaustive": exhaustive}
+                   "search_exhaustive": len(lines) <= EXHAUSTIVE_CANDIDATE_LIMIT}
 
 
 def _on_conic(points):

@@ -53,12 +53,12 @@ def cache_key(scheme, d: int, strategy, kind) -> str:
 
     The hashed text is the canonical JSON of {"degree", "field", "kernel":
     kind, "points": sorted [[coordinate strings], m], "strategy"}, written
-    directly: sorting the formatted points sorts them as lists, because the
-    closing quote sorts below every character of a coordinate (``-``, ``/``,
-    digits) and distinct points have distinct coordinates.
+    directly, in the order of ``scheme.point_texts``: that sorts the points
+    as lists, because the closing quote sorts below every character of a
+    coordinate (``-``, ``/``, digits) and distinct points differ in it.
     """
-    points = ",".join(sorted('[["%s","%s","%s"],%d]' % (*P.coord_strings(), m)
-                             for P, m in zip(scheme.points, scheme.multiplicities)))
+    mults = scheme.multiplicities
+    points = ",".join(["[%s,%d]" % (text, mults[i]) for text, i in scheme.point_texts])
     blob = '{"degree":%d,"field":"%s","kernel":%s,"points":[%s],"strategy":"%s"}' % (
         d, field_to_string(scheme.field), _KINDS[kind], points, _strategy_tag(strategy))
     return hashlib.sha256(blob.encode()).hexdigest()

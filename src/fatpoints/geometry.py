@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -40,12 +41,7 @@ class Line:
 
     @classmethod
     def from_coeffs(cls, field, coeffs) -> "Line":
-        v = tuple(field.of(c) for c in coeffs)
-        lead = next((c for c in v if c != field.zero), None)
-        if lead is None:
-            raise ValueError("a line needs a nonzero coefficient triple")
-        inv = field.inv(lead)
-        return cls(field, tuple(field.of(c * inv) for c in v))
+        return cls(field, _monic(field, coeffs))
 
     def contains(self, P: ProjectivePoint) -> bool:
         return self.field.of(sum(c * x for c, x in zip(self.coeffs, P.coords))) == 0
@@ -58,6 +54,16 @@ class Line:
     def __repr__(self):
         f = self.field
         return "Line(" + ", ".join(f.format(c) for c in self.coeffs) + ")"
+
+
+def _monic(field, v):
+    """v over its first nonzero entry: Fraction(c, lead) over Q, c lead^-1 over F_p."""
+    v = v if field.p is None else [field.of(c) for c in v]
+    lead = next((c for c in v if c), None)
+    if lead is None:
+        raise ValueError("a line or curve needs a nonzero coefficient")
+    inv = None if field.p is None else field.inv(lead)
+    return tuple(Fraction(c, lead) if inv is None else c * inv % field.p for c in v)
 
 
 def _cross(u, v):
@@ -115,10 +121,7 @@ def are_collinear(points) -> Optional[Line]:
 def common_conic(points) -> Optional[HomoPoly]:
     """A conic (possibly degenerate) through all the points, if one exists."""
     fld, basis = curves_through(points, 2)
-    if not basis:
-        return None
-    inv = fld.inv(next(c for c in basis[0] if c))
-    return poly_from_vector(fld, 2, [c * inv for c in basis[0]])
+    return poly_from_vector(fld, 2, _monic(fld, basis[0])) if basis else None
 
 
 # ---------------------------------------------------------------------------

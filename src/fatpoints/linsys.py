@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, perm
@@ -37,6 +37,7 @@ from .algebra import (
     PrimeField,
     check_same_field,
     det3,
+    field_to_string,
     monomial_basis,
     order_of_vanishing,
     poly,
@@ -77,6 +78,8 @@ class FatPointScheme:
 
     points: tuple
     multiplicities: tuple
+    # sorted (JSON text of its coordinates, index) per point: a cache key's order
+    point_texts: tuple = dataclass_field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -94,6 +97,8 @@ class FatPointScheme:
             raise ValueError("multiplicities must be non-negative")
         if len(set(pts)) != len(pts):
             raise ValueError("points must be pairwise distinct")
+        object.__setattr__(self, "point_texts", tuple(sorted(
+            ('["%s","%s","%s"]' % P.coord_strings(), i) for i, P in enumerate(pts))))
 
     @property
     def field(self):
@@ -109,10 +114,11 @@ class FatPointScheme:
         return cls(points, (k,) * len(points))
 
     def _with_multiplicities(self, mults: tuple) -> "FatPointScheme":
-        """These points, checked once already, with non-negative ints ``mults``."""
+        """These points, checked and sorted already, with non-negative ints ``mults``."""
         scheme = object.__new__(FatPointScheme)
         object.__setattr__(scheme, "points", self.points)
         object.__setattr__(scheme, "multiplicities", mults)
+        object.__setattr__(scheme, "point_texts", self.point_texts)
         return scheme
 
 
@@ -484,37 +490,33 @@ def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
     return rank, pivots, A
 
 
-def _primitive(row):
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
 def _rref_over_q(A):
     """Pivots and integer rows of the RREF over Q of a matrix of ints or
-    Fractions, fraction-free (as in Bareiss 1968, with a gcd for his exact
-    division) on rows cleared of denominators: a pivot a = row_r[col] clears
-    every other row_i to the primitive part of a * row_i - row_i[col] *
-    row_r, a nonzero multiple of the row Fractions would give.  The RREF is
-    unique: its rows are the pivot rows divided by their pivots.  It gives
-    the kernels of ``modp_nullspace`` over Q and the basis of ``_pull_back``."""
+    Fractions: fraction-free Gauss-Jordan on rows cleared of denominators,
+    where a pivot a = row_r[col] turns every other row_i into (a * row_i -
+    row_i[col] * row_r) // prev, prev the pivot before a, an exact division
+    (Bareiss 1968).  Every pivot row ends with the last pivot D at its pivot
+    column: the RREF is the pivot rows divided by D.  It gives the kernels
+    of ``modp_nullspace`` over Q and the basis of ``_pull_back``."""
     nr, nc = A.shape
     rows = []
     for row in A.tolist():
         den = math.lcm(*(x.denominator for x in row))
-        rows.append(_primitive([int(x * den) for x in row]))
-    rank, pivots = 0, []
+        rows.append([int(x * den) for x in row])
+    pivots, prev = [], 1
     for col in range(nc):
+        rank = len(pivots)
         r = next((i for i in range(rank, nr) if rows[i][col]), None)
         if r is None:
             continue
         rows[rank], rows[r] = rows[r], rows[rank]
         a = rows[rank][col]
-        for i in range(nr):
-            b = rows[i][col]
-            if b and i != rank:
-                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], rows[rank])])
+        for i, row in enumerate(rows):
+            b = row[col]
+            if i != rank and (b or a != prev):
+                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, rows[rank])]
         pivots.append(col)
-        rank += 1
+        prev = a
     return pivots, rows
 
 
@@ -656,6 +658,7 @@ class AlphaReport:
     diffs: tuple
     entries: tuple  # one summary dict per k
     points: tuple  # the coordinate strings of each point of Z
+    field: str  # the field tag of Z, "rational" or "prime:P"
 
     def __post_init__(self):
         a = tuple(self.alphas)
@@ -963,7 +966,8 @@ def alpha_sequence(
         start = av.value + 1
     diffs = tuple(b - a for a, b in zip(alphas, alphas[1:]))
     return AlphaReport(tuple(alphas), diffs, tuple(entries),
-                       tuple(P.coord_strings() for P in simple.points))
+                       tuple(P.coord_strings() for P in simple.points),
+                       field_to_string(simple.field))
 
 
 def _vector_alpha(points, vec, strategy, certify, cache) -> int:

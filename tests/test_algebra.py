@@ -193,6 +193,33 @@ def test_monomial_basis_order():
     assert all(sum(m) == 3 for m in mons)
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)], ids=repr)
+def test_poly_from_vector_is_poly_on_the_monomial_basis(field):
+    # terms straight from monomial_basis, scalars only for nonzero entries:
+    # the same form as poly's, with entries that reduce to zero dropped
+    rng = random.Random(repr(field))
+    p = field.p or 1
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return 0
+        if field == QQ:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if kind < 0.6 \
+                else rng.randint(-50, 50)
+        return rng.randint(-3, 3) * p if kind < 0.5 else rng.randint(-2**40, 2**40)
+
+    for _ in range(60):
+        d = rng.randint(0, 6)
+        v = [entry() for _ in monomial_basis(d)]
+        want = poly(field, d, dict(zip(monomial_basis(d), v)))
+        got = poly_from_vector(field, d, v)
+        assert got == want and got.terms == want.terms
+        assert all(type(c) is type(field.one) and c for _, c in got.terms)
+    with pytest.raises(ValueError, match="wrong length"):
+        poly_from_vector(field, 2, [1] * 5)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

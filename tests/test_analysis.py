@@ -2,7 +2,7 @@
 
 import pytest
 
-from fatpoints.algebra import QQ, order_of_vanishing, prime_field
+from fatpoints.algebra import QQ, field_to_string, order_of_vanishing, point, prime_field
 from fatpoints import analysis, configs, linsys
 from fatpoints.analysis import (
     CONSISTENT,
@@ -151,7 +151,8 @@ def _fake_engine(alphas):
                         for i, a in enumerate(alphas))
         diffs = tuple(b - a for a, b in zip(alphas, alphas[1:]))
         return AlphaReport(tuple(alphas), diffs, entries,
-                           tuple(P.coord_strings() for P in points))
+                           tuple(P.coord_strings() for P in points),
+                           field_to_string(points[0].field))
     return engine
 
 
@@ -188,6 +189,64 @@ def test_implication_table_drives_the_checkers():
     assert v == check_minimal_gap_collinear(pts, 3)
     with pytest.raises(ValueError, match="need k_max >= 4"):
         IMPLICATIONS["uniform-step-two"].check(pts, 3)
+
+
+_ARRANGEMENT = {"exhaustive": True, "convention": "pair-spanned-lines"}
+_NO_LINES = {"collinear": False, "arrangement": None, "search_exhaustive": True}
+# (conic witness, collinear-or-arrangement verdict), recorded before the
+# conclusions read collinearity off the spanned lines and normalized once
+_PINNED_CONCLUSIONS = {
+    "general(3, 1)": (
+        lambda: general(3, 1),
+        "x^2 - 1714851053776725/44144064386563168*x*y + 263989775613907306673/"
+        "44144064386563168*x*z - 788895517433877/1379502012080099*y^2",
+        (True, {"arrangement": {
+            "lines": [["1", "-1074/3893", "26668534/3893"],
+                      ["1", "-13535/15506", "53150437/15506"], ["1", "-59/40", "372487/40"]],
+            "incidence": [[0, 1], [1, 2], [0, 2]], **_ARRANGEMENT}})),
+    "general(4, 2)": (
+        lambda: general(4, 2),
+        "x^2 - 442853940329284936123/1256223760491907843903*x*y - 7300003126863255716488101/"
+        "1256223760491907843903*x*z - 158444565730721714922/1256223760491907843903*y^2 + "
+        "3048284906403366320857038/1256223760491907843903*y*z",
+        (False, _NO_LINES)),
+    "general(5, 3)": (
+        lambda: general(5, 3),
+        "x^2 - 95684121763772453371959/23603460480598956032756*x*y + "
+        "136561672481431555723099981/11801730240299478016378*x*z + "
+        "11547951545179083042865/23603460480598956032756*y^2 + "
+        "388589523463388632915006933/23603460480598956032756*y*z - "
+        "1345480449405543954001896681699/11801730240299478016378*z^2",
+        (False, _NO_LINES)),
+    "collinear(5)": (lambda: collinear(5), "x^2", (True, {"collinear": True})),
+    "star(4, 1)": (
+        lambda: star(4, 1)[0], None,
+        (True, {"arrangement": {
+            "lines": [["1", "-15/7", "-11/7"], ["1", "-23/13", "-24/13"], ["1", "-8/13", "-3/26"],
+                      ["1", "1/8", "-13/12"]],
+            "incidence": [[2, 3], [1, 3], [0, 3], [1, 2], [0, 2], [0, 1]], **_ARRANGEMENT}})),
+    "type9()": (lambda: type9(), None, (False, _NO_LINES)),
+    "single point": (lambda: (point(QQ, 2, 3, 1),), "x^2 - 2/3*x*y",
+                     (True, {"collinear": True})),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_CONCLUSIONS))
+def test_conclusion_witnesses_are_pinned(name):
+    make, conic, lines = _PINNED_CONCLUSIONS[name]
+    pts = make()
+    assert analysis._on_conic(pts) == (conic is not None, {"conic": conic})
+    assert analysis._collinear_or_arrangement(pts) == lines
+
+
+def test_conclusions_refuse_empty_and_repeated_points():
+    for conclusion in (analysis._on_conic, analysis._collinear_or_arrangement):
+        with pytest.raises(ValueError, match="need at least one point"):
+            conclusion(())
+    P, Q, R = point(QQ, 0, 0, 1), point(QQ, 1, 0, 1), point(QQ, 0, 1, 1)
+    for pts in ((P, P), (P, P, Q), (P, P, Q, R)):
+        with pytest.raises(ValueError, match="two distinct points"):
+            analysis._collinear_or_arrangement(pts)
 
 
 def _violated(hypothesis):

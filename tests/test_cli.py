@@ -688,3 +688,19 @@ def test_alphaseq_names_the_points_it_ran_on(capsys):
         assert reports[-1]["points"] == points_to_json_dict(want)["points"]
         assert "seed" not in reports[-1]
     assert reports[0] != reports[1]
+
+
+def test_alphaseq_names_its_field(tmp_path, capsys):
+    # the points (0 : i : 1) have the same residues mod 31 and mod 37, and
+    # the certification reads SINGLE_PRIME for both: only the field differs
+    reports = []
+    for field in ("prime:31", "prime:37"):
+        out = tmp_path / f"{field.replace(':', '')}.json"
+        code, _, _ = run(capsys, "alphaseq", "--family", "collinear", "--r", "5", "--kmax", "3",
+                         "--field", field, "--out", str(out))
+        assert code == 0
+        reports.append(out.read_bytes())
+        assert json.loads(reports[-1])["field"] == field
+    assert reports[0] != reports[1]
+    code, out, _ = run(capsys, "alphaseq", "--family", "collinear", "--r", "5", "--kmax", "3")
+    assert code == 0 and json.loads(out)["field"] == "rational"

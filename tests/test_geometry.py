@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,45 @@ def test_line_normalization_and_membership():
     assert L.contains(point(QQ, 5, 2, 1))
     with pytest.raises(ValueError):
         Line.from_coeffs(QQ, (0, 0, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(31), prime_field(2**31 - 1)], ids=repr)
+def test_line_from_coeffs_is_the_inverse_and_multiply_rule(field):
+    # over Q one Fraction(c, lead) per coefficient, over F_p the product by
+    # the lead's inverse: both equal c * lead^-1 taken as field scalars
+    def rule(coeffs):
+        v = [field.of(c) for c in coeffs]
+        inv = field.inv(next(c for c in v if c != field.zero))
+        return tuple(field.of(c * inv) for c in v)
+
+    rng = random.Random(repr(field))
+    p = field.p or 1
+    leads = [(0, -3, 6), (0, 0, -5), (Fraction(-2, 3), 4, Fraction(1, 7)), (0, Fraction(5, 2), 1),
+             (-7, 0, 0), (12, -18, 30)]
+    if field != QQ:
+        leads = [c for c in leads if all(type(x) is int for x in c)]
+        leads += [(p, -3, 6), (2 * p, p, 7), (-p - 4, 1, 0)]
+    for _ in range(60):
+        kind = rng.random()
+        if kind < 0.4:
+            c = tuple(rng.randint(-20, 20) for _ in range(3))
+        elif field == QQ:
+            c = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(3))
+        else:
+            c = tuple(rng.randint(-3, 3) * p + rng.randint(0, 1) for _ in range(3))
+        leads.append(c)
+    checked = 0
+    for c in leads:
+        if not any(field.of(x) for x in c):
+            continue
+        L = Line.from_coeffs(field, c)
+        assert L.coeffs == rule(c) and L == Line(field, rule(c))
+        assert all(type(x) is type(field.one) for x in L.coeffs)
+        checked += 1
+    assert checked >= 60
+    for zero in ((0, 0, 0),) + (((p, 0, -2 * p),) if field != QQ else ()):
+        with pytest.raises(ValueError, match="nonzero coefficient"):
+            Line.from_coeffs(field, zero)
 
 
 def test_line_through_and_intersect():

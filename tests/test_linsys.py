@@ -376,6 +376,22 @@ def test_rref_over_q_is_exact_and_matches_the_field_oracle():
     assert deficient >= 20
 
 
+def test_rref_over_q_pivot_rows_carry_the_last_pivot():
+    # fraction-free Gauss-Jordan: after the last step every pivot row holds
+    # the same pivot D at its pivot column and zeros at the other pivot
+    # columns, and the rows past the rank are zero
+    for nr, nc, zero, integer, fraction in _q_cases():
+        for m in (zero, integer, fraction):
+            pivots, rows = linsys._rref_over_q(np.array(m, dtype=object).reshape(nr, nc))
+            if not pivots:
+                continue
+            D = rows[len(pivots) - 1][pivots[-1]]
+            assert D != 0
+            for i, row in enumerate(rows[:len(pivots)]):
+                assert [row[c] for c in pivots] == [D if j == i else 0 for j in range(len(pivots))]
+            assert not any(x for row in rows[len(pivots):] for x in row)
+
+
 def test_modp_nullspace_over_q_equals_the_field_oracle():
     # entry by entry and by type: the free columns hold the ints 1 and 0,
     # the pivot columns Fractions
@@ -915,7 +931,7 @@ def test_alpha_sequence_checks_its_points_once():
 
 def test_alpha_report_requires_strict_growth():
     with pytest.raises(ValueError):
-        AlphaReport((2, 2), (0,), ({}, {}), ())
+        AlphaReport((2, 2), (0,), ({}, {}), (), "rational")
 
 
 def test_alpha_diff_examples():
@@ -1268,6 +1284,51 @@ def test_cache_keys_do_not_change():
     again = FatPointScheme((point(QQ, 1, 2, 1), point(QQ, -1, 0, 2), point(QQ, 0, 5, 0)),
                            (2, 1, 3))
     assert cache_key(again, 5, MultiPrime(2), False) == cache_key(rational, 5, MultiPrime(2), False)
+
+
+_PINNED_SCHEMES = {
+    "q-uniform": lambda: FatPointScheme.uniform(
+        (point(QQ, 2, 4, 2), point(QQ, Fraction(-1, 2), 0, 1), point(QQ, 0, 1, 0),
+         point(QQ, 7, -3, 5)), 3),
+    "q-mixed": lambda: FatPointScheme(
+        (point(QQ, 1, 10, 1), point(QQ, 1, 1, 1), point(QQ, -1, 1, 1), point(QQ, 1, 0, 0)),
+        (4, 0, 2, 7)),
+    "p-uniform": lambda: FatPointScheme.uniform(
+        (point(prime_field(31), 1, 2, 3), point(prime_field(31), 30, 0, 1),
+         point(prime_field(31), 0, 1, 0)), 2),
+    "p-mixed": lambda: FatPointScheme(
+        (point(prime_field(31), 3, 30, 1), point(prime_field(31), 1, 3, 0),
+         point(prime_field(31), 10, 1, 1)), (1, 5, 3)),
+}
+_PINNED_KEYS = {  # (scheme, kind): key at (strategy, degree) of the kind below
+    ("q-uniform", False): "1cad3e6a34a0ee47ebcaedbebb5cf97e992f9e43c5cb02593181007bf6fb91c7",
+    ("q-uniform", True): "af77b20e5ea67f2c11ec8d6cb3fdf7cca5d425e28481afb20953777b2de4ba61",
+    ("q-uniform", PROBE): "16e12586c19d809407d6bf78819954f2a96566ef2d8ce4cee73aac7fcf44f2dd",
+    ("q-mixed", False): "5d30b6052cae4e9ed9f3480999bfe4f10649f29f5ad7df8f30fa5b78946b5abc",
+    ("q-mixed", True): "99a42384da00a501afc1507c1d92224ba9a3699f65a0f58bafcb7ef05c64ddc7",
+    ("q-mixed", PROBE): "cc8857eb324e87ee16282635612175a4d7399daff9bec7eb5c274dfc85b45fdb",
+    ("p-uniform", False): "17a87f7c6f3b8d80ec05df15fb33ad6fd10cf42a4998b19eea6c89400131b115",
+    ("p-uniform", True): "b0393cacd6253c17145c4386798940f382958f20b21d0c2dc1be022ddd06db98",
+    ("p-uniform", PROBE): "7bf1a0ae027ac35b53075c1de7e20e6bd3139c06317cd6dc92ba85580b794c93",
+    ("p-mixed", False): "6edd3df91ba5acce1867f4bcc204c52592f85bda62f1750f2922c5ea025b7711",
+    ("p-mixed", True): "7de65d1fdcfa383e2ec01c8b5595ab6ab1760c394594e41cafa16fe6b7a6148c",
+    ("p-mixed", PROBE): "60181f875aac08ead4984f8cecfb9edd58b9c6bc028c24e188f86ff969b8f85b",
+}
+
+
+@pytest.mark.parametrize("name,kind", list(_PINNED_KEYS), ids=lambda x: str(x))
+def test_cache_keys_are_pinned_per_scheme_and_kind(name, kind):
+    # recorded before schemes memoized their sorted point texts; a scheme
+    # from _with_multiplicities (which carries the memo of other m) and a
+    # fresh one give the same key
+    strategy, d = {False: (MultiPrime(2), 7), True: (ExactRational(), 9),
+                   PROBE: (SinglePrime(3), 6)}[kind]
+    scheme = _PINNED_SCHEMES[name]()
+    other = FatPointScheme(scheme.points, tuple(m + 1 for m in scheme.multiplicities))
+    assert cache_key(other, d, strategy, kind) != _PINNED_KEYS[name, kind]
+    assert cache_key(scheme, d, strategy, kind) == _PINNED_KEYS[name, kind]
+    carried = other._with_multiplicities(scheme.multiplicities)
+    assert cache_key(carried, d, strategy, kind) == _PINNED_KEYS[name, kind]
 
 
 def _json_cache_key(scheme, d, strategy, kind):
