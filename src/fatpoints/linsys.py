@@ -3,8 +3,8 @@
 The dimension of the degree-d forms vanishing to order m_i at points P_i is
 the corank of a condition matrix whose rows are derivative evaluations, with
 point-free factors kept per (d, m, p) (``_tables``).  Ranks are computed
-either exactly, fraction-free on integer rows (Bareiss for condition matrices,
-``_rref_over_q`` for the geometry predicates' small ones and ``_pull_back``),
+either exactly, by one fraction-free loop on integer rows in two modes
+(``_fraction_free``: the Bareiss echelon, or the RREF of ``_rref_over_q``),
 or modulo seeded 31-bit primes (``modp_rref``).  Modular ranks can only drop,
 so a full-column-rank verdict modulo one prime already certifies emptiness of
 the rational system, and a modular rank equal to min(rows, columns) is the
@@ -363,47 +363,47 @@ def _normalized(v) -> tuple:
 # ---------------------------------------------------------------------------
 # elimination engines
 
-def bareiss_echelon(rows):
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns (rank, pivot columns, echelon rows).  All intermediate values
-    stay integral; each entry of the echelon form is a minor of the input,
-    so bit growth is bounded and divisions are exact.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev = 1
-    rank = 0
-    pivots = []
+def _fraction_free(rows, reduced: bool):
+    """Fraction-free elimination (Bareiss 1968) of the integer lists
+    ``rows`` in place; returns the pivot columns.  A pivot a = row_r[col]
+    turns a row_i it clears into (a * row_i - row_i[col] * row_r) // prev,
+    prev the pivot before a: the division is exact, every entry stays a
+    minor of the input, and a row zero in the pivot column changes only if
+    a != prev.  The echelon clears the rows below each pivot, zero left of
+    it; ``reduced`` clears every other row too (Gauss-Jordan), and each
+    pivot row then ends with the last pivot D at its pivot column."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots, prev = [], 1
     for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-        pc = m[rank][col]
-        for i in range(rank + 1, nr):
-            row_i = m[i]
-            row_r = m[rank]
-            mic = row_i[col]
-            if mic:
-                for j in range(col + 1, nc):
-                    row_i[j] = (pc * row_i[j] - mic * row_r[j]) // prev
-            elif prev != 1 or pc != 1:
-                for j in range(col + 1, nc):
-                    row_i[j] = (pc * row_i[j]) // prev
-            row_i[col] = 0
-        prev = pc
-        pivots.append(col)
-        rank += 1
+        rank = len(pivots)
         if rank == nr:
             break
-    return rank, pivots, m
+        r = next((i for i in range(rank, nr) if rows[i][col]), None)
+        if r is None:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        top = rows[rank]
+        a = top[col]
+        for i in range(0 if reduced else rank + 1, nr):
+            row = rows[i]
+            b = row[col]
+            if i != rank and (b or a != prev):
+                for j in range(col + 1 if i > rank else 0, nc):
+                    row[j] = (a * row[j] - b * top[j]) // prev
+                row[col] = 0
+        pivots.append(col)
+        prev = a
+    return pivots
+
+
+def bareiss_echelon(rows):
+    """Fraction-free row echelon form of an integer matrix: (rank, pivot
+    columns, echelon rows), the ``_fraction_free`` echelon of a copy of the
+    rows.  Every entry is a minor of the input, so bit growth is bounded."""
+    m = [list(r) for r in rows]
+    pivots = _fraction_free(m, reduced=False)
+    return len(pivots), pivots, m
 
 
 def rational_nullspace(rows, ncols: Optional[int] = None):
@@ -492,32 +492,15 @@ def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
 
 def _rref_over_q(A):
     """Pivots and integer rows of the RREF over Q of a matrix of ints or
-    Fractions: fraction-free Gauss-Jordan on rows cleared of denominators,
-    where a pivot a = row_r[col] turns every other row_i into (a * row_i -
-    row_i[col] * row_r) // prev, prev the pivot before a, an exact division
-    (Bareiss 1968).  Every pivot row ends with the last pivot D at its pivot
+    Fractions: the ``_fraction_free`` Gauss-Jordan of its rows cleared of
+    denominators.  Every pivot row ends with the last pivot D at its pivot
     column: the RREF is the pivot rows divided by D.  It gives the kernels
     of ``modp_nullspace`` over Q and the basis of ``_pull_back``."""
-    nr, nc = A.shape
     rows = []
     for row in A.tolist():
         den = math.lcm(*(x.denominator for x in row))
         rows.append([int(x * den) for x in row])
-    pivots, prev = [], 1
-    for col in range(nc):
-        rank = len(pivots)
-        r = next((i for i in range(rank, nr) if rows[i][col]), None)
-        if r is None:
-            continue
-        rows[rank], rows[r] = rows[r], rows[rank]
-        a = rows[rank][col]
-        for i, row in enumerate(rows):
-            b = row[col]
-            if i != rank and (b or a != prev):
-                rows[i] = [(a * x - b * y) // prev for x, y in zip(row, rows[rank])]
-        pivots.append(col)
-        prev = a
-    return pivots, rows
+    return _fraction_free(rows, reduced=True), rows
 
 
 def modp_nullspace(A: np.ndarray, p: Optional[int]):

@@ -91,28 +91,18 @@ def render_svg(points=()) -> str:
             f'<line x1="{_fmt(px1)}" y1="{_fmt(py1)}" x2="{_fmt(px2)}" '
             f'y2="{_fmt(py2)}" stroke="steelblue" stroke-width="1.5" clip-path="url(#box)"/>'
         )
-    for idx, aff in enumerate(affine):
-        if aff is None:
-            continue
-        px, py = to_px(*aff)
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{POINT_RADIUS}" fill="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 8)}" '
-            f'font-family="monospace" font-size="14">P{idx + 1}</text>'
-        )
-    # points at infinity sit on a dashed band along the top edge
-    for j, idx in enumerate(infinite):
-        px = MARGIN + (j + 1) * span / (len(infinite) + 1)
-        py = MARGIN / 2
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{POINT_RADIUS}" '
-            f'fill="none" stroke="black" stroke-dasharray="2,2"/>'
-        )
+    # finite points first, in index order; points at infinity then sit on a
+    # dashed band along the top edge
+    marks = [(idx, to_px(*aff), 'fill="black"', "")
+             for idx, aff in enumerate(affine) if aff is not None]
+    marks += [(idx, (MARGIN + (j + 1) * span / (len(infinite) + 1), MARGIN / 2),
+               'fill="none" stroke="black" stroke-dasharray="2,2"', " (inf)")
+              for j, idx in enumerate(infinite)]
+    for idx, (px, py), style, suffix in marks:
+        parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{POINT_RADIUS}" {style}/>')
         parts.append(
             f'<text x="{_fmt(px + 8)}" y="{_fmt(py - 8)}" '
-            f'font-family="monospace" font-size="14">P{idx + 1} (inf)</text>'
+            f'font-family="monospace" font-size="14">P{idx + 1}{suffix}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

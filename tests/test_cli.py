@@ -72,6 +72,39 @@ def test_alpha_modular_strategy_warns_exit_2(capsys):
     assert json.loads(out)["warnings"]
 
 
+def test_alphaseq_modular_strategy_warns_exit_2(capsys):
+    # six conic points: each alpha(kZ) = 2k lies below the dimension count,
+    # so under one prime every existence side is modular; general points'
+    # are dimension counts
+    code, out, _ = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6", "--kmax", "3",
+                       "--strategy", "prime")
+    assert code == 2
+    assert json.loads(out)["warnings"] == [
+        f"k={k}: existence side certified only modulo primes" for k in (1, 2, 3)]
+    code, out, _ = run(capsys, "alphaseq", "--family", "general", "--r", "6", "--seed", "1",
+                       "--kmax", "3", "--strategy", "prime")
+    assert code == 0 and json.loads(out)["warnings"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("alpha", "--family", "collinear", "--r", "3", "--mults", "1,2"),
+     "--mults has 2 entries for 3 points"),
+    (("alpha", "--family", "collinear", "--r", "3", "--verify-cache"),
+     "--verify-cache needs a cache directory"),
+    (("alphaseq", "--family", "collinear", "--r", "3"), "--kmax >= 1 is required"),
+    (("dim", "--family", "collinear", "--r", "3"), "--d is required"),
+    (("kernel", "--family", "collinear", "--r", "3"), "--d is required"),
+    (("dim", "--family", "star_minus_one", "--d", "4"),
+     "pass the star_minus_one size as --p"),
+    (("repro",), "pass --id ID or --all"),
+])
+def test_usage_errors_are_one_error_line(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("FATPOINTS_CACHE", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
 def test_dim_command(capsys):
     code, out, _ = run(capsys, "dim", "--family", "general", "--r", "6",
                        "--seed", "42", "--d", "4", "--mults", "2")

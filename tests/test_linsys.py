@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
 from fractions import Fraction
@@ -69,37 +70,75 @@ def rand_int_matrix(rng, nr, nc, lo=-20, hi=20):
     return [[rng.randint(lo, hi) for _ in range(nc)] for _ in range(nr)]
 
 
-def fraction_rank(rows):
+def fraction_echelon(rows):
+    """Gauss elimination below each pivot over Fractions, with the pivot
+    rule of ``bareiss_echelon`` (the first row at or below the rank that is
+    nonzero in the column): (pivot columns, rows, row swaps)."""
     m = [[Fraction(x) for x in r] for r in rows]
     nr, nc = len(m), len(m[0]) if m else 0
-    rank = 0
+    pivots, swaps = [], 0
     for col in range(nc):
+        rank = len(pivots)
         piv = next((i for i in range(rank, nr) if m[i][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            swaps += 1
         for i in range(rank + 1, nr):
             if m[i][col]:
                 f = m[i][col] / m[rank][col]
                 for j in range(col, nc):
                     m[i][j] -= f * m[rank][j]
-        rank += 1
-        if rank == nr:
+        pivots.append(col)
+        if rank + 1 == nr:
             break
-    return rank
+    return pivots, m, swaps
+
+
+def fraction_rank(rows):
+    return len(fraction_echelon(rows)[0])
 
 
 # ---------------------------------------------------------------------------
 # elimination engines
 
 def test_bareiss_matches_fraction_gauss():
+    # each echelon row is the Fraction row times its pivot: the rows are
+    # pinned, not only the rank and pivots; the last pivot of a square
+    # nonsingular matrix is its determinant, up to the row swaps' sign
     rng = random.Random(3)
-    for _ in range(40):
+    square = 0
+    for n in range(160):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
-        m = rand_int_matrix(rng, nr, nc)
-        rank, pivots, _ = bareiss_echelon(m)
-        assert rank == fraction_rank(m)
-        assert len(pivots) == rank
+        if n % 4 == 0:
+            nc = nr
+        m = rand_int_matrix(rng, nr, nc, *rng.choice(((-20, 20), (-2, 2), (-10**9, 10**9))))
+        for i in range(1, nr):  # rows that are combinations of earlier ones
+            if rng.random() < 0.2:
+                a, b = m[rng.randrange(i)], m[rng.randrange(i)]
+                m[i] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(a, b)]
+        for j in range(nc):  # zero columns, so some columns hold no pivot
+            if rng.random() < 0.1:
+                for row in m:
+                    row[j] = 0
+        before = [list(r) for r in m]
+        rank, pivots, ech = bareiss_echelon(m)
+        assert m == before
+        want_pivots, want, swaps = fraction_echelon(m)
+        assert (rank, pivots) == (len(want_pivots), want_pivots)
+        assert len(ech) == nr and all(len(row) == nc for row in ech)
+        assert all(type(x) is int for row in ech for x in row)
+        for i, (row, c) in enumerate(zip(ech, pivots)):
+            assert not any(row[:c]) and row[c]
+            assert [Fraction(x, row[c]) for x in row] == [x / want[i][c] for x in want[i]]
+        assert not any(x for row in ech[rank:] for x in row)
+        if nr == nc == rank:
+            square += 1
+            det = math.prod(want[i][i] for i in range(nr)) * (-1) ** swaps
+            assert det.denominator == 1
+            assert ech[-1][-1] == (-1) ** swaps * det
+    assert square >= 20
 
 
 def test_rational_nullspace_annihilates():
@@ -1133,6 +1172,41 @@ def test_unlucky_first_prime_inside_the_bracket(monkeypatch):
     assert last == (3, "expected_dim")
 
 
+def test_a_certified_recheck_that_finds_no_curve_moves_the_climb_on(monkeypatch):
+    # the six points of test_unlucky_first_prime_inside_the_bracket under a
+    # single unlucky prime: its deficient conic report is the only evidence,
+    # so a certified search rechecks it exactly, finds no conic, and goes on
+    pts = tuple(point(QQ, t, t * t + 7 * t**3, 1) for t in range(1, 7))
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: (7,))
+    av = linsys.alpha_search(FatPointScheme.uniform(pts, 1), SinglePrime(),
+                             certify_existence=True)
+    assert (av.value, av.existence, av.certification) == (3, "expected_dim", "SINGLE_PRIME")
+    assert av.reports[:2] == ((2, "deficient_mod_p"), (1, "full_rank_mod_p"))
+    (d1, modular), (d2, exact), last = av.reports[2:]
+    assert (d1, modular.certification, modular.primes, modular.actual_dim) == (
+        2, "SINGLE_PRIME", (7,), 1)
+    assert modular.existence_certified is None
+    assert (d2, exact.certification, exact.actual_dim) == (2, "EXACT_RATIONAL", 0)
+    assert last == (3, "expected_dim")
+
+
+def test_the_climb_probes_a_skipped_degree_and_finds_it_empty(monkeypatch):
+    # mod 3 the cubes x^3, y^3, z^3 have vanishing partials, so every double
+    # point system of degree 3 loses rank 3 there, while degree 4 keeps full
+    # rank: the bisection ends at the spurious 3, whose prime split escalates
+    # to the exact rank 10, and the climb probes 4, which it never bisected
+    scheme = FatPointScheme.uniform(general(7, 0), 2)
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: (3, 2**31 - 1))
+    av = linsys.alpha_search(scheme, MultiPrime(2))
+    assert av.value == alpha(scheme, ExactRational()) == 6
+    assert (av.existence, av.certification) == ("expected_dim", "MULTI_PRIME(2)")
+    labels = [(d, e if isinstance(e, str) else (e.certification, e.actual_dim))
+              for d, e in av.reports]
+    assert labels == [(5, "deficient_mod_p"), (3, "deficient_mod_p"), (2, "full_rank_mod_p"),
+                      (3, ("EXACT_RATIONAL", 0)), (4, "full_rank_mod_p"),
+                      (5, ("EXACT_RATIONAL", 0)), (6, "expected_dim")]
+
+
 @pytest.mark.parametrize("r", range(4, 10))
 def test_bracket_works_only_from_alpha_minus_one(monkeypatch, tmp_path, r):
     pts = general(r, seed=0)
@@ -1506,6 +1580,25 @@ def test_a_cache_hit_is_one_read_and_verify_mode_opens_nothing(tmp_path, monkeyp
     monkeypatch.setattr("builtins.open", no_open)
     assert verify.get_report(scheme, d, strategy, False) is None
     assert (verify.hits, verify.misses) == (0, 1)
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    scheme, d, strategy = FatPointScheme.uniform(TRIANGLE, 2), 3, MultiPrime(2)
+    report = system_dim(scheme, d, strategy)
+    cache = ResultCache(tmp_path)
+
+    def no_rename(src, dst):
+        raise OSError("rename refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.put_report(scheme, d, strategy, False, report)
+    assert list(tmp_path.iterdir()) == []
+    cache.put_report(scheme, d, strategy, False, report)
+    key = cache_key(scheme, d, strategy, False)
+    assert [f.name for f in tmp_path.iterdir()] == [f"{key}.json"]
+    assert cache.get_report(scheme, d, strategy, False) == report
 
 
 def _report_json(rank, nrows, ncols, d, exp, existence, primes):
