@@ -450,7 +450,6 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
     for cell in entry["cells"]:
         kind = cell["check"]
         prov = cell.get("provenance", "DERIVED")
-        cert = ""
         if kind == "alpha":
             computed, cert = _run_alpha_cell(points, cell, seq)
             name = f"alpha({cell['k']}Z)"

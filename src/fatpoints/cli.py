@@ -12,7 +12,6 @@ import os
 import sys
 
 from .algebra import AlgebraError, QQ, field_from_string, reduce_points
-from .cache import CacheVerificationError
 from .analysis import (
     IMPLICATIONS,
     INCONSISTENT,
@@ -22,8 +21,8 @@ from .analysis import (
     repro,
     repro_all,
 )
-from .cache import ResultCache
-from .configs import FAMILIES, PARAMETERS, ConfigSpec, generate
+from .cache import CacheVerificationError, ResultCache
+from .configs import DEGREE_FAMILIES, FAMILIES, PARAMETERS, ConfigSpec, generate
 from .linsys import (
     CERTIFIED_EXISTENCE,
     FatPointScheme,
@@ -43,8 +42,7 @@ from .serialize import (
 )
 from .svgplot import render_svg
 
-# Every option, and the ones each command reads; main refuses any other
-# through the command's own parser.
+# Every option; COMMANDS names the ones each command reads.
 _OPTIONS = {
     "--points": {"help": "point-set JSON file"},
     "--family": {"choices": FAMILIES},
@@ -58,7 +56,7 @@ _OPTIONS = {
     "--d": {"type": int},
     "--mults": {"help": "comma-separated multiplicities, or one value for all"},
     "--kmax": {"type": int},
-    "--seed": {"type": int},  # absent: each family's default; search uses 0
+    "--seed": {"type": int},  # absent: each family's or conjecture_search's default
     "--strategy": {"help": "exact | prime | multiprime:K"},
     "--cache": {"help": "cache directory (or FATPOINTS_CACHE)"},
     "--verify-cache": {"action": "store_true"},
@@ -68,25 +66,12 @@ _OPTIONS = {
     "--k": {"type": int, "required": True},
     "--id": {"help": "registry example id"},
     "--all": {"action": "store_true"},
-    "--conjecture": {"type": int, "default": 2, "choices": (2, 3)},
+    "--conjecture": {"type": int, "choices": (2, 3)},
     "--trials": {"type": int, "required": True},
     "--r-min": {"type": int, "default": 4},
     "--r-max": {"type": int, "default": 9},
 }
 _FAMILY_PARAMETERS = [f"--{n}" for n in PARAMETERS]
-_POINTS = " ".join(["--points --family --field", *_FAMILY_PARAMETERS])
-_STRATEGY_CACHE = "--strategy --cache --verify-cache"
-_TAKES = {
-    "generate": f"{_POINTS} --out --pretty",
-    "alpha": f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty",
-    "alphaseq": f"{_POINTS} --kmax {_STRATEGY_CACHE} --out --pretty",
-    "dim": f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty",
-    "kernel": f"{_POINTS} --mults --strategy --out --pretty",
-    "plot": f"{_POINTS} --out",
-    "check": f"{_POINTS} --strategy --out --pretty --theorem --k",
-    "repro": "--out --id --all",
-    "search": "--field --kmax --seed --out --pretty --conjecture --trials --r-min --r-max",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,9 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact initial degrees of symbolic powers of planar point sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, takes in _TAKES.items():
+    for name, (handler, takes) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.set_defaults(command_parser=p)
+        p.set_defaults(command_parser=p, handler=handler)
         for flag in takes.split():
             p.add_argument(flag, **_OPTIONS[flag])
     return parser
@@ -133,7 +118,7 @@ def resolve_points(args, command=""):
             spec["d"] = None
         # the families with a degree parameter also take it as --p, which is
         # their only way to get it in dim and kernel
-        if args.family in ("star_minus_one", "nodal_curve_nodes") and spec["d"] is None:
+        if args.family in DEGREE_FAMILIES and spec["d"] is None:
             if args.p is None and command in ("dim", "kernel"):
                 raise UsageError(
                     f"--d means the system degree for {command}; pass the "
@@ -186,12 +171,12 @@ def write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def emit(args, payload: dict, pretty_text: str = "") -> None:
-    if args.out and args.out.endswith(".csv") and "csv" in payload:
-        return write(args, payload["csv"])
+def emit(args, payload: dict, pretty_text: str = "", csv: str = "") -> None:
+    if csv and args.out and args.out.endswith(".csv"):
+        return write(args, csv)
     pretty = args.pretty and pretty_text
     if args.out or not pretty:
-        write(args, dump_json({k: v for k, v in payload.items() if k != "csv"}))
+        write(args, dump_json(payload))
     if pretty:
         print(pretty_text)
 
@@ -224,14 +209,14 @@ def cmd_alphaseq(args) -> int:
     pts = resolve_points(args)
     rep = alpha_sequence(pts, args.kmax, **search_options(args), cache=resolve_cache(args))
     payload = rep.to_json_dict()
-    payload["csv"] = rep.to_csv()
+    csv = rep.to_csv()
     warnings = [
         f"k={e['k']}: existence side certified only modulo primes"
         for e in rep.entries
         if e["existence_certified"] not in CERTIFIED_EXISTENCE
     ]
     payload["warnings"] = warnings
-    emit(args, payload, payload["csv"].replace(",", "  ").rstrip("\n"))
+    emit(args, payload, csv.replace(",", "  ").rstrip("\n"), csv)
     return 2 if warnings else 0
 
 
@@ -295,14 +280,11 @@ def cmd_repro(args) -> int:
 
 
 def cmd_search(args) -> int:
-    rep = conjecture_search(
-        trials=args.trials,
-        r_range=(args.r_min, args.r_max),
-        k=5 if args.kmax is None else args.kmax,
-        seed=args.seed or 0,
-        difference=args.conjecture,
-        field=field_from_string(args.field or "rational"),
-    )
+    # unset options keep conjecture_search's defaults; an empty --field is unset
+    given = {"k": args.kmax, "seed": args.seed, "difference": args.conjecture,
+             "field": field_from_string(args.field) if args.field else None}
+    rep = conjecture_search(args.trials, (args.r_min, args.r_max),
+                            **{n: v for n, v in given.items() if v is not None})
     payload = rep.to_json_dict()
     pretty = (
         f"{rep.trials} trials: {len(rep.hypothesis_true)} hypothesis-true, "
@@ -317,16 +299,20 @@ def cmd_plot(args) -> int:
     return 0
 
 
+_POINTS = " ".join(["--points --family --field", *_FAMILY_PARAMETERS])
+_STRATEGY_CACHE = "--strategy --cache --verify-cache"
+# each command's handler and the options it reads; its parser refuses others
 COMMANDS = {
-    "generate": cmd_generate,
-    "alpha": cmd_alpha,
-    "alphaseq": cmd_alphaseq,
-    "dim": cmd_dim,
-    "kernel": cmd_kernel,
-    "check": cmd_check,
-    "repro": cmd_repro,
-    "search": cmd_search,
-    "plot": cmd_plot,
+    "generate": (cmd_generate, f"{_POINTS} --out --pretty"),
+    "alpha": (cmd_alpha, f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty"),
+    "alphaseq": (cmd_alphaseq, f"{_POINTS} --kmax {_STRATEGY_CACHE} --out --pretty"),
+    "dim": (cmd_dim, f"{_POINTS} --mults {_STRATEGY_CACHE} --out --pretty"),
+    "kernel": (cmd_kernel, f"{_POINTS} --mults --strategy --out --pretty"),
+    "plot": (cmd_plot, f"{_POINTS} --out"),
+    "check": (cmd_check, f"{_POINTS} --strategy --out --pretty --theorem --k"),
+    "repro": (cmd_repro, "--out --id --all"),
+    "search": (cmd_search, "--field --kmax --seed --out --pretty --conjecture --trials "
+                           "--r-min --r-max"),
 }
 
 
@@ -339,7 +325,7 @@ def main(argv=None) -> int:
     if getattr(args, "points", None) and not args.family and given:
         args.command_parser.error(f"--points takes no family parameters: {' '.join(given)}")
     try:
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except (UsageError, ValueError, KeyError, OSError, AlgebraError,
             CacheVerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,6 +65,7 @@ _GENERATORS = {
         two_nodal_union(s.d1, s.d2, s.prime, s.seed or 0), "two-nodal")),
 }
 FAMILIES = tuple(_GENERATORS)
+DEGREE_FAMILIES = tuple(f for f, (needs, _, _) in _GENERATORS.items() if "d" in needs)
 
 
 @dataclass(frozen=True)
@@ -221,14 +222,8 @@ def type9(seed: Optional[int] = None):
         d = rng.randint(2, 9)
         e = rng.randint(2, 9)
         s, t = rng.randint(1, 9), rng.randint(1, 9)
-        pts = (
-            point(QQ, 0, 0, 1),
-            point(QQ, 1, 0, 1),
-            point(QQ, 0, 1, 1),
-            point(QQ, 0, d, 1),
-            point(QQ, e, 0, 1),
-            point(QQ, s, t, s + t),
-        )
+        extras = ((0, d, 1), (e, 0, 1), (s, t, s + t))
+        pts = tuple(point(QQ, *c) for c in _TYPE9_DEFAULT[:3] + extras)
         if len(set(pts)) == 6 and is_type9(pts):
             return pts
 

@@ -533,8 +533,7 @@ def modp_nullspace(A: np.ndarray, p: Optional[int]):
 class ExactRational:
     """Fraction-free elimination over cleared integers."""
 
-    def label(self) -> str:
-        return "EXACT_RATIONAL"
+    label = "EXACT_RATIONAL"
 
 
 @dataclass(frozen=True)
@@ -542,9 +541,7 @@ class SinglePrime:
     """Elimination modulo one seeded random 31-bit prime."""
 
     seed: int = 0
-
-    def label(self) -> str:
-        return "SINGLE_PRIME"
+    label = "SINGLE_PRIME"
 
 
 @dataclass(frozen=True)
@@ -558,6 +555,7 @@ class MultiPrime:
         if self.count < 1:
             raise ValueError("need at least one prime")
 
+    @property
     def label(self) -> str:
         return f"MULTI_PRIME({self.count})"
 
@@ -568,7 +566,7 @@ DEFAULT_SEARCH_STRATEGY = MultiPrime(2)
 def exact_label(field) -> str:
     """The certification of an exact answer over ``field``: over a prime
     field its own single prime is exact."""
-    return "EXACT_RATIONAL" if field == QQ else "SINGLE_PRIME"
+    return ExactRational.label if field == QQ else SinglePrime.label
 
 
 def parse_strategy(s: str):
@@ -742,11 +740,11 @@ def _entry(scheme, d, strategy, kind, cache=None):
             primes = strategy_primes(strategy)
             rank, nrows = _rank_mod_p(scheme, d, primes[0])
             if kind is PROBE and rank == comb(d + 2, 2):
-                report = _report(scheme, d, rank, nrows, "SINGLE_PRIME", primes[:1])
+                report = _report(scheme, d, rank, nrows, SinglePrime.label, primes[:1])
             elif any(_rank_mod_p(scheme, d, p)[0] != rank for p in primes[1:]):
                 report = _exact_report(scheme, d, False)  # primes disagree
             else:
-                report = _report(scheme, d, rank, nrows, strategy.label(), primes)
+                report = _report(scheme, d, rank, nrows, strategy.label, primes)
         if cache is not None:
             cache.put_report(scheme, d, strategy, kind, report)
     return report
@@ -903,7 +901,7 @@ def alpha_search(
                           tuple(trail))
     _check_system(scheme, hi, p)  # raises where a climb would have stopped
     # the label system_dim gives when no prime split escalates
-    label = strategy.label() if p is None else exact_label(scheme.field)
+    label = strategy.label if p is None else exact_label(scheme.field)
     trail.append((hi, "expected_dim"))
     return AlphaValue(hi, "expected_dim", label, tuple(trail))
 

@@ -1,9 +1,13 @@
 """Theorem checkers, numeric conditions, search harness, and repro engine."""
 
+import dataclasses
+import json
+
 import pytest
 
 from fatpoints.algebra import QQ, field_to_string, order_of_vanishing, point, prime_field
 from fatpoints import analysis, configs, linsys
+from fatpoints.cli import main
 from fatpoints.analysis import (
     CONSISTENT,
     EXCEPTION,
@@ -171,6 +175,23 @@ def test_certified_violation_is_inconsistent(monkeypatch):
     assert v.status == INCONSISTENT and v.hypothesis_holds
     assert v.conclusion_holds is False
     assert v.certification == "EXACT_RATIONAL"
+
+
+@pytest.mark.parametrize("points, family, k", [
+    (type9, ("type9",), 5),
+    (lambda: general(6, seed=42), ("general", "--r", "6", "--seed", "42"), 4),
+])
+def test_step_two_off_a_conic_is_inconsistent_outside_the_exception(monkeypatch, capsys,
+                                                                    points, family, k):
+    # six points on no conic with step-2 alphas: the triangle-plus exception
+    # covers type9 at k_max = 4 only
+    monkeypatch.setattr(analysis, "alpha_sequence", _fake_engine((3, 5, 7, 9, 11)[:k]))
+    v = check_uniform_step_two_conic(points(), k)
+    assert v.status == INCONSISTENT and v.hypothesis_holds and v.conclusion_holds is False
+    assert "exception" not in v.witness
+    argv = ["check", "--family", *family, "--theorem", "uniform-step-two", "--k", str(k)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == INCONSISTENT
 
 
 def test_non_exhaustive_arrangement_search_is_undecided(monkeypatch):
@@ -430,6 +451,27 @@ def test_repro_builds_the_nodal_curve_once(monkeypatch):
     monkeypatch.setattr(configs, "NODAL_ATTEMPTS", 1)  # seed 0 needs a retry
     with pytest.raises(ValueError, match="nodal generation failed; try another seed"):
         repro("ex-nodal4", registry)
+
+
+def test_an_alpha_cell_with_a_curve_below_its_value_is_uncertified(monkeypatch):
+    # the nonexistence check at value - 1 finds a curve: the cell names it
+    # and fails, keeping the check's certification
+    real, degrees = analysis.system_dim, []
+
+    def one_curve(scheme, d, **kwargs):
+        degrees.append(d)
+        return dataclasses.replace(real(scheme, d, **kwargs), actual_dim=1)
+
+    monkeypatch.setattr(analysis, "system_dim", one_curve)
+    registry = {"examples": {"ex-conic6-k2": {"config": {"family": "on_conic", "r": 6},
+                                              "cells": [{"check": "alpha", "k": 2,
+                                                         "expected": 4,
+                                                         "nonexistence": "multiprime:3"}]}}}
+    (cell,) = repro("ex-conic6-k2", registry).cells
+    assert degrees == [3]
+    assert cell.computed == "4 (uncertified: dim 1 at 3)"
+    assert cell.certification.endswith("(MULTI_PRIME(3) at 3)")
+    assert not cell.passed
 
 
 def test_repro_report_json():

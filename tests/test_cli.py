@@ -10,7 +10,7 @@ from fatpoints.algebra import QQ, evaluate, point, poly
 from fatpoints.geometry import Line, spanned_lines
 from fatpoints.cli import main
 from fatpoints.serialize import points_from_json_dict, points_to_json_dict
-from fatpoints.configs import general, star, type9
+from fatpoints.configs import DEGREE_FAMILIES, general, star, type9
 from fatpoints.svgplot import render_svg
 
 
@@ -240,6 +240,24 @@ def test_search_artifact_reproducible(tmp_path, capsys):
                          "--out", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_search_leaves_its_defaults_to_the_library(tmp_path, capsys):
+    # conjecture_search's own defaults, spelled out or left unset, and an
+    # empty --field, which means rational
+    base = ("search", "--trials", "5", "--seed", "0")
+    runs = {"plain": base,
+            "spelled": (*base, "--kmax", "5", "--field", "rational", "--conjecture", "2",
+                        "--r-min", "4", "--r-max", "9"),
+            "empty-field": (*base, "--field", ""),
+            "no-seed": base[:3]}
+    for name, argv in runs.items():
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / f"{name}.json"))
+        assert code == 0 and "Traceback" not in err
+    want = (tmp_path / "plain.json").read_bytes()
+    assert all((tmp_path / f"{name}.json").read_bytes() == want for name in runs)
+    code, err = refused(capsys, *base, "--conjecture", "4")
+    assert code == 2 and "invalid choice: 4" in err
 
 
 def test_missing_input_is_an_error(capsys):
@@ -710,6 +728,28 @@ def test_dim_and_kernel_read_d_as_the_system_degree(tmp_path, capsys, command, f
     assert code == 0
     code, from_file, _ = run(capsys, command, "--points", str(pts), "--d", "3")
     assert code == 0 and from_file == from_family
+
+
+# each degree family's degree, then the other arguments it needs
+DEGREE_FAMILY_ARGS = {"star_minus_one": ("5", "--seed", "1"),
+                      "nodal_curve_nodes": ("4", "--prime", "17", "--seed", "0")}
+
+
+@pytest.mark.parametrize("command", ["dim", "kernel"])
+@pytest.mark.parametrize("family", DEGREE_FAMILIES)
+def test_every_degree_family_takes_its_degree_as_p(tmp_path, capsys, family, command):
+    degree, *rest = DEGREE_FAMILY_ARGS[family]
+    pts = tmp_path / "pts.json"
+    code, _, _ = run(capsys, "generate", "--family", family, "--d", degree, *rest,
+                     "--out", str(pts))
+    assert code == 0
+    code, from_family, _ = run(capsys, command, "--family", family, "--p", degree, *rest,
+                               "--d", "3")
+    assert code == 0
+    code, from_file, _ = run(capsys, command, "--points", str(pts), "--d", "3")
+    assert code == 0 and from_file == from_family
+    code, out, err = run(capsys, command, "--family", family, *rest, "--d", "3")
+    assert code == 1 and out == "" and f"pass the {family} size as --p" in err
 
 
 def test_alphaseq_names_the_points_it_ran_on(capsys):

@@ -1089,6 +1089,21 @@ def test_parse_strategy():
         parse_strategy("float")
 
 
+def test_strategies_carry_their_labels_outside_their_fields():
+    # a label is data but no dataclass field, so equality, repr and the
+    # cache's strategy tag see only the seed and the prime count
+    strategies = (ExactRational(), SinglePrime(4), MultiPrime(3))
+    assert [s.label for s in strategies] == ["EXACT_RATIONAL", "SINGLE_PRIME",
+                                             "MULTI_PRIME(3)"]
+    assert [exact_label(QQ), exact_label(prime_field(7))] == [ExactRational.label,
+                                                              SinglePrime.label]
+    assert list(map(repr, strategies)) == ["ExactRational()", "SinglePrime(seed=4)",
+                                           "MultiPrime(count=3, seed=0)"]
+    assert list(map(_strategy_tag, strategies)) == [
+        "ExactRational", "SinglePrime:seed=4", "MultiPrime:count=3:seed=0"]
+    assert SinglePrime(4) == SinglePrime(4) != SinglePrime(5)
+
+
 def test_strategy_primes_deterministic():
     a = strategy_primes(MultiPrime(3))
     b = strategy_primes(MultiPrime(3))
