@@ -49,8 +49,10 @@ from .linsys import (
     DEFAULT_SEARCH_STRATEGY,
     FatPointScheme,
     alpha_sequence,
+    alpha_values,
     exact_label,
     parse_strategy,
+    strategy_primes,
     system_dim,
 )
 from .serialize import record
@@ -418,14 +420,16 @@ def _predicate_value(name: str, points, spec: ConfigSpec, nodal: Callable):
     raise ValueError(f"unknown predicate {name!r}")
 
 
-def _run_alpha_cell(points, cell, seq):
-    k = cell["k"]
-    value = seq.alphas[k - 1]
-    cert = f"existence={seq.entries[k - 1]['existence_certified']}; below=full-rank"
+def _run_alpha_cell(points, cell, av):
+    k, value = cell["k"], av.value
+    cert = f"existence={av.existence}; below=full-rank"
     mode = cell.get("nonexistence")
     if mode and value > k:
         scheme = FatPointScheme.uniform(points, k)
-        below = system_dim(scheme, value - 1, strategy=parse_strategy(mode))
+        probed = (value - 1, "full_rank_mod_p") in av.reports  # by the search's first prime
+        below = system_dim(scheme, value - 1, strategy=parse_strategy(mode),
+                           full_rank_mod=strategy_primes(DEFAULT_SEARCH_STRATEGY)[0]
+                           if probed else None)
         cert += f" ({below.certification} at {value - 1})"
         if below.actual_dim != 0:
             return (f"{value} (uncertified: dim {below.actual_dim} "
@@ -443,20 +447,20 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
     # the nodal family's curve, built once for its points and both predicates
     nodal = functools.cache(lambda: nodal_curve(spec))
     points = nodal()[1] if spec.family == "nodal_curve_nodes" else generate(spec)
-    # one certified sequence serves every alpha and alpha_gap cell
+    # one certified sequence and its trail, kept for this call, serve the alpha and alpha_gap cells
     kmax = max((c.get(key, 0) for c in entry["cells"] for key in ("k", "m", "n")), default=0)
-    seq = alpha_sequence(points, kmax, certify_existence=True) if kmax else None
+    values = alpha_values(points, kmax, certify_existence=True) if kmax else None
     cells = []
     for cell in entry["cells"]:
         kind = cell["check"]
         prov = cell.get("provenance", "DERIVED")
         if kind == "alpha":
-            computed, cert = _run_alpha_cell(points, cell, seq)
+            computed, cert = _run_alpha_cell(points, cell, values[cell["k"] - 1])
             name = f"alpha({cell['k']}Z)"
         elif kind == "alpha_gap":
             m, n = cell["m"], cell["n"]
-            computed = seq.alphas[m - 1] - seq.alphas[n - 1]
-            cert = seq.entries[max(m, n) - 1]["certification"]
+            computed = values[m - 1].value - values[n - 1].value
+            cert = values[max(m, n) - 1].certification
             name = f"alpha_gap({m},{n})"
         elif kind == "predicate":
             computed = _predicate_value(cell["name"], points, spec, nodal)

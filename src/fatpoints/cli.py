@@ -172,10 +172,10 @@ def write(args, text: str) -> None:
 
 
 def emit(args, payload: dict, pretty_text: str = "", csv: str = "") -> None:
-    if csv and args.out and args.out.endswith(".csv"):
-        return write(args, csv)
     pretty = args.pretty and pretty_text
-    if args.out or not pretty:
+    if csv and args.out and args.out.endswith(".csv"):
+        write(args, csv)
+    elif args.out or not pretty:
         write(args, dump_json(payload))
     if pretty:
         print(pretty_text)
@@ -314,6 +314,8 @@ COMMANDS = {
     "search": (cmd_search, "--field --kmax --seed --out --pretty --conjecture --trials "
                            "--r-min --r-max"),
 }
+# the --out suffixes a command writes, if not only .json; another known one is refused
+_WRITES = {"alphaseq": (".json", ".csv"), "plot": (".svg",)}
 
 
 def main(argv=None) -> int:
@@ -324,6 +326,9 @@ def main(argv=None) -> int:
              and not (f == "--d" and args.command in ("dim", "kernel"))]
     if getattr(args, "points", None) and not args.family and given:
         args.command_parser.error(f"--points takes no family parameters: {' '.join(given)}")
+    suffix = os.path.splitext(getattr(args, "out", None) or "")[1]
+    if suffix in (".json", ".csv", ".svg") and suffix not in _WRITES.get(args.command, (".json",)):
+        args.command_parser.error(f"--out {args.out}: {args.command} writes no {suffix} file")
     try:
         return args.handler(args)
     except (UsageError, ValueError, KeyError, OSError, AlgebraError,

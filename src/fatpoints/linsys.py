@@ -276,8 +276,18 @@ def _rank_mod_p(scheme: FatPointScheme, d: int, p: Optional[int]):
         if rank == min(nrows, comb(d + 2, 2)):
             return rank, nrows
     covered, R, _ = _framed(imposed, d, p)
+    if not len(R):  # the frame's rows alone
+        return covered, nrows
     rank = bareiss_echelon(R.tolist())[0] if p is None else modp_rref(R, p, rank_only=True)[0]
     return covered + rank, nrows
+
+
+def _known_rank(scheme: FatPointScheme, d: int, p: Optional[int], full_rank_mod):
+    """``_rank_mod_p``, or no elimination if full column rank is known mod
+    ``full_rank_mod`` and that is p (over Q, the prime that runs first)."""
+    if full_rank_mod and full_rank_mod == (p or strategy_primes(SinglePrime())[0]):
+        return comb(d + 2, 2), sum(comb(m + 1, 2) for _, _, m in _imposed(scheme, d, p))
+    return _rank_mod_p(scheme, d, p)
 
 
 def _framed(imposed, d: int, p: Optional[int]):
@@ -324,10 +334,7 @@ def _pull_back(vectors, frame, d: int):
 
     The products l1^i l2^j l3^k are dense arrays P[s, t] of the
     coefficients of x^s y^t z^(e-s-t), each one linear form times an
-    earlier one.  The pulled-back vectors span the kernel, and that basis
-    is their RREF with the columns reversed (one row per free column f,
-    whose last nonzero entry it is): ``_rref_over_q`` of the reversed
-    columns, each row reversed back, last pivot first, and ``_normalized``.
+    earlier one.  The pulled-back vectors span the kernel: ``_span_basis``.
     """
     if frame is None or not vectors:
         return vectors
@@ -350,8 +357,29 @@ def _pull_back(vectors, frame, d: int):
 
     S = np.array([product(mu)[at] for mu in mons
                   if all(e <= d - m for e, (_, _, m) in zip(mu, frame))], dtype=object)
-    pivots, rows = _rref_over_q(np.array(vectors, dtype=object).dot(S)[:, ::-1])
+    return _span_basis(np.array(vectors, dtype=object).dot(S))
+
+
+def _span_basis(vectors):
+    """The RREF kernel basis, as ``rational_nullspace`` gives it, of the span
+    of integer ``vectors``: their RREF with the columns reversed (one row per
+    free column f, its last nonzero entry), rows reversed back, ``_normalized``."""
+    pivots, rows = _rref_over_q(np.array(vectors, dtype=object)[:, ::-1])
     return [_normalized(r[::-1]) for r in reversed(rows[:len(pivots)])]
+
+
+def _product_basis(d: int, bound: int, pairs):
+    """``_span_basis`` of the degree-d products f g of the forms of each pair
+    of kernel bases in ``pairs``, in integer coefficients, if they span
+    ``bound`` dimensions (a kernel of at most that many is then their span)."""
+    index, vectors = {mu: i for i, mu in enumerate(monomial_basis(d))}, []
+    for f, g in ((f, g) for A, B in pairs if A[0].degree + B[0].degree == d
+                 for f in A for g in B):
+        vectors.append([0] * len(index))
+        for (a, b, c), x in f.integer_terms():
+            for (a2, b2, c2), y in g.integer_terms():
+                vectors[-1][index[a + a2, b + b2, c + c2]] += x * y
+    return basis if vectors and len(basis := _span_basis(vectors)) == bound else None
 
 
 def _normalized(v) -> tuple:
@@ -694,36 +722,36 @@ def _report(scheme, d, rank, nrows, certification, primes=(), kernel=None,
     )
 
 
-def _exact_report(scheme, d, want_kernel):
+def _exact_report(scheme, d, want_kernel, full_rank_mod=None, products=None):
     """The report of an exact rank over the scheme's own field, or of an
     exact kernel and its rank.
 
     A rank alone is one ``_rank_mod_p`` at the scheme's prime, or over Q.
     A kernel over F_p is ``modp_nullspace`` of the condition matrix; over Q
-    it is ``_exact_nullspace`` of the one matrix ``_framed`` picks and
-    builds, and ``_pull_back`` turns a framed kernel into the condition
-    matrix's RREF kernel basis, the one ``rational_nullspace`` would give.
-    Every kernel form is checked at every point in the original coordinates.
+    it is ``_product_basis(d, *products)`` if that spans, else the kernel of
+    the one matrix ``_framed`` picks and builds, which ``_pull_back`` turns
+    into the RREF kernel basis ``rational_nullspace`` would give.  Every
+    kernel form is checked at every point in the original coordinates.
     """
     p = scheme.field.p
     certification, primes = exact_label(scheme.field), (() if p is None else (p,))
     if not want_kernel:
-        rank, nrows = _rank_mod_p(scheme, d, p)
+        rank, nrows = _known_rank(scheme, d, p, full_rank_mod)
         return _report(scheme, d, rank, nrows, certification, primes, witness="rank")
     imposed = _imposed(scheme, d, p)
     nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
-    if p is None:
+    if p is not None:
+        vectors = modp_nullspace(_derivative_rows(imposed, d, p), p)
+    elif (vectors := products and _product_basis(d, *products)) is None:
         _, rows, frame = _framed(imposed, d, None)
         vectors = _pull_back(_exact_nullspace(rows, strategy_primes(SinglePrime())[0]), frame, d)
-    else:
-        vectors = modp_nullspace(_derivative_rows(imposed, d, p), p)
     kernel = tuple(poly_from_vector(scheme.field, d, v) for v in vectors)
     _verify_kernel(scheme, kernel)
     return _report(scheme, d, comb(d + 2, 2) - len(kernel), nrows, certification,
                    primes, kernel, "kernel")
 
 
-def _entry(scheme, d, strategy, kind, cache=None):
+def _entry(scheme, d, strategy, kind, cache=None, full_rank_mod=None, products=None):
     """The report of degree d that ``kind`` asks for, through ``cache`` if
     given: False or True for a ``system_dim`` report without or with its
     kernel, ``PROBE`` for an alpha-search probe.  A prime-field scheme,
@@ -735,14 +763,14 @@ def _entry(scheme, d, strategy, kind, cache=None):
     if report is None:
         want_kernel = kind is not PROBE and kind
         if scheme.field != QQ or isinstance(strategy, ExactRational) or want_kernel:
-            report = _exact_report(scheme, d, want_kernel)
+            report = _exact_report(scheme, d, want_kernel, full_rank_mod, products)
         else:
             primes = strategy_primes(strategy)
-            rank, nrows = _rank_mod_p(scheme, d, primes[0])
+            rank, nrows = _known_rank(scheme, d, primes[0], full_rank_mod)
             if kind is PROBE and rank == comb(d + 2, 2):
                 report = _report(scheme, d, rank, nrows, SinglePrime.label, primes[:1])
             elif any(_rank_mod_p(scheme, d, p)[0] != rank for p in primes[1:]):
-                report = _exact_report(scheme, d, False)  # primes disagree
+                report = _exact_report(scheme, d, False, full_rank_mod)  # primes disagree
             else:
                 report = _report(scheme, d, rank, nrows, strategy.label, primes)
         if cache is not None:
@@ -756,14 +784,19 @@ def system_dim(
     strategy=DEFAULT_SEARCH_STRATEGY,
     want_kernel: bool = False,
     cache=None,
+    full_rank_mod: Optional[int] = None,
+    products: Optional[tuple] = None,
 ) -> LinearSystemReport:
     """Dimension report of the degree-``d`` part of the fat-point ideal.
 
     ``actual_dim`` = C(d+2, 2) - rank of the condition matrix, with the rank
     computed per the requested strategy.  Schemes over a prime field are
-    always eliminated exactly over that field.
+    always eliminated exactly over that field.  What an alpha search proved
+    at d saves work and changes no report: full column rank modulo the
+    prime ``full_rank_mod``, and ``products`` = (a modular kernel
+    dimension, pairs of exact kernel bases whose multiplicities add up).
     """
-    return _entry(scheme, d, strategy, want_kernel, cache)
+    return _entry(scheme, d, strategy, want_kernel, cache, full_rank_mod, products)
 
 
 def kernel_basis(scheme: FatPointScheme, d: int, strategy=ExactRational()):
@@ -817,6 +850,7 @@ def alpha_search(
     start: Optional[int] = None,
     cache=None,
     upper: Optional[int] = None,
+    factors=(),
 ) -> AlphaValue:
     """Alpha with its certificate and the degrees probed, searched from
     ``start`` when that exceeds max(max m, 1).
@@ -833,7 +867,8 @@ def alpha_search(
     column rank modulo the first prime counts as empty.  Every other probe
     is the ``system_dim`` report.  A report that finds its degree empty
     after all (an escalated prime split, or a certified search's exact
-    recheck) moves the search on to the next degree.
+    recheck) moves the search on to the next degree.  The recheck passes
+    ``factors`` on to ``system_dim`` as ``products`` with the probe's dimension.
 
     ``reports`` holds one ``(d, entry)`` pair per probe, in order, then the
     report at the value unless its probe was the last entry, and the exact
@@ -891,9 +926,8 @@ def alpha_search(
         if report.actual_dim == 0:
             continue  # a prime split escalated and the exact rank is full
         if report.existence_certified is None and certify_existence:
-            report = system_dim(
-                scheme, d, strategy=ExactRational(), want_kernel=True, cache=cache
-            )
+            report = system_dim(scheme, d, strategy=ExactRational(), want_kernel=True,
+                                cache=cache, products=(report.actual_dim, factors))
             trail.append((d, report))
             if report.actual_dim == 0:
                 continue  # the modular ranks undercounted
@@ -916,6 +950,28 @@ def alpha(
     return alpha_search(scheme, strategy, certify_existence, cache=cache).value
 
 
+def alpha_values(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
+                 certify_existence: bool = False, cache=None) -> list:
+    """The ``AlphaValue`` of kZ for k = 1..k_max, each search started above
+    the last value.  Products of curves multiply ideals, so alpha(jZ) +
+    alpha((k-j)Z) is its ``upper`` hint and the kernels of jZ and (k-j)Z
+    are its ``factors``.  The kernels live as long as the list."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    simple = FatPointScheme.uniform(points, 1)  # checks the points once
+    values, alphas, kernels, start = [], [], [], None
+    for k in range(1, k_max + 1):
+        scheme = simple._with_multiplicities((k,) * len(simple.points))
+        upper = min(map(sum, zip(alphas, reversed(alphas))), default=None)
+        factors = [(A, B) for A, B in zip(kernels[:k // 2], reversed(kernels)) if A and B]
+        av = alpha_search(scheme, strategy, certify_existence, start, cache, upper, factors)
+        values.append(av)
+        alphas.append(av.value)
+        kernels.append(av.reports[-1][1].kernel if av.existence == "kernel" else None)
+        start = av.value + 1
+    return values
+
+
 def alpha_sequence(
     points,
     k_max: int,
@@ -923,32 +979,14 @@ def alpha_sequence(
     certify_existence: bool = False,
     cache=None,
 ) -> AlphaReport:
-    """Initial degrees of kZ for k = 1..k_max with warm-started searches."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    simple = FatPointScheme.uniform(points, 1)  # checks the points once
-    alphas = []
-    entries = []
-    start = None
-    for k in range(1, k_max + 1):
-        scheme = simple._with_multiplicities((k,) * len(simple.points))
-        # alpha(kZ) <= alpha(jZ) + alpha((k-j)Z): the product of two curves
-        upper = min(map(sum, zip(alphas, reversed(alphas))), default=None)
-        av = alpha_search(scheme, strategy, certify_existence, start, cache, upper)
-        alphas.append(av.value)
-        entries.append(
-            {
-                "k": k,
-                "alpha": av.value,
-                "existence_certified": av.existence,
-                "certification": av.certification,
-            }
-        )
-        start = av.value + 1
-    diffs = tuple(b - a for a, b in zip(alphas, alphas[1:]))
-    return AlphaReport(tuple(alphas), diffs, tuple(entries),
-                       tuple(P.coord_strings() for P in simple.points),
-                       field_to_string(simple.field))
+    """Initial degrees of kZ for k = 1..k_max, from ``alpha_values``."""
+    points = tuple(points)
+    values = alpha_values(points, k_max, strategy, certify_existence, cache)
+    alphas = tuple(av.value for av in values)
+    entries = tuple({"k": k, "alpha": av.value, "existence_certified": av.existence,
+                     "certification": av.certification} for k, av in enumerate(values, 1))
+    return AlphaReport(alphas, tuple(b - a for a, b in zip(alphas, alphas[1:])), entries,
+                       tuple(P.coord_strings() for P in points), field_to_string(points[0].field))
 
 
 def _vector_alpha(points, vec, strategy, certify, cache) -> int:

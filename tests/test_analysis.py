@@ -474,6 +474,55 @@ def test_an_alpha_cell_with_a_curve_below_its_value_is_uncertified(monkeypatch):
     assert not cell.passed
 
 
+def _eliminations(monkeypatch):
+    """The (shape, prime, rank_only, entries) of every ``modp_rref`` call."""
+    calls, modp_rref = [], linsys.modp_rref
+
+    def spy(A, p, rank_only=False):
+        calls.append((A.shape, p, rank_only, str(A.tolist())))
+        return modp_rref(A, p, rank_only)
+
+    monkeypatch.setattr(linsys, "modp_rref", spy)
+    return calls
+
+
+@pytest.mark.parametrize("example_id", ["ex-nagata16", "ex-6general", "ex-3general"])
+def test_repro_eliminates_no_matrix_twice(monkeypatch, example_id):
+    # a nonexistence cell reads the search's full rank at value - 1 modulo
+    # the first prime from the trail (ex-nagata16 k = 1..4, ex-6general
+    # k = 2), and a frame with no other point eliminates nothing
+    # (ex-3general, whose three points are the frame)
+    calls = _eliminations(monkeypatch)
+    assert repro(example_id).passed
+    assert len(set(calls)) == len(calls)
+    assert all(shape[0] for shape, *_ in calls)
+
+
+def test_a_prime_split_below_the_value_keeps_the_escalated_cell(monkeypatch):
+    # the third prime of multiprime:3 is 3, modulo which the 18 x 10
+    # condition matrix of six double conic points has rank 6 at degree 3
+    # (too small for the frame, whose matrix is 9 x 1 modulo the others):
+    # only the second and third primes run, the split escalates to the
+    # exact full rank the search's first prime proved, and the cell keeps
+    # its bytes
+    primes = linsys.strategy_primes
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: primes(s)[:2] + (3,)
+                        if s == linsys.MultiPrime(3) else primes(s))
+    calls = _eliminations(monkeypatch)
+    registry = {"examples": {"ex-conic6-k2": {"config": {"family": "on_conic", "r": 6},
+                                              "cells": [{"check": "alpha", "k": 2,
+                                                         "expected": 4,
+                                                         "nonexistence": "multiprime:3"}]}}}
+    (cell,) = repro("ex-conic6-k2", registry).cells
+    assert cell.to_json_dict() == {
+        "name": "alpha(2Z)", "expected": 4, "computed": 4, "provenance": "DERIVED",
+        "pass": True, "certification": "existence=kernel; below=full-rank (EXACT_RATIONAL at 3)"}
+    first, second, _ = primes(linsys.MultiPrime(3))
+    assert [(shape, p) for shape, p, *_ in calls if shape[1] in (1, 10)] == [
+        ((9, 1), first), ((9, 1), second), ((18, 10), 3)]
+    assert len(set(calls)) == len(calls)
+
+
 def test_repro_report_json():
     d = repro("ex-collinear5").to_json_dict()
     assert d["kind"] == "repro_report" and d["pass"]

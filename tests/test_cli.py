@@ -56,6 +56,15 @@ def test_alphaseq_csv_export(tmp_path, capsys):
     assert out.read_text().splitlines() == ["k,alpha,diff", "1,2,", "2,4,2", "3,6,2"]
 
 
+def test_alphaseq_pretty_prints_the_table_beside_a_csv_file(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    code, stdout, _ = run(capsys, "alphaseq", "--family", "on_conic", "--r", "6",
+                          "--kmax", "3", "--pretty", "--out", str(out))
+    assert code == 0
+    assert stdout == "k  alpha  diff\n1  2  \n2  4  2\n3  6  2\n"
+    assert out.read_text() == "k,alpha,diff\n1,2,\n2,4,2\n3,6,2\n"
+
+
 def test_alpha_three_general_double_points(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     run(capsys, "generate", "--family", "general", "--r", "3", "--seed", "11",
@@ -140,6 +149,21 @@ def refused(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("generate", "--family", "collinear", "--r", "3"), "g.csv"),
+    (("plot", "--family", "type9"), "x.json"),
+    (("repro", "--id", "ex-star3"), "r.svg"),
+], ids=["generate-csv", "plot-json", "repro-svg"])
+def test_an_out_suffix_the_command_does_not_write_is_refused(tmp_path, capsys, argv, name):
+    # .csv is only alphaseq's table and .svg only plot's drawing; plot
+    # writes no JSON
+    out = tmp_path / name
+    code, err = refused(capsys, *argv, "--out", str(out))
+    assert code == 2 and err.startswith(f"usage: fatpoints {argv[0]} ")
+    assert f"error: --out {out}: {argv[0]} writes no {out.suffix} file" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_check_refuses_cache(tmp_path, capsys):

@@ -29,10 +29,11 @@ from fatpoints.algebra import (
     partial_derivative,
     point,
     poly,
+    poly_from_vector,
     prime_field,
 )
 from fatpoints.cache import CacheCorruptionError, ResultCache, _strategy_tag, cache_key
-from fatpoints.configs import collinear, dual_hesse, general, on_conic, type9
+from fatpoints.configs import collinear, dual_hesse, general, on_conic, star, type9
 from fatpoints.linsys import (
     PROBE,
     AlphaReport,
@@ -765,14 +766,17 @@ def _random_rational_schemes(n):
 def test_exact_frame_choice_is_read_off_coordinates_before_building(monkeypatch):
     # each rational _framed call builds one matrix, and takes the frame
     # exactly when the two-build oracle does: every such call of a repro
-    # pass, and random schemes
+    # pass, and random schemes.  A repro pass makes 12 such calls: the eight
+    # kernels at the product bound (ex-conic6 k = 2..6, ex-collinear5
+    # k = 2, 3 and ex-3general k = 8) are spanned by products of earlier
+    # kernels and build no matrix
     calls = []
     framed = linsys._framed
     monkeypatch.setattr(linsys, "_framed", lambda *args: calls.append(args) or framed(*args))
     repro_all()
     monkeypatch.undo()
     cases = [(imposed, d) for imposed, d, p in calls if p is None]
-    assert len(cases) == 20
+    assert len(cases) == 12
     cases += [(linsys._imposed(scheme, d, None), d)
               for scheme, d in _random_rational_schemes(300)]
     builds = []
@@ -1498,6 +1502,75 @@ def test_the_product_bound_writes_no_more_cache_entries(tmp_path, configurations
     a, b = ({f.name: f.read_bytes() for f in d.iterdir()} for d in (hinted, free))
     assert a.items() <= b.items()
     assert (len(a) < len(b)) == fewer
+
+
+def _certified_values(monkeypatch, points, k_max, pairs=lambda d, pairs: pairs):
+    """``alpha_values`` of a certified search, ``pairs(d, pairs)`` handed to
+    ``_product_basis`` in place of its pairs, and the degrees where the
+    products were tried and where they gave the kernel."""
+    tried, built, product_basis = [], [], linsys._product_basis
+
+    def spy(d, bound, factors):
+        basis = product_basis(d, bound, pairs(d, factors))
+        tried.append(d)
+        built.extend([d] if basis is not None else [])
+        return basis
+
+    monkeypatch.setattr(linsys, "_product_basis", spy)
+    return linsys.alpha_values(points, k_max, certify_existence=True), tried, built
+
+
+@pytest.mark.parametrize("points,k_max,products", [
+    (on_conic(6), 6, (2, 3, 4, 5, 6)),
+    (collinear(5), 3, (2, 3)),
+    (general(3, seed=11, height=12), 8, (8,)),
+    (star(4, 1)[0], 5, (4, 5)),
+    (star(5, 1)[0], 4, (4,)),
+], ids=["on_conic6", "collinear5", "general3", "star4", "star5"])
+def test_kernels_built_from_products_match_the_unframed_oracle(monkeypatch, points, k_max,
+                                                                products):
+    # where alpha(kZ) = alpha(jZ) + alpha((k-j)Z) and the kernels of jZ and
+    # (k-j)Z are exact, their products span the kernel of kZ: its basis is
+    # the RREF basis of the unframed condition matrix, and the report is
+    # the engine's; every other certified kernel comes from the engine
+    values, _, built = _certified_values(monkeypatch, points, k_max)
+    assert built == [values[k - 1].value for k in products]
+    for k in products:
+        av = values[k - 1]
+        scheme, d, report = FatPointScheme.uniform(points, k), av.value, av.reports[-1][1]
+        want = rational_nullspace(build_condition_matrix(scheme, d).tolist())
+        assert report.kernel == tuple(poly_from_vector(QQ, d, v) for v in want)
+        assert (av.existence, av.certification) == ("kernel", "EXACT_RATIONAL")
+        assert report == system_dim(scheme, d, ExactRational(), want_kernel=True)
+
+
+def test_products_that_span_less_than_the_probe_found_take_the_engine(monkeypatch):
+    # star(4, 1) at k = 5, d = 11: the one form of the kernel of 2Z times the
+    # four of 3Z span the four dimensions the probe found; with one form of
+    # 3Z dropped they span three, and the engine computes the same kernel
+    want = linsys.alpha_values(star(4, 1)[0], 5, certify_existence=True)
+    framed, exact = linsys._framed, []
+
+    def spy(imposed, d, p):
+        exact.extend([d] if p is None else [])
+        return framed(imposed, d, p)
+
+    monkeypatch.setattr(linsys, "_framed", spy)
+    values, tried, built = _certified_values(
+        monkeypatch, star(4, 1)[0], 5,
+        lambda d, pairs: [(A, B[:-1]) for A, B in pairs] if d == 11 else pairs)
+    assert (tried, built, exact) == ([4, 7, 8, 11], [8], [4, 7, 11])
+    assert values == want
+
+
+def test_a_corrupted_product_fails_the_kernel_check(monkeypatch):
+    # x^2 in place of the conic through six conic points: x^2 times the
+    # conic spans the one dimension the probe found at k = 2, and the kernel
+    # check finds it vanishing only once at (1 : 0 : 0)
+    x2 = poly(QQ, 2, {(2, 0, 0): 1})
+    with pytest.raises(CertificationError, match="multiplicity-2 check"):
+        _certified_values(monkeypatch, on_conic(6), 2,
+                          lambda d, pairs: [((x2,), B) for _, B in pairs])
 
 
 def test_a_kernel_past_the_int_string_limit_round_trips(tmp_path):
