@@ -259,15 +259,9 @@ SEARCH_HEIGHT = 999
 
 
 def _random_prime_field_points(field, r, rng):
-    pts = []
-    guard = 0
-    while len(pts) < r:
-        guard += 1
-        if guard > 5000:
-            raise RuntimeError("could not sample distinct prime-field points")
-        q = point(field, rng.randrange(field.p), rng.randrange(field.p), 1)
-        if q not in pts:
-            pts.append(q)
+    pts = {}  # distinct points in draw order
+    while len(pts) < r:  # ends: conjecture_search checks r <= p^2
+        pts[point(field, rng.randrange(field.p), rng.randrange(field.p), 1)] = None
     return tuple(pts)
 
 

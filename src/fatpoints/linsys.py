@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field as dataclass_field, fields
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -265,29 +266,16 @@ def _rank_mod_p(scheme: FatPointScheme, d: int, p: Optional[int]):
     i, where it is perm(mu_i, beta_i) beta_j! beta_k! det^(d-m+1), a unit
     mod p once p > d too.  These rows cover the columns U = {mu : mu_i >
     d - m at some vertex}, so the rank is |U| plus the rank of the other
-    rows on the remaining columns.  Over Q the rank modulo the first
-    single-prime prime comes first: modular rank <= exact rank <=
-    min(nrows, ncols), so only a rank below that bound runs Bareiss.
+    rows on the remaining columns: one ``modp_rref`` mod p, or one Bareiss
+    elimination over Q.
     """
     imposed = _imposed(scheme, d, p)
     nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
-    if p is None:
-        rank = _rank_mod_p(scheme, d, strategy_primes(SinglePrime())[0])[0]
-        if rank == min(nrows, comb(d + 2, 2)):
-            return rank, nrows
     covered, R, _ = _framed(imposed, d, p)
     if not len(R):  # the frame's rows alone
         return covered, nrows
     rank = bareiss_echelon(R.tolist())[0] if p is None else modp_rref(R, p, rank_only=True)[0]
     return covered + rank, nrows
-
-
-def _known_rank(scheme: FatPointScheme, d: int, p: Optional[int], full_rank_mod):
-    """``_rank_mod_p``, or no elimination if full column rank is known mod
-    ``full_rank_mod`` and that is p (over Q, the prime that runs first)."""
-    if full_rank_mod and full_rank_mod == (p or strategy_primes(SinglePrime())[0]):
-        return comb(d + 2, 2), sum(comb(m + 1, 2) for _, _, m in _imposed(scheme, d, p))
-    return _rank_mod_p(scheme, d, p)
 
 
 def _framed(imposed, d: int, p: Optional[int]):
@@ -722,11 +710,11 @@ def _report(scheme, d, rank, nrows, certification, primes=(), kernel=None,
     )
 
 
-def _exact_report(scheme, d, want_kernel, full_rank_mod=None, products=None):
-    """The report of an exact rank over the scheme's own field, or of an
-    exact kernel and its rank.
+def _exact_report(scheme, d, want_kernel, products=None):
+    """The report of an exact rank over the scheme's own prime field, or of
+    an exact kernel and its rank.
 
-    A rank alone is one ``_rank_mod_p`` at the scheme's prime, or over Q.
+    A rank alone is one ``_rank_mod_p`` at the scheme's prime.
     A kernel over F_p is ``modp_nullspace`` of the condition matrix; over Q
     it is ``_product_basis(d, *products)`` if that spans, else the kernel of
     the one matrix ``_framed`` picks and builds, which ``_pull_back`` turns
@@ -736,7 +724,7 @@ def _exact_report(scheme, d, want_kernel, full_rank_mod=None, products=None):
     p = scheme.field.p
     certification, primes = exact_label(scheme.field), (() if p is None else (p,))
     if not want_kernel:
-        rank, nrows = _known_rank(scheme, d, p, full_rank_mod)
+        rank, nrows = _rank_mod_p(scheme, d, p)
         return _report(scheme, d, rank, nrows, certification, primes, witness="rank")
     imposed = _imposed(scheme, d, p)
     nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
@@ -754,23 +742,31 @@ def _exact_report(scheme, d, want_kernel, full_rank_mod=None, products=None):
 def _entry(scheme, d, strategy, kind, cache=None, full_rank_mod=None, products=None):
     """The report of degree d that ``kind`` asks for, through ``cache`` if
     given: False or True for a ``system_dim`` report without or with its
-    kernel, ``PROBE`` for an alpha-search probe.  A prime-field scheme,
-    ``ExactRational`` and a kernel are exact; otherwise the first prime
-    runs, a ``PROBE`` at full column rank is its own report (the whole
-    emptiness certificate), and the remaining primes complete the
-    strategy's report, escalated to the exact rank on a split."""
+    kernel, ``PROBE`` for an alpha-search probe.  Prime-field schemes and
+    kernels are exact.  A rational rank climbs one ladder: the first prime
+    (``SinglePrime()``'s for ``ExactRational``) runs unless ``full_rank_mod``
+    is it; a ``PROBE`` at full column rank is its report, the whole emptiness
+    certificate; ``ExactRational``, or another prime that disagrees, gives the
+    exact rank, by Bareiss only below min(nrows, ncols) as modular rank <=
+    exact rank; else the other primes complete the strategy's report."""
     report = None if cache is None else cache.get_report(scheme, d, strategy, kind)
     if report is None:
         want_kernel = kind is not PROBE and kind
-        if scheme.field != QQ or isinstance(strategy, ExactRational) or want_kernel:
-            report = _exact_report(scheme, d, want_kernel, full_rank_mod, products)
+        if scheme.field != QQ or want_kernel:
+            report = _exact_report(scheme, d, want_kernel, products)
         else:
-            primes = strategy_primes(strategy)
-            rank, nrows = _known_rank(scheme, d, primes[0], full_rank_mod)
-            if kind is PROBE and rank == comb(d + 2, 2):
+            exact = isinstance(strategy, ExactRational)
+            primes, ncols = strategy_primes(SinglePrime() if exact else strategy), comb(d + 2, 2)
+            if full_rank_mod == primes[0]:
+                rank, nrows = ncols, sum(comb(m + 1, 2) for _, _, m in _imposed(scheme, d, None))
+            else:
+                rank, nrows = _rank_mod_p(scheme, d, primes[0])
+            if kind is PROBE and rank == ncols:
                 report = _report(scheme, d, rank, nrows, SinglePrime.label, primes[:1])
-            elif any(_rank_mod_p(scheme, d, p)[0] != rank for p in primes[1:]):
-                report = _exact_report(scheme, d, False, full_rank_mod)  # primes disagree
+            elif exact or any(_rank_mod_p(scheme, d, p)[0] != rank for p in primes[1:]):
+                if rank < min(nrows, ncols):
+                    rank = _rank_mod_p(scheme, d, None)[0]
+                report = _report(scheme, d, rank, nrows, ExactRational.label, witness="rank")
             else:
                 report = _report(scheme, d, rank, nrows, strategy.label, primes)
         if cache is not None:
@@ -881,16 +877,11 @@ def alpha_search(
         raise ValueError("alpha needs at least one positive multiplicity")
     lo = max(scheme.max_multiplicity, 1, start or 0)
     p = scheme.field.p
-    conditions = sum(comb(m + 1, 2) for m in scheme.multiplicities)
     hi = lo  # the first degree with a positive count or refused
-    while True:
-        try:
+    with suppress(CharacteristicTooSmallError):
+        while expected_dim(scheme, hi) <= 0:
             _check_system(scheme, hi, p)
-        except CharacteristicTooSmallError:
-            break
-        if comb(hi + 2, 2) > conditions:
-            break
-        hi += 1
+            hi += 1
     kind = PROBE if p is None and isinstance(strategy, (SinglePrime, MultiPrime)) else False
     probes = {}
     trail = []

@@ -112,6 +112,8 @@ def test_field_tags():
     assert field_to_string(QQ) == "rational"
     assert field_from_string("prime:31") == prime_field(31)
     assert field_from_string("rational") == QQ
+    with pytest.raises(ValueError, match="unknown field tag 'foo'"):
+        field_from_string("foo")
 
 
 def test_rational_fields_are_equal_and_no_prime_field_is_rational():
@@ -218,6 +220,8 @@ def test_poly_from_vector_is_poly_on_the_monomial_basis(field):
         assert all(type(c) is type(field.one) and c for _, c in got.terms)
     with pytest.raises(ValueError, match="wrong length"):
         poly_from_vector(field, 2, [1] * 5)
+    with pytest.raises(ValueError, match=r"exponent \(2, 0, 1\) does not have degree 2"):
+        poly(field, 2, {(2, 0, 1): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +283,8 @@ def test_partial_derivative_char_3():
 def test_partial_derivative_degree_zero_rejected():
     with pytest.raises(ValueError):
         partial_derivative(poly(QQ, 0, {(0, 0, 0): 1}), 0)
+    with pytest.raises(ValueError, match="variable index must be 0, 1 or 2"):
+        partial_derivative(poly(QQ, 1, {(1, 0, 0): 1}), 3)
 
 
 # ---------------------------------------------------------------------------

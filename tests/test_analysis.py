@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -318,6 +319,15 @@ def test_search_rejects_bad_parameters():
     for r_range in ((6, 4), (0, 4)):
         with pytest.raises(ValueError, match="r_min"):
             conjecture_search(trials=1, r_range=r_range)
+
+
+def test_prime_field_search_points_can_fill_the_affine_plane():
+    # r = p^2 passes the search's r <= p^2 check, so the draws go on until
+    # all 961 affine points of F_31 are drawn (about 7,000 draws)
+    field = prime_field(31)
+    pts = analysis._random_prime_field_points(field, 961, random.Random("fatpoints.search:0"))
+    assert len(pts) == 961
+    assert set(pts) == {point(field, x, y, 1) for x in range(31) for y in range(31)}
 
 
 def test_search_small_run_no_inconsistencies():

@@ -628,9 +628,11 @@ def _points_file(field, coords):
     ('{"field": "rational", "points": 5}', '"points" list'),
     ('[["0", "0", "1"]]', '"points" list'),
     ('{"points": [["0", "0", "1"]]}', '"field" tag, "rational" or "prime:P"'),
+    ('{"schema": "other/1", "field": "rational", "points": [["0", "0", "1"]]}',
+     "unsupported schema 'other/1'"),
 ], ids=["two", "four", "float", "float-mod-7", "bool", "string", "1/0", "long-1/0",
         "origin", "1/7-mod-7", "not-a-number", "points-not-a-list", "not-an-object",
-        "no-field"])
+        "no-field", "foreign-schema"])
 def test_points_files_are_checked_where_they_enter(tmp_path, capsys, text, message):
     pts = tmp_path / "pts.json"
     pts.write_text(text)

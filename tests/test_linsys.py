@@ -464,6 +464,8 @@ def test_scheme_validation():
         FatPointScheme(TRIANGLE, (1, 1))
     with pytest.raises(ValueError):
         FatPointScheme(TRIANGLE, (1, -1, 1))
+    with pytest.raises(ValueError, match="at least one point"):
+        FatPointScheme((), ())
 
 
 def test_expected_dim_frozen_examples():
@@ -946,6 +948,8 @@ def test_alpha_three_general_double_points():
 def test_alpha_rejects_empty_multiplicities():
     with pytest.raises(ValueError):
         alpha(FatPointScheme(TRIANGLE, (0, 0, 0)))
+    with pytest.raises(ValueError, match="k_max must be at least 1"):
+        linsys.alpha_values(TRIANGLE, 0)
 
 
 def test_alpha_sequence_three_general_points():
@@ -985,6 +989,10 @@ def test_alpha_diff_examples():
         alpha_diff(TRIANGLE, (1, 1, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         alpha_diff(TRIANGLE, (1, 2, 1), (2, 1, 1))
+    with pytest.raises(ValueError, match="match the point count"):
+        alpha_diff(TRIANGLE, (1, 1), (0, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        alpha_diff(TRIANGLE, (1, 1, 1), (0, 0, -1))
 
 
 def test_alpha_diff_zero_lower_vector():
@@ -1091,6 +1099,8 @@ def test_parse_strategy():
     assert parse_strategy(" Exact ") == ExactRational()
     with pytest.raises(ValueError):
         parse_strategy("float")
+    with pytest.raises(ValueError, match="at least one prime"):
+        parse_strategy("multiprime:0")
 
 
 def test_strategies_carry_their_labels_outside_their_fields():
@@ -1171,6 +1181,27 @@ def test_prime_split_escalates_to_exact(monkeypatch):
     av = linsys.alpha_search(scheme, MultiPrime(2))
     assert av.certification == "EXACT_RATIONAL"
     assert av.value == linsys.alpha_search(scheme, ExactRational()).value == 2
+
+
+def test_an_escalated_split_eliminates_the_first_prime_once(monkeypatch):
+    # six double conic points at degree 3: the first prime's framed matrix
+    # is 9 x 1 with full column rank, and modulo 3 (p <= d, so unframed) the
+    # 18 x 10 matrix has rank 6.  The split's exact rank is the first
+    # prime's full rank, read from that one elimination, with no Bareiss.
+    monkeypatch.setattr(linsys, "strategy_primes", lambda s: strategy_primes(s)[:1] + (3,)
+                        if s == MultiPrime(2) else strategy_primes(s))
+    calls = []
+    monkeypatch.setattr(linsys, "modp_rref",
+                        lambda A, p, **kw: calls.append((A.shape, p)) or modp_rref(A, p, **kw))
+    monkeypatch.setattr(linsys, "bareiss_echelon",
+                        lambda rows: calls.append("bareiss") or bareiss_echelon(rows))
+    report = system_dim(FatPointScheme.uniform(on_conic(6), 2), 3, MultiPrime(2))
+    assert calls == [((9, 1), strategy_primes(MultiPrime(2))[0]), ((18, 10), 3)]
+    assert dump_json(report.to_json_dict()) == (
+        '{"actual_dim":0,"certification":"EXACT_RATIONAL","degree":3,'
+        '"existence_certified":null,"expected_dim":-8,"kind":"linear_system_report",'
+        '"ncols":10,"nrows":18,"primes":[],"rank":10,"schema":"fatpoints/1",'
+        '"superabundance":0}\n')
 
 
 def test_unlucky_first_prime_inside_the_bracket(monkeypatch):
