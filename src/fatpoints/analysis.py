@@ -47,10 +47,12 @@ from .geometry import (
 from .linsys import (
     CERTIFIED_EXISTENCE,
     DEFAULT_SEARCH_STRATEGY,
+    AlphaReport,
     FatPointScheme,
     alpha_sequence,
     alpha_values,
     exact_label,
+    iter_alpha_values,
     parse_strategy,
     strategy_primes,
     system_dim,
@@ -305,10 +307,14 @@ def conjecture_search(
         else:
             pts = _random_prime_field_points(field, r, rng)
         # trials scan modulo two primes; candidates are escalated below
-        rep = alpha_sequence(pts, k)
-        tail = rep.diffs[k - 5:]
-        if not all(x == difference for x in tail):
+        values = []  # up to the first of the last four steps other than `difference`
+        for av in iter_alpha_values(pts, k):
+            if len(values) > k - 5 and av.value - values[-1].value != difference:
+                break
+            values.append(av)
+        if len(values) < k:
             continue
+        rep = AlphaReport.from_values(pts, values)
         hit = {
             "trial": t,
             "r": r,

@@ -57,13 +57,14 @@ class Line:
 
 
 def _monic(field, v):
-    """v over its first nonzero entry: Fraction(c, lead) over Q, c lead^-1 over F_p."""
+    """v over its first nonzero entry: c / lead over Q, c lead^-1 over F_p."""
     v = v if field.p is None else [field.of(c) for c in v]
     lead = next((c for c in v if c), None)
     if lead is None:
         raise ValueError("a line or curve needs a nonzero coefficient")
     inv = None if field.p is None else field.inv(lead)
-    return tuple(Fraction(c, lead) if inv is None else c * inv % field.p for c in v)
+    lead = Fraction(lead)  # a Fraction divisor keeps Fraction's fast division path
+    return tuple(c / lead if inv is None else c * inv % field.p for c in v)
 
 
 def _cross(u, v):

@@ -81,6 +81,8 @@ class FatPointScheme:
     multiplicities: tuple
     # sorted (JSON text of its coordinates, index) per point: a cache key's order
     point_texts: tuple = dataclass_field(default=(), init=False, repr=False, compare=False)
+    # sum of C(m+1, 2): the naive condition count of ``expected_dim``
+    conditions: int = dataclass_field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -100,6 +102,7 @@ class FatPointScheme:
             raise ValueError("points must be pairwise distinct")
         object.__setattr__(self, "point_texts", tuple(sorted(
             ('["%s","%s","%s"]' % P.coord_strings(), i) for i, P in enumerate(pts))))
+        object.__setattr__(self, "conditions", sum(comb(m + 1, 2) for m in mults))
 
     @property
     def field(self):
@@ -117,9 +120,8 @@ class FatPointScheme:
     def _with_multiplicities(self, mults: tuple) -> "FatPointScheme":
         """These points, checked and sorted already, with non-negative ints ``mults``."""
         scheme = object.__new__(FatPointScheme)
-        object.__setattr__(scheme, "points", self.points)
-        object.__setattr__(scheme, "multiplicities", mults)
-        object.__setattr__(scheme, "point_texts", self.point_texts)
+        vars(scheme).update(points=self.points, multiplicities=mults, point_texts=self.point_texts,
+                            conditions=sum(comb(m + 1, 2) for m in mults))
         return scheme
 
 
@@ -127,7 +129,7 @@ def expected_dim(scheme: FatPointScheme, d: int) -> int:
     """C(d+2, 2) minus the naive condition count; may be negative."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return comb(d + 2, 2) - sum(comb(m + 1, 2) for m in scheme.multiplicities)
+    return comb(d + 2, 2) - scheme.conditions
 
 
 def _check_system(scheme: FatPointScheme, d: int, p: Optional[int]):
@@ -433,7 +435,7 @@ def rational_nullspace(rows, ncols: Optional[int] = None):
     rows = list(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    rank, pivots, ech = bareiss_echelon(rows)
+    rank, pivots, ech = bareiss_echelon(rows) if rows else (0, [], [])
     D = ech[rank - 1][pivots[-1]] if rank else 1
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -661,6 +663,15 @@ class AlphaReport:
         a = tuple(self.alphas)
         if any(y <= x for x, y in zip(a, a[1:])):
             raise ValueError(f"alpha sequence must be strictly increasing: {a}")
+
+    @classmethod
+    def from_values(cls, points: tuple, values) -> "AlphaReport":
+        """The report of the ``AlphaValue``s of kZ, k = 1, 2, ..., for Z = ``points``."""
+        alphas = tuple(av.value for av in values)
+        entries = tuple({"k": k, "alpha": av.value, "existence_certified": av.existence,
+                         "certification": av.certification} for k, av in enumerate(values, 1))
+        return cls(alphas, tuple(b - a for a, b in zip(alphas, alphas[1:])), entries,
+                   tuple(P.coord_strings() for P in points), field_to_string(points[0].field))
 
     def to_json_dict(self) -> dict:
         return record("alpha_report", self)
@@ -941,43 +952,39 @@ def alpha(
     return alpha_search(scheme, strategy, certify_existence, cache=cache).value
 
 
-def alpha_values(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
-                 certify_existence: bool = False, cache=None) -> list:
-    """The ``AlphaValue`` of kZ for k = 1..k_max, each search started above
-    the last value.  Products of curves multiply ideals, so alpha(jZ) +
-    alpha((k-j)Z) is its ``upper`` hint and the kernels of jZ and (k-j)Z
-    are its ``factors``.  The kernels live as long as the list."""
+def iter_alpha_values(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
+                      certify_existence: bool = False, cache=None):
+    """The ``AlphaValue`` of kZ for k = 1..k_max, one search at a time, each
+    started above the last value.  Products of curves multiply ideals, so
+    alpha(jZ) + alpha((k-j)Z) is its ``upper`` hint and the kernels of jZ and
+    (k-j)Z are its ``factors``.  The kernels live as long as the generator."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     simple = FatPointScheme.uniform(points, 1)  # checks the points once
-    values, alphas, kernels, start = [], [], [], None
+    alphas, kernels, start = [], [], None
     for k in range(1, k_max + 1):
         scheme = simple._with_multiplicities((k,) * len(simple.points))
         upper = min(map(sum, zip(alphas, reversed(alphas))), default=None)
         factors = [(A, B) for A, B in zip(kernels[:k // 2], reversed(kernels)) if A and B]
         av = alpha_search(scheme, strategy, certify_existence, start, cache, upper, factors)
-        values.append(av)
         alphas.append(av.value)
         kernels.append(av.reports[-1][1].kernel if av.existence == "kernel" else None)
         start = av.value + 1
-    return values
+        yield av
 
 
-def alpha_sequence(
-    points,
-    k_max: int,
-    strategy=DEFAULT_SEARCH_STRATEGY,
-    certify_existence: bool = False,
-    cache=None,
-) -> AlphaReport:
+def alpha_values(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
+                 certify_existence: bool = False, cache=None) -> list:
+    """The ``AlphaValue`` of kZ for k = 1..k_max: all of ``iter_alpha_values``."""
+    return list(iter_alpha_values(points, k_max, strategy, certify_existence, cache))
+
+
+def alpha_sequence(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
+                   certify_existence: bool = False, cache=None) -> AlphaReport:
     """Initial degrees of kZ for k = 1..k_max, from ``alpha_values``."""
     points = tuple(points)
-    values = alpha_values(points, k_max, strategy, certify_existence, cache)
-    alphas = tuple(av.value for av in values)
-    entries = tuple({"k": k, "alpha": av.value, "existence_certified": av.existence,
-                     "certification": av.certification} for k, av in enumerate(values, 1))
-    return AlphaReport(alphas, tuple(b - a for a, b in zip(alphas, alphas[1:])), entries,
-                       tuple(P.coord_strings() for P in points), field_to_string(points[0].field))
+    return AlphaReport.from_values(points, alpha_values(points, k_max, strategy,
+                                                        certify_existence, cache))
 
 
 def _vector_alpha(points, vec, strategy, certify, cache) -> int:

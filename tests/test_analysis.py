@@ -1,6 +1,7 @@
 """Theorem checkers, numeric conditions, search harness, and repro engine."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -35,6 +36,7 @@ from fatpoints.configs import (
     type9,
 )
 from fatpoints.linsys import AlphaReport, alpha_sequence
+from fatpoints.serialize import dump_json
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +371,54 @@ def test_search_step_three_checks_alpha_one():
         assert hit["alphas"] == [3, 6, 9, 12, 15]
 
 
+@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("difference", [2, 3])
+@pytest.mark.parametrize("field", [QQ, prime_field(31)], ids=["Q", "F31"])
+def test_search_judges_its_trials_as_full_sequences_do(monkeypatch, field, difference, k):
+    # a trial stops at the first of its last four steps that is not
+    # `difference`; the oracle judges the same drawn points on their whole
+    # alpha_sequence up to k
+    drawn, climb = [], analysis.iter_alpha_values
+    monkeypatch.setattr(analysis, "iter_alpha_values",
+                        lambda pts, kmax: drawn.append(pts) or climb(pts, kmax))
+    rep = conjecture_search(trials=12, k=k, seed=3, difference=difference, field=field)
+    want = []
+    for t, pts in enumerate(drawn):
+        full = alpha_sequence(pts, k)
+        if all(x == difference for x in full.diffs[k - 5:]):
+            want.append({"trial": t, "r": len(pts), "alphas": list(full.alphas),
+                         "certification": full.entries[-1]["certification"],
+                         "points": [list(P.coord_strings()) for P in pts]})
+    assert len(drawn) == 12 and 0 < len(want) < 12
+    assert rep.inconsistent == ()
+    assert [{key: hit[key] for key in want[0]} for hit in rep.hypothesis_true] == want
+
+
+def test_search_stops_a_trial_at_its_first_wrong_step(monkeypatch):
+    # nine general points step from alpha(Z) = 3 to alpha(2Z) = 6, a step of
+    # 3, so a search for steps of 2 runs the searches for Z and 2Z only
+    search, calls = linsys.alpha_search, []
+
+    def count(scheme, *args, **kwargs):
+        calls.append(scheme.multiplicities[0])
+        return search(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(linsys, "alpha_search", count)
+    rep = conjecture_search(trials=1, r_range=(9, 9), seed=0)
+    assert rep.hypothesis_true == ()
+    assert calls == [1, 2]
+
+
+def test_prime_field_search_skips_the_degrees_it_cannot_build():
+    # trial 1 of seed 0 over F_13 has a first step other than 2; the search
+    # for its 5Z would need degree 13, which F_13 cannot build, and is not run
+    rep = conjecture_search(trials=200, seed=0, field=prime_field(13))
+    assert rep.hypothesis_true and rep.inconsistent == ()
+    for hit in rep.hypothesis_true:
+        alphas = hit["alphas"]
+        assert [b - a for a, b in zip(alphas, alphas[1:])] == [2] * 4
+
+
 def test_search_hypothesis_controls():
     # injected control: six conic points satisfy four steps of 2 and lie on
     # a conic; sixteen very general points have steps of 4
@@ -418,6 +468,19 @@ def test_repro_reads_every_alpha_cell_from_one_sequence(monkeypatch):
     assert calls == [1, 2]
     gap = next(c for c in rep.cells if c.name == "alpha_gap(2,1)")
     assert (gap.computed, gap.certification) == (1, "EXACT_RATIONAL")
+
+
+def test_repro_runs_no_bareiss_on_a_kernel_matrix_with_no_rows(monkeypatch):
+    # ex-3general frames all three points, so its exact kernels at k = 4..7
+    # leave no rows off the frame: the kernel is every column off U, found
+    # without an elimination, and the report keeps its bytes
+    sizes, bareiss = [], linsys.bareiss_echelon
+    monkeypatch.setattr(linsys, "bareiss_echelon",
+                        lambda rows: sizes.append(len(rows)) or bareiss(rows))
+    rep = repro("ex-3general")
+    assert rep.passed and 0 not in sizes
+    assert hashlib.sha256(dump_json(rep.to_json_dict()).encode()).hexdigest() == (
+        "5df390d9d5fd12b47b1b33f6d730546e4d20df6932baf4e37ae9f1f781ff874a")
 
 
 def test_repro_dual_hesse_literature_row_fails_only_alpha3():

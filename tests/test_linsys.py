@@ -482,6 +482,24 @@ def test_expected_dim_frozen_examples():
     assert expected_dim(mixed, 9) == 55 - 72 - 27 == -44
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(31)], ids=["Q", "F31"])
+def test_expected_dim_reads_the_condition_count_of_every_build(field):
+    # a scheme counts its conditions once, when it is built: directly, as a
+    # uniform scheme, or from another scheme's checked points
+    pts = tuple(point(field, i, i * i + 1, 1) for i in range(4))
+    simple = FatPointScheme.uniform(pts, 1)
+    for mults in ((0, 0, 0, 3), (1, 2, 0, 4), (2, 2, 2, 2), (0, 5, 0, 0), (0, 0, 0, 0)):
+        built = (FatPointScheme(pts, mults), simple._with_multiplicities(mults),
+                 FatPointScheme(list(pts), list(mults)))
+        if len(set(mults)) == 1:
+            built += (FatPointScheme.uniform(pts, mults[0]),)
+        for scheme in built:
+            assert scheme == built[0]
+            for d in range(8):
+                assert expected_dim(scheme, d) == comb(d + 2, 2) - sum(
+                    comb(m + 1, 2) for m in mults)
+
+
 def test_condition_matrix_single_simple_point():
     P = point(QQ, 2, 3, 1)
     mat = build_condition_matrix(FatPointScheme((P,), (1,)), 1)

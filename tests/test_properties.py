@@ -261,7 +261,8 @@ def test_exact_path_matches_the_unframed_oracle(scheme, d):
     assert exact_path(scheme, d) == unframed_oracle(scheme, d)
 
 
-# (points, multiplicities, degree, whether Bareiss gets the framed matrix)
+# (points, multiplicities, degree, whether the frame is taken: Bareiss gets the
+# framed matrix, or none when no rows are left off the frame)
 VERTICES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 EXACT_PATH_CASES = {
     # U covers the one monomial of degree 0: a framed matrix with no columns
@@ -294,8 +295,10 @@ def test_exact_path_cases_match_the_unframed_oracle(monkeypatch, points, mults, 
     sizes = bareiss_row_counts(monkeypatch)
     got = exact_path(scheme, d)
     monkeypatch.undo()
-    # the framed matrix drops the vertex rows, at least one per vertex
-    assert (sizes[0] < len(build_condition_matrix(scheme, d))) == framed
+    # the framed matrix drops the vertex rows, at least one per vertex, and
+    # a framed matrix with no rows left reaches no Bareiss call at all
+    assert 0 not in sizes
+    assert (not sizes or sizes[0] < len(build_condition_matrix(scheme, d))) == framed
     assert got == unframed_oracle(scheme, d)
 
 
