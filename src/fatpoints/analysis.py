@@ -50,7 +50,6 @@ from .linsys import (
     AlphaReport,
     FatPointScheme,
     alpha_sequence,
-    alpha_values,
     exact_label,
     iter_alpha_values,
     parse_strategy,
@@ -88,7 +87,13 @@ def _alphas_for(points, k_max, strategy, alphas):
             raise ValueError(f"need alpha values up to k={k_max}")
         return tuple(alphas[:k_max]), "precomputed"
     rep = alpha_sequence(points, k_max, strategy=strategy)
-    return rep.alphas, rep.entries[-1]["certification"]
+    return rep.alphas, _shared_label(rep.entries, strategy.label)
+
+
+def _shared_label(entries, default: str) -> str:
+    """The certification every entry carries, or ``default`` where they differ."""
+    labels = {e["certification"] for e in entries}
+    return labels.pop() if len(labels) == 1 else default
 
 
 def _certified_alphas(points, k_max):
@@ -319,7 +324,7 @@ def conjecture_search(
             "trial": t,
             "r": r,
             "alphas": list(rep.alphas),
-            "certification": rep.entries[-1]["certification"],
+            "certification": _shared_label(rep.entries, DEFAULT_SEARCH_STRATEGY.label),
             "points": [list(P.coord_strings()) for P in pts],
         }
         if difference == 2:
@@ -449,7 +454,7 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
     points = nodal()[1] if spec.family == "nodal_curve_nodes" else generate(spec)
     # one certified sequence and its trail, kept for this call, serve the alpha and alpha_gap cells
     kmax = max((c.get(key, 0) for c in entry["cells"] for key in ("k", "m", "n")), default=0)
-    values = alpha_values(points, kmax, certify_existence=True) if kmax else None
+    values = list(iter_alpha_values(points, kmax, certify_existence=True)) if kmax else None
     cells = []
     for cell in entry["cells"]:
         kind = cell["check"]
@@ -474,8 +479,3 @@ def repro(example_id: str, registry: Optional[dict] = None) -> ReproReport:
         )
     return ReproReport(example_id, entry.get("title", example_id),
                        spec.to_json_dict(), tuple(cells))
-
-
-def repro_all(registry: Optional[dict] = None):
-    registry = registry or load_registry()
-    return [repro(eid, registry) for eid in sorted(registry["examples"])]

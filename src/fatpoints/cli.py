@@ -19,7 +19,6 @@ from .analysis import (
     conjecture_search,
     load_registry,
     repro,
-    repro_all,
 )
 from .cache import CacheVerificationError, ResultCache
 from .configs import DEGREE_FAMILIES, FAMILIES, PARAMETERS, ConfigSpec, generate
@@ -261,15 +260,13 @@ def cmd_check(args) -> int:
 def cmd_repro(args) -> int:
     if args.all and args.id:
         raise UsageError("pass either --id or --all, not both")
-    registry = load_registry()
-    if args.all:
-        reports = repro_all(registry)
-    elif args.id:
-        if args.id not in registry["examples"]:
-            raise UsageError(f"unknown example id {args.id!r}")
-        reports = [repro(args.id, registry)]
-    else:
+    if not (args.all or args.id):
         raise UsageError("pass --id ID or --all")
+    registry = load_registry()
+    if not args.all and args.id not in registry["examples"]:
+        raise UsageError(f"unknown example id {args.id!r}")
+    ids = sorted(registry["examples"]) if args.all else [args.id]
+    reports = [repro(eid, registry) for eid in ids]
     payload = record("repro_run", reports=[r.to_json_dict() for r in reports],
                      **{"pass": all(r.passed for r in reports)})
     for r in reports:

@@ -14,8 +14,9 @@ over a scheme's own F_p or over Q; it and exact kernels may move three points
 to the coordinate vertices first (``_framed``), leaving only the other points'
 rows on the monomials the vertices do not fix, over Q only when the
 coordinates show, before any build, that this matrix is cheaper for Bareiss.
-``_entry`` alone answers every rank question (a dimension report, its
-kernel or an alpha-search emptiness probe) and reads and writes a cache.
+``_entry`` alone builds every report from an elimination (a dimension
+report, its kernel or an alpha-search emptiness probe) and reads and writes
+a cache; ``iter_alpha_values`` yields the alpha sequence one k at a time.
 """
 
 from __future__ import annotations
@@ -721,63 +722,55 @@ def _report(scheme, d, rank, nrows, certification, primes=(), kernel=None,
     )
 
 
-def _exact_report(scheme, d, want_kernel, products=None):
-    """The report of an exact rank over the scheme's own prime field, or of
-    an exact kernel and its rank.
-
-    A rank alone is one ``_rank_mod_p`` at the scheme's prime.
-    A kernel over F_p is ``modp_nullspace`` of the condition matrix; over Q
-    it is ``_product_basis(d, *products)`` if that spans, else the kernel of
-    the one matrix ``_framed`` picks and builds, which ``_pull_back`` turns
-    into the RREF kernel basis ``rational_nullspace`` would give.  Every
-    kernel form is checked at every point in the original coordinates.
-    """
-    p = scheme.field.p
-    certification, primes = exact_label(scheme.field), (() if p is None else (p,))
-    if not want_kernel:
-        rank, nrows = _rank_mod_p(scheme, d, p)
-        return _report(scheme, d, rank, nrows, certification, primes, witness="rank")
-    imposed = _imposed(scheme, d, p)
-    nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
-    if p is not None:
-        vectors = modp_nullspace(_derivative_rows(imposed, d, p), p)
-    elif (vectors := products and _product_basis(d, *products)) is None:
-        _, rows, frame = _framed(imposed, d, None)
-        vectors = _pull_back(_exact_nullspace(rows, strategy_primes(SinglePrime())[0]), frame, d)
-    kernel = tuple(poly_from_vector(scheme.field, d, v) for v in vectors)
-    _verify_kernel(scheme, kernel)
-    return _report(scheme, d, comb(d + 2, 2) - len(kernel), nrows, certification,
-                   primes, kernel, "kernel")
-
-
 def _entry(scheme, d, strategy, kind, cache=None, full_rank_mod=None, products=None):
     """The report of degree d that ``kind`` asks for, through ``cache`` if
     given: False or True for a ``system_dim`` report without or with its
-    kernel, ``PROBE`` for an alpha-search probe.  Prime-field schemes and
-    kernels are exact.  A rational rank climbs one ladder: the first prime
-    (``SinglePrime()``'s for ``ExactRational``) runs unless ``full_rank_mod``
-    is it; a ``PROBE`` at full column rank is its report, the whole emptiness
-    certificate; ``ExactRational``, or another prime that disagrees, gives the
-    exact rank, by Bareiss only below min(nrows, ncols) as modular rank <=
-    exact rank; else the other primes complete the strategy's report."""
+    kernel, ``PROBE`` for an alpha-search probe.  Every report of an
+    elimination is made here.
+
+    A kernel is exact: ``modp_nullspace`` of the condition matrix over a
+    scheme's own F_p; over Q ``_product_basis(d, *products)`` if that spans,
+    else the kernel of the one matrix ``_framed`` picks and builds, which
+    ``_pull_back`` turns into the RREF basis ``rational_nullspace`` would
+    give.  Every kernel form is checked at every point in the original
+    coordinates.  A rank over a scheme's own F_p is one ``_rank_mod_p`` at p.
+    A rational rank climbs one ladder: the first prime (``SinglePrime()``'s
+    for ``ExactRational``) runs unless ``full_rank_mod`` is it; a ``PROBE`` at
+    full column rank is its report, the whole emptiness certificate;
+    ``ExactRational``, or another prime q that disagrees, gives the exact
+    rank, by Bareiss only below min(nrows, ncols) as modular rank <= exact
+    rank; else the other primes complete the strategy's report."""
     report = None if cache is None else cache.get_report(scheme, d, strategy, kind)
     if report is None:
-        want_kernel = kind is not PROBE and kind
-        if scheme.field != QQ or want_kernel:
-            report = _exact_report(scheme, d, want_kernel, products)
+        p, ncols, label = scheme.field.p, comb(d + 2, 2), exact_label(scheme.field)
+        if kind is not PROBE and kind:
+            imposed = _imposed(scheme, d, p)
+            if p is not None:
+                vectors = modp_nullspace(_derivative_rows(imposed, d, p), p)
+            elif (vectors := products and _product_basis(d, *products)) is None:
+                _, rows, frame = _framed(imposed, d, None)
+                vectors = _pull_back(_exact_nullspace(rows, strategy_primes(SinglePrime())[0]),
+                                     frame, d)
+            kernel = tuple(poly_from_vector(scheme.field, d, v) for v in vectors)
+            _verify_kernel(scheme, kernel)
+            nrows = sum(comb(m + 1, 2) for _, _, m in imposed)
+            report = _report(scheme, d, ncols - len(kernel), nrows, label,
+                             () if p is None else (p,), kernel, "kernel")
+        elif p is not None:
+            report = _report(scheme, d, *_rank_mod_p(scheme, d, p), label, (p,), witness="rank")
         else:
             exact = isinstance(strategy, ExactRational)
-            primes, ncols = strategy_primes(SinglePrime() if exact else strategy), comb(d + 2, 2)
+            primes = strategy_primes(SinglePrime() if exact else strategy)
             if full_rank_mod == primes[0]:
                 rank, nrows = ncols, sum(comb(m + 1, 2) for _, _, m in _imposed(scheme, d, None))
             else:
                 rank, nrows = _rank_mod_p(scheme, d, primes[0])
             if kind is PROBE and rank == ncols:
                 report = _report(scheme, d, rank, nrows, SinglePrime.label, primes[:1])
-            elif exact or any(_rank_mod_p(scheme, d, p)[0] != rank for p in primes[1:]):
+            elif exact or any(_rank_mod_p(scheme, d, q)[0] != rank for q in primes[1:]):
                 if rank < min(nrows, ncols):
                     rank = _rank_mod_p(scheme, d, None)[0]
-                report = _report(scheme, d, rank, nrows, ExactRational.label, witness="rank")
+                report = _report(scheme, d, rank, nrows, label, witness="rank")
             else:
                 report = _report(scheme, d, rank, nrows, strategy.label, primes)
         if cache is not None:
@@ -973,18 +966,12 @@ def iter_alpha_values(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
         yield av
 
 
-def alpha_values(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
-                 certify_existence: bool = False, cache=None) -> list:
-    """The ``AlphaValue`` of kZ for k = 1..k_max: all of ``iter_alpha_values``."""
-    return list(iter_alpha_values(points, k_max, strategy, certify_existence, cache))
-
-
 def alpha_sequence(points, k_max: int, strategy=DEFAULT_SEARCH_STRATEGY,
                    certify_existence: bool = False, cache=None) -> AlphaReport:
-    """Initial degrees of kZ for k = 1..k_max, from ``alpha_values``."""
+    """Initial degrees of kZ for k = 1..k_max, from ``iter_alpha_values``."""
     points = tuple(points)
-    return AlphaReport.from_values(points, alpha_values(points, k_max, strategy,
-                                                        certify_existence, cache))
+    return AlphaReport.from_values(points, list(iter_alpha_values(
+        points, k_max, strategy, certify_existence, cache)))
 
 
 def _vector_alpha(points, vec, strategy, certify, cache) -> int:

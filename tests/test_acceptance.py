@@ -12,6 +12,8 @@ that no generator here constructs.  The criterion is asserted as stated
 and fails on that single cell; see the registry row notes.
 """
 
+import functools
+import operator
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from fatpoints.algebra import (
     QQ,
     CharacteristicTooSmallError,
     evaluate,
+    linear_form,
     monomial_basis,
     order_of_vanishing,
     partial_derivative,
@@ -41,6 +44,7 @@ from fatpoints.analysis import (
 from fatpoints.configs import (
     collinear,
     dual_hesse,
+    dual_hesse_lines,
     general,
     on_conic,
     rational_nodal_nodes,
@@ -57,6 +61,7 @@ from fatpoints.linsys import (
     alpha_diff,
     alpha_sequence,
     expected_dim,
+    kernel_basis,
     system_dim,
 )
 from fatpoints.serialize import dump_json
@@ -143,6 +148,23 @@ def test_criterion_05_dual_hesse_faithful_companions():
     assert_repro("ex-dualhesse-p31-faithful")
     assert_repro("ex-dualhesse-p13-faithful")
     announce("5b", True, "computed dual-Hesse table (4, 8, 9) on both primes")
+
+
+@pytest.mark.parametrize("p", [13, 31])
+def test_criterion_05_red_cell_reason(p):
+    # why criterion 5 stays red: the triple dual-Hesse scheme has the one
+    # degree-9 form (x^3 - y^3)(y^3 - z^3)(z^3 - x^3), minus the product of
+    # the nine configuration lines, and nothing in degree 8
+    F = prime_field(p)
+    scheme = FatPointScheme.uniform(dual_hesse(p), 3)
+    x3, y3, z3 = (3, 0, 0), (0, 3, 0), (0, 0, 3)
+    cube_difference = lambda m, n: poly(F, 3, {m: 1, n: -1})
+    form = cube_difference(x3, y3) * cube_difference(y3, z3) * cube_difference(z3, x3)
+    assert kernel_basis(scheme, 9) == [form]
+    lines = functools.reduce(operator.mul, (linear_form(F, L.coeffs)
+                                            for L in dual_hesse_lines(p)))
+    assert lines * poly(F, 0, {(0, 0, 0): -1}) == form  # the lines x - w^c z give x^3 - z^3
+    assert system_dim(scheme, 8).actual_dim == 0
 
 
 def test_criterion_06_stars():

@@ -68,6 +68,9 @@ def test_rational_scalar_round_trip():
         assert QQ.format(QQ.of(s)) == s
     # Fraction strips surrounding whitespace, as the points-file reader needs
     assert QQ.of(" 5/3\n") == Fraction(5, 3)
+    assert QQ.inv(Fraction(-3, 7)) == Fraction(-7, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
 
 
 def test_scalars_past_the_int_string_limit_round_trip():
@@ -185,6 +188,8 @@ def test_monomial_basis_sizes():
     assert len(monomial_basis(10)) == 66
     for d in range(8):
         assert len(monomial_basis(d)) == comb(d + 2, 2)
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        monomial_basis(-1)
 
 
 def test_monomial_basis_order():
@@ -222,6 +227,15 @@ def test_poly_from_vector_is_poly_on_the_monomial_basis(field):
         poly_from_vector(field, 2, [1] * 5)
     with pytest.raises(ValueError, match=r"exponent \(2, 0, 1\) does not have degree 2"):
         poly(field, 2, {(2, 0, 1): 1})
+    with pytest.raises(ValueError, match="degree must be non-negative"):
+        poly(field, -1, {})
+
+
+def test_form_strings():
+    assert str(poly(QQ, 3, {})) == "0"
+    assert str(poly(QQ, 0, {(0, 0, 0): Fraction(-3, 2)})) == "-3/2"
+    assert str(poly(prime_field(7), 2, {(2, 0, 0): 1, (1, 1, 0): -1, (0, 0, 2): 3})) == (
+        "x^2 + 6*x*y + 3*z^2")
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,34 @@ def test_certified_violation_is_inconsistent(monkeypatch):
     assert v.certification == "EXACT_RATIONAL"
 
 
+def _second_prime_loses_a_rank(monkeypatch, k, d):
+    """Make the second search prime undercount the rank of kZ in degree d by one."""
+    second = linsys.strategy_primes(linsys.DEFAULT_SEARCH_STRATEGY)[1]
+    rank_mod_p = linsys._rank_mod_p
+
+    def split(scheme, e, p):
+        rank, nrows = rank_mod_p(scheme, e, p)
+        return rank - (p == second and (scheme.max_multiplicity, e) == (k, d)), nrows
+
+    monkeypatch.setattr(linsys, "_rank_mod_p", split)
+
+
+def test_a_sequence_with_mixed_labels_carries_the_strategy_label(monkeypatch):
+    # a prime split escalates only the last value to an exact rank; the
+    # earlier values stay modular, so neither a verdict nor a search hit may
+    # claim the exact label (a failed conclusion would skip its recheck)
+    _second_prime_loses_a_rank(monkeypatch, 4, 8)
+    rep = alpha_sequence(on_conic(6), 4)
+    assert [e["certification"] for e in rep.entries] == ["MULTI_PRIME(2)"] * 3 + [
+        "EXACT_RATIONAL"]
+    v = check_uniform_step_two_conic(on_conic(6), 4)
+    assert (v.status, v.certification) == (CONSISTENT, "MULTI_PRIME(2)")
+    monkeypatch.undo()
+    _second_prime_loses_a_rank(monkeypatch, 5, 10)  # five points on a conic: alpha(5Z) = 10
+    (hit,) = conjecture_search(1, (5, 5)).hypothesis_true
+    assert (hit["alphas"], hit["certification"]) == ([2, 4, 6, 8, 10], "MULTI_PRIME(2)")
+
+
 @pytest.mark.parametrize("points, family, k", [
     (type9, ("type9",), 5),
     (lambda: general(6, seed=42), ("general", "--r", "6", "--seed", "42"), 4),
@@ -436,6 +464,13 @@ def test_search_hypothesis_controls():
 def test_repro_unknown_id():
     with pytest.raises(KeyError):
         repro("ex-spiral")
+    # a registry row may name neither an unknown predicate nor an unknown check
+    for cell, message in (({"check": "predicate", "name": "is_spiral"}, "unknown predicate"),
+                          ({"check": "spiral"}, "unknown cell kind")):
+        registry = {"examples": {"ex-odd": {"config": {"family": "collinear", "r": 3},
+                                            "cells": [{**cell, "expected": True}]}}}
+        with pytest.raises(ValueError, match=message):
+            repro("ex-odd", registry)
 
 
 def test_repro_type9_row():

@@ -28,6 +28,12 @@ def test_generate_round_trip(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["schema"] == "fatpoints/1"
     assert points_from_json_dict(data) == general(5, seed=3)
+    # rational points asked for over the rationals stay as they are
+    code, _, _ = run(capsys, "generate", "--family", "general", "--r", "5", "--seed", "3",
+                     "--field", "rational", "--out", str(out))
+    assert code == 0 and json.loads(out.read_text()) == data
+    with pytest.raises(ValueError, match="need at least one point"):
+        points_to_json_dict(())
 
 
 def test_alphaseq_conic(capsys):

@@ -216,6 +216,19 @@ def test_two_nodal_union(ds, expect_r):
 def test_two_nodal_rejects_bad_parameters():
     with pytest.raises(ValueError):
         two_nodal_union(2, 2, 3, 0)
+    with pytest.raises(ValueError, match="need degrees >= 2"):
+        two_nodal_union(1, 2, 31, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: collinear(0), "need r >= 1"),
+    (lambda: on_conic(0), "need r >= 1"),
+    (lambda: general(0, 1), "need r >= 1"),
+    (lambda: star(2, 0), "need at least three lines"),
+])
+def test_generators_refuse_empty_configurations(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_config_spec_round_trip():

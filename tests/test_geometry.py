@@ -105,6 +105,8 @@ def test_line_through_and_intersect():
     assert L.intersect(M) == point(QQ, 0, 0, 1)
     with pytest.raises(ValueError):
         line_through(P, P)
+    with pytest.raises(ValueError, match="coincident lines"):
+        M.intersect(M)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,8 @@ def test_arrangement_triangle():
 def test_arrangement_absent_for_four_general_points():
     pts = general(4, seed=14)
     assert detect_line_arrangement(pts) is None
+    with pytest.raises(ValueError, match="at least two points"):
+        detect_line_arrangement(pts[:1])
 
 
 def test_arrangement_star5_greedy_succeeds():
@@ -284,6 +288,8 @@ def test_star_detector_round_trips():
 def test_star_absent_on_conic_and_type9():
     assert is_star_configuration(on_conic(6)) is None
     assert is_star_configuration(type9()) is None
+    with pytest.raises(ValueError, match="at least three points"):
+        is_star_configuration(on_conic(6)[:2])
 
 
 def test_type9_detector():
@@ -362,6 +368,8 @@ def test_singular_scan_requires_large_characteristic():
     f = poly(F, 3, {(1, 1, 1): 1})
     with pytest.raises(ValueError):
         singular_points_over_Fp(f)
+    with pytest.raises(ValueError, match="needs a prime-field polynomial"):
+        singular_points_over_Fp(poly(QQ, 3, {(1, 1, 1): 1}))
 
 
 def test_plane_scans_refuse_the_rationals():

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import coeff, enumeration_dimension, nullspace_in_field, rref_in_field
 from fatpoints import linsys
-from fatpoints.analysis import repro_all
+from fatpoints.analysis import load_registry, repro
 from fatpoints.algebra import (
     QQ,
     CharacteristicTooSmallError,
@@ -466,6 +466,9 @@ def test_scheme_validation():
         FatPointScheme(TRIANGLE, (1, -1, 1))
     with pytest.raises(ValueError, match="at least one point"):
         FatPointScheme((), ())
+    for count in (expected_dim, system_dim):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            count(FatPointScheme(TRIANGLE, (1, 1, 1)), -1)
 
 
 def test_expected_dim_frozen_examples():
@@ -783,6 +786,13 @@ def _random_rational_schemes(n):
         yield FatPointScheme(tuple(pts), tuple(mults)), rng.randint(max(mults), 14)
 
 
+def _repro_pass():
+    """``repro`` of every registry row, as ``fatpoints repro --all`` runs them."""
+    registry = load_registry()
+    for example_id in sorted(registry["examples"]):
+        repro(example_id, registry)
+
+
 def test_exact_frame_choice_is_read_off_coordinates_before_building(monkeypatch):
     # each rational _framed call builds one matrix, and takes the frame
     # exactly when the two-build oracle does: every such call of a repro
@@ -793,7 +803,7 @@ def test_exact_frame_choice_is_read_off_coordinates_before_building(monkeypatch)
     calls = []
     framed = linsys._framed
     monkeypatch.setattr(linsys, "_framed", lambda *args: calls.append(args) or framed(*args))
-    repro_all()
+    _repro_pass()
     monkeypatch.undo()
     cases = [(imposed, d) for imposed, d, p in calls if p is None]
     assert len(cases) == 12
@@ -834,10 +844,10 @@ def test_table_caches_are_read_only_and_hold_a_repro_pass():
     # a second pass of repro --all in one process builds no table again:
     # a pass's keys, caps included, fit the bounded cache
     linsys._tables.cache_clear()
-    repro_all()
+    _repro_pass()
     first = linsys._tables.cache_info()
     assert first.currsize < first.maxsize
-    repro_all()
+    _repro_pass()
     second = linsys._tables.cache_info()
     assert second.misses == first.misses and second.hits > first.hits
 
@@ -967,7 +977,7 @@ def test_alpha_rejects_empty_multiplicities():
     with pytest.raises(ValueError):
         alpha(FatPointScheme(TRIANGLE, (0, 0, 0)))
     with pytest.raises(ValueError, match="k_max must be at least 1"):
-        linsys.alpha_values(TRIANGLE, 0)
+        list(linsys.iter_alpha_values(TRIANGLE, 0))
 
 
 def test_alpha_sequence_three_general_points():
@@ -1554,7 +1564,7 @@ def test_the_product_bound_writes_no_more_cache_entries(tmp_path, configurations
 
 
 def _certified_values(monkeypatch, points, k_max, pairs=lambda d, pairs: pairs):
-    """``alpha_values`` of a certified search, ``pairs(d, pairs)`` handed to
+    """The ``AlphaValue``s of a certified search, ``pairs(d, pairs)`` handed to
     ``_product_basis`` in place of its pairs, and the degrees where the
     products were tried and where they gave the kernel."""
     tried, built, product_basis = [], [], linsys._product_basis
@@ -1566,7 +1576,7 @@ def _certified_values(monkeypatch, points, k_max, pairs=lambda d, pairs: pairs):
         return basis
 
     monkeypatch.setattr(linsys, "_product_basis", spy)
-    return linsys.alpha_values(points, k_max, certify_existence=True), tried, built
+    return list(linsys.iter_alpha_values(points, k_max, certify_existence=True)), tried, built
 
 
 @pytest.mark.parametrize("points,k_max,products", [
@@ -1597,7 +1607,7 @@ def test_products_that_span_less_than_the_probe_found_take_the_engine(monkeypatc
     # star(4, 1) at k = 5, d = 11: the one form of the kernel of 2Z times the
     # four of 3Z span the four dimensions the probe found; with one form of
     # 3Z dropped they span three, and the engine computes the same kernel
-    want = linsys.alpha_values(star(4, 1)[0], 5, certify_existence=True)
+    want = list(linsys.iter_alpha_values(star(4, 1)[0], 5, certify_existence=True))
     framed, exact = linsys._framed, []
 
     def spy(imposed, d, p):
