@@ -273,6 +273,11 @@ def det3(a, b, c):
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
 
 
+def cross(u, v):
+    """u x v: the line through two points, the meet of two lines, det3(u, v, X)."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 # ---------------------------------------------------------------------------
 # homogeneous polynomials in x, y, z
 
@@ -416,10 +421,11 @@ def order_of_vanishing(f: HomoPoly, P: ProjectivePoint, bound: Optional[int] = N
     coefficient of s^u t^v is C^(u+v) times the Hasse derivative sum_a
     C(a, u) A^(a-u) T[a][v], T[a][v] = sum_b f_abc C^c C(b, v) B^(b-v).
     Binomials rather than iterated derivatives keep the check valid in
-    every characteristic.
+    every characteristic; each sum is an integer, tested mod p over F_p.
     """
     check_same_field(f.field, P.field)
     (k, l, j), AA, BB, CC = _hasse_tables(P, f.degree)
+    p = f.field.p
     rows = {}
     for m, c in f.integer_terms():
         rows.setdefault(m[k], []).append((BB[m[l]], c * CC[m[j]]))
@@ -429,7 +435,7 @@ def order_of_vanishing(f: HomoPoly, P: ProjectivePoint, bound: Optional[int] = N
         for a, terms in rows.items():
             T[a].append(sum(c * Bb[level] for Bb, c in terms))
         for u in range(level + 1):
-            if f.field.of(sum(AA[a][u] * T[a][level - u] for a in rows)):
+            if (s := sum(AA[a][u] * T[a][level - u] for a in rows)) and (p is None or s % p):
                 return level
     return math.inf if bound is None else bound
 

@@ -22,6 +22,7 @@ from .algebra import (
     HomoPoly,
     ProjectivePoint,
     check_same_field,
+    cross,
     monomial_basis,
     partial_derivative,
     point,
@@ -49,7 +50,7 @@ class Line:
     def intersect(self, other: "Line") -> ProjectivePoint:
         if self == other:
             raise ValueError("coincident lines have no unique intersection")
-        return point(self.field, _cross(self.coeffs, other.coeffs))
+        return point(self.field, cross(self.coeffs, other.coeffs))
 
     def __repr__(self):
         f = self.field
@@ -65,10 +66,6 @@ def _monic(field, v):
     inv = None if field.p is None else field.inv(lead)
     lead = Fraction(lead)  # a Fraction divisor keeps Fraction's fast division path
     return tuple(c / lead if inv is None else c * inv % field.p for c in v)
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,7 @@ def spanned_lines(points):
     found, done = [], set()  # done: pairs on a line already found
     for i, j in itertools.combinations(range(len(vs)), 2):
         if (i, j) not in done:
-            a, b, c = _cross(vs[i], vs[j])
+            a, b, c = cross(vs[i], vs[j])
             dots = (a * x + b * y + c * z for x, y, z in vs)
             on = [k for k, v in enumerate(dots) if (v if p is None else v % p) == 0]
             done.update(itertools.combinations(on, 2))

@@ -38,6 +38,7 @@ from .algebra import (
     CharacteristicTooSmallError,
     PrimeField,
     check_same_field,
+    cross,
     det3,
     field_to_string,
     monomial_basis,
@@ -323,32 +324,38 @@ def _pull_back(vectors, frame, d: int):
     monomials off U of a ``_framed`` frame, whose move has the linear forms
     b x c, c x a, a x b; without a frame the vectors are that basis.
 
-    The products l1^i l2^j l3^k are dense arrays P[s, t] of the
-    coefficients of x^s y^t z^(e-s-t), each one linear form times an
-    earlier one.  The pulled-back vectors span the kernel: ``_span_basis``.
+    The products l1^i l2^j l3^k are integer lists on ``monomial_basis(i +
+    j + k)``, each the one with its largest exponent lowered times a linear
+    form, through ``_quotients``.  The pulled-back vectors span the kernel:
+    ``_span_basis``.
     """
     if frame is None or not vectors:
         return vectors
     (_, a, _), (_, b, _), (_, c, _) = frame
-    forms = np.cross(np.array([b, c, a], dtype=object), np.array([c, a, b], dtype=object))
-    mons = monomial_basis(d)
-    at = tuple(np.array(mons)[:, :2].T)
-    products = {(0, 0, 0): np.ones((1, 1), dtype=object)}
+    forms = (cross(b, c), cross(c, a), cross(a, b))
+    products = {(0, 0, 0): [1]}
 
     def product(mu):
         if mu not in products:
-            i = next(i for i in range(3) if mu[i])
-            prev = product(mu[:i] + (mu[i] - 1,) + mu[i + 1:])
-            P = np.zeros((len(prev) + 1,) * 2, dtype=object)
-            P[1:, :-1] += forms[i][0] * prev
-            P[:-1, 1:] += forms[i][1] * prev
-            P[:-1, :-1] += forms[i][2] * prev
-            products[mu] = P
+            i = max(range(3), key=mu.__getitem__)
+            prev = product(mu[:i] + (mu[i] - 1,) + mu[i + 1:]) + [0]  # prev[-1]: no quotient
+            u, v, w = forms[i]
+            products[mu] = [u * prev[x] + v * prev[y] + w * prev[z]
+                            for x, y, z in _quotients(sum(mu))]
         return products[mu]
 
-    S = np.array([product(mu)[at] for mu in mons
+    S = np.array([product(mu) for mu in monomial_basis(d)
                   if all(e <= d - m for e, (_, _, m) in zip(mu, frame))], dtype=object)
     return _span_basis(np.array(vectors, dtype=object).dot(S))
+
+
+@lru_cache(maxsize=None)
+def _quotients(e: int):
+    """Read-only and point-free: per monomial of degree e > 0, the indices in
+    ``monomial_basis(e - 1)`` of its quotients by x, y and z, -1 for none."""
+    index = {mu: i for i, mu in enumerate(monomial_basis(e - 1))}
+    return tuple(tuple(index.get(mu[:c] + (mu[c] - 1,) + mu[c + 1:], -1) for c in range(3))
+                 for mu in monomial_basis(e))
 
 
 def _span_basis(vectors):
@@ -496,7 +503,7 @@ def modp_rref(A: np.ndarray, p: int, rank_only: bool = False):
                 continue
             A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
         row = A[rank]
-        for block in (A[rank + 1:],) if rank_only else (A[rank + 1:], A[:rank]):
+        for block in filter(len, (A[rank + 1:],) if rank_only else (A[rank + 1:], A[:rank])):
             t = np.multiply(block[:, col, None], row, out=buf[:len(block)])
             block *= row[col]
             block -= t

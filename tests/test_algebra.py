@@ -428,6 +428,17 @@ def test_order_of_explicit_multiple_line():
     assert order_of_vanishing(power(L, 4), P) == 4
 
 
+def test_order_in_characteristic_at_most_the_degree():
+    # Over F_5, x^5 - z^5 = (x - z)^5 and x^5 - y^5 = (x - y)^5: the Taylor
+    # sums of (1 + s)^5 - 1 below s^5 are 5, 10, 10, 5, nonzero integers that
+    # vanish mod 5, so only the order-5 coefficient 1 counts.
+    F = prime_field(5)
+    for f, P in ((poly(F, 5, {(5, 0, 0): 1, (0, 0, 5): -1}), point(F, 1, 0, 1)),
+                 (poly(F, 5, {(5, 0, 0): 1, (0, 5, 0): -1}), point(F, 1, 1, 0))):
+        assert order_of_vanishing(f, P) == 5
+        assert [order_of_vanishing(f, P, bound) for bound in range(7)] == [0, 1, 2, 3, 4, 5, 5]
+
+
 # ---------------------------------------------------------------------------
 # scalar arithmetic of forms and lines, over Q and over F_p
 

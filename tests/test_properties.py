@@ -276,6 +276,8 @@ EXACT_PATH_CASES = {
     "framed-triple": (((7, -3, 2), (1, 9, -4), (-5, 2, 6)), (4, 4, 4), 6, True),
     "unframed-simple-points": (tuple(P.integer_coords() for P in general(10, 0, 30)),
                                (1,) * 10, 4, False),
+    # 30 framed rows and one kernel form: the pull-back of repro's type9 row
+    "type9": (tuple(P.integer_coords() for P in configs.type9()), (4,) * 6, 9, True),
 }
 
 
