@@ -36,7 +36,6 @@ from .configs import (
     nodal_curve,
 )
 from .geometry import (
-    EXHAUSTIVE_CANDIDATE_LIMIT,
     are_collinear,
     common_conic,
     detect_line_arrangement,
@@ -61,7 +60,6 @@ from .serialize import record
 CONSISTENT = "CONSISTENT"
 VACUOUS = "CONSISTENT_VACUOUS"
 EXCEPTION = "CONSISTENT_EXCEPTION"
-UNDECIDED = "UNDECIDED"
 INCONSISTENT = "INCONSISTENT"
 
 
@@ -125,18 +123,12 @@ def _collinear_or_arrangement(points):
     witness = detect_line_arrangement(points, lines)
     if witness is not None:
         return True, {"arrangement": witness.to_json_dict()}
-    return False, {"collinear": False, "arrangement": None,
-                   "search_exhaustive": len(lines) <= EXHAUSTIVE_CANDIDATE_LIMIT}
+    return False, {"collinear": False, "arrangement": None, "search_exhaustive": True}
 
 
 def _on_conic(points):
     conic = common_conic(points)
     return conic is not None, {"conic": str(conic) if conic else None}
-
-
-def _undecided_past_exhaustive_limit(points, k, witness):
-    # the arrangement detector is sound but only complete on small pools
-    return (INCONSISTENT if witness["search_exhaustive"] else UNDECIDED), witness
 
 
 def _triangle_plus_exception(points, k, witness):
@@ -194,7 +186,7 @@ IMPLICATIONS = {row.key: row for row in (
                 lambda a, k: a[k - 1] - a[0] == k - 1, _collinear),
     Implication("unit-step", "unit-step-arrangement", "k", 2,
                 lambda a, k: a[k - 1] - a[k - 2] == 1,
-                _collinear_or_arrangement, _undecided_past_exhaustive_limit),
+                _collinear_or_arrangement),
     Implication("double-unit-step", "double-unit-step-collinear", "k", 3,
                 lambda a, k: a[k - 1] - a[k - 2] == 1 and a[k - 2] - a[k - 3] == 1,
                 _collinear),
@@ -216,9 +208,9 @@ def check_unit_step_arrangement(
 ) -> TheoremVerdict:
     """A unit step alpha(kZ) - alpha((k-1)Z) = 1 forces lines.
 
-    The conclusion check is sound but only complete when the candidate
-    pool is small enough for the exhaustive subset search, so a failed
-    detection past that limit downgrades to UNDECIDED.
+    The arrangement search behind the conclusion is complete, so a failed
+    detection is INCONSISTENT; a search past its node limit raises
+    ValueError instead of answering.
     """
     return IMPLICATIONS["unit-step"].check(points, k, strategy, alphas)
 

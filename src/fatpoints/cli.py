@@ -1,8 +1,9 @@
 """Command-line front end: fatpoints {generate|alpha|alphaseq|dim|kernel|check|repro|search|plot}.
 
-Exit codes: 0 success, 1 error or failed reproduction, 2 success with
-certification-gap warnings (an existence side certified only modulo
-primes, or an UNDECIDED/INCONSISTENT verdict).
+Exit codes: 0 success, 1 error (a line-arrangement search past its node
+limit is one) or failed reproduction, 2 success with certification-gap
+warnings (an existence side certified only modulo primes, or an
+INCONSISTENT check verdict).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .algebra import AlgebraError, QQ, field_from_string, reduce_points
 from .analysis import (
     IMPLICATIONS,
     INCONSISTENT,
-    UNDECIDED,
     conjecture_search,
     load_registry,
     repro,
@@ -254,7 +254,7 @@ def cmd_check(args) -> int:
     verdict = IMPLICATIONS[args.theorem].check(pts, args.k, **strategy(args))
     payload = verdict.to_json_dict()
     emit(args, payload, f"{verdict.theorem}: {verdict.status}")
-    return 2 if verdict.status in (UNDECIDED, INCONSISTENT) else 0
+    return 2 if verdict.status == INCONSISTENT else 0
 
 
 def cmd_repro(args) -> int:

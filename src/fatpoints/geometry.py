@@ -3,8 +3,8 @@
 Detectors work from the lines spanned by point pairs.  For a set of at
 least two points, every line of an arrangement whose intersection points
 are exactly that set carries at least two of the points, so the spanned
-lines are a complete candidate pool; the only incompleteness is the greedy
-fallback used when the pool is too large to search exhaustively.
+lines are a complete candidate pool, and the arrangement search over it
+is complete up to a node limit that it reports by raising.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .linsys import modp_nullspace
 
-EXHAUSTIVE_CANDIDATE_LIMIT = 12
+ARRANGEMENT_NODE_LIMIT = 2**12
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,18 @@ class ArrangementWitness:
     """Lines whose pairwise intersections are exactly the configuration.
 
     ``incidence[i]`` lists the indices of witness lines through point i.
-    ``exhaustive`` records whether the subset search was complete or greedy.
+    The search is complete, so the JSON form's ``exhaustive`` is always true.
     """
 
     lines: tuple
     incidence: tuple
-    exhaustive: bool = True
 
     def to_json_dict(self) -> dict:
         f = self.lines[0].field if self.lines else QQ
         return {
             "lines": [[f.format(c) for c in L.coeffs] for L in self.lines],
             "incidence": [list(ix) for ix in self.incidence],
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,
             "convention": "pair-spanned-lines",
         }
 
@@ -151,12 +150,16 @@ def spanned_lines(points):
 def detect_line_arrangement(points, spanned=None) -> Optional[ArrangementWitness]:
     """Search for line arrangements whose intersection set equals the points.
 
-    Candidates are the pair-spanned lines, ``spanned`` if given.  A subset is
-    a witness when every point lies on at least two chosen lines and every
-    two chosen lines meet at a configuration point, one both carry.  Up to
-    12 candidates every subset is tried (smallest first); past that a greedy
-    pass adds lines by point richness while refusing any line that meets a
-    chosen one outside the configuration; that witness is non-exhaustive.
+    Candidates are the pair-spanned lines, ``spanned`` if given; a witness
+    is a set of them that meet pairwise at configuration points and put
+    every point on two.  A depth-first search returns the first it reaches,
+    branching on the point with the fewest allowed lines (those meeting
+    every chosen one at a configuration point) beyond its need, over those
+    lines in candidate order, each branch without the earlier ones' lines.
+    Nodes are distinct sets of candidates, so None is a proof and pools of
+    at most 12 stay within ``ARRANGEMENT_NODE_LIMIT`` nodes, past which it
+    raises ValueError.  No CLI input is known to get there: dense F_p sets
+    have alpha(2Z) >= p, which ``check`` refuses, and ``plot`` uses Q only.
     """
     points = tuple(points)
     if len(points) < 2:
@@ -164,39 +167,36 @@ def detect_line_arrangement(points, spanned=None) -> Optional[ArrangementWitness
     # deterministic order: richest lines first, then by coefficient string
     cands = sorted(spanned_lines(points) if spanned is None else spanned,
                    key=lambda lc: (-len(lc[1]), repr(lc[0])))
-    lines = [L for L, _ in cands]
-    masks = [sum(1 << k for k in inc) for _, inc in cands]
-    n = len(lines)
-    full = (1 << len(points)) - 1
+    # bitmasks: per point, the candidates through it; per candidate, the others
+    # meeting it at a point, a disjoint sum since two distinct lines meet once
+    through = [sum(1 << i for i, (_, inc) in enumerate(cands) if k in inc)
+               for k in range(len(points))]
+    meets = [sum(through[k] for k in inc) - (len(inc) << i) for i, (_, inc) in enumerate(cands)]
+    nodes = itertools.count(1)
 
-    def witness(chosen, exhaustive):
-        # the chosen candidates, if they put every point on two of them
-        once = twice = 0
-        for i in chosen:
-            twice |= once & masks[i]
-            once |= masks[i]
-        if twice != full:
-            return None
-        incidence = tuple(
-            tuple(a for a, i in enumerate(chosen) if masks[i] >> k & 1)
-            for k in range(len(points))
-        )
-        return ArrangementWitness(tuple(lines[i] for i in chosen), incidence,
-                                  exhaustive)
-
-    if n <= EXHAUSTIVE_CANDIDATE_LIMIT:
-        for size in range(2, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                if all(masks[i] & masks[j] for a, i in enumerate(combo) for j in combo[a + 1:]):
-                    found = witness(combo, True)
-                    if found is not None:
-                        return found
+    def search(chosen, allowed):
+        # the first witness extending ``chosen`` by ``allowed`` lines, as a bitmask
+        if next(nodes) > ARRANGEMENT_NODE_LIMIT:
+            raise ValueError(f"arrangement search passed its {ARRANGEMENT_NODE_LIMIT}-node limit")
+        slacks = [(((chosen | allowed) & on).bit_count() - 2, k)
+                  for k, on in enumerate(through) if (chosen & on).bit_count() < 2]
+        if not slacks:
+            return chosen
+        slack, k = min(slacks)
+        branch = allowed & through[k] if slack >= 0 else 0
+        while branch:
+            bit = branch & -branch  # the next of the point's lines in candidate order
+            if (found := search(chosen | bit, allowed & meets[bit.bit_length() - 1])):
+                return found
+            allowed, branch = allowed & ~bit, branch & ~bit
         return None
-    chosen = []
-    for i in range(n):
-        if all(masks[i] & masks[j] for j in chosen):
-            chosen.append(i)
-    return witness(chosen, False) if len(chosen) >= 2 else None
+
+    if not (found := search(0, (1 << len(cands)) - 1)):
+        return None
+    chosen = [(L, inc) for i, (L, inc) in enumerate(cands) if found >> i & 1]
+    incidence = tuple(tuple(a for a, (_, inc) in enumerate(chosen) if k in inc)
+                      for k in range(len(points)))
+    return ArrangementWitness(tuple(L for L, _ in chosen), incidence)
 
 
 def is_star_configuration(points) -> Optional[tuple]:

@@ -31,6 +31,12 @@ a power and turn a ``Line`` into its linear form; only tests need them.
 and ``spanned_lines_by_pairs`` builds one for every pair of points, tests
 every point with ``Line.contains`` and keeps the first of equal lines: the
 reference for ``spanned_lines``, which works on integer representatives.
+
+``arrangement_by_subsets`` tries every subset of a candidate pool, smallest
+first and then in candidate order, for a line arrangement whose
+intersection set is the configuration: the reference for the depth-first
+``detect_line_arrangement``.  ``arrangement_pool`` cuts the points and
+pools it is compared on out of ``arrangement_sources``.
 """
 
 import itertools
@@ -41,6 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from fatpoints.algebra import (
+    QQ,
     ProjectivePoint,
     check_same_field,
     evaluate,
@@ -48,9 +55,12 @@ from fatpoints.algebra import (
     monomial_basis,
     order_of_vanishing,
     partial_derivative,
+    point,
     poly,
     poly_from_vector,
+    prime_field,
 )
+from fatpoints.configs import dual_hesse, star
 from fatpoints.geometry import Line
 
 
@@ -297,3 +307,62 @@ def product_scan_points(c1, nodes1, c2):
     if len(inter) != d1 * d2:
         return None
     return tuple(sorted(set(nodes1) | set(sing2) | set(inter), key=lambda P: P.coords))
+
+
+def arrangement_by_subsets(points, spanned):
+    """The first line-arrangement witness among every subset of ``spanned``,
+    smallest first and then in candidate order, as (lines, incidence), or
+    None: the reference for ``detect_line_arrangement`` on small pools.
+
+    Candidates are ordered as the detector orders them, richest line first
+    and then by coefficient string.  A subset qualifies when every two of
+    its lines share a point and every point lies on two of its lines.
+    """
+    cands = sorted(spanned, key=lambda lc: (-len(lc[1]), repr(lc[0])))
+    for size in range(2, len(cands) + 1):
+        for combo in itertools.combinations(cands, size):
+            if (all(a & b for (_, a), (_, b) in itertools.combinations(combo, 2))
+                    and all(sum(k in inc for _, inc in combo) >= 2
+                            for k in range(len(points)))):
+                return (tuple(L for L, _ in combo),
+                        tuple(tuple(a for a, (_, inc) in enumerate(combo) if k in inc)
+                              for k in range(len(points))))
+    return None
+
+
+@lru_cache(maxsize=1)
+def arrangement_sources():
+    """Configurations rich in line arrangements, each with its pair-spanned
+    lines: stars of 4 to 6 lines, the dual Hesse configuration over F_13,
+    the plane P^2(F_3) and the 3x3 and 4x4 grids over Q."""
+    grids = (tuple(point(QQ, i, j, 1) for i in range(m) for j in range(m)) for m in (3, 4))
+    sources = (*(star(p, p)[0] for p in (4, 5, 6)), dual_hesse(13),
+               tuple(enumerate_projective_plane(prime_field(3))), *grids)
+    return tuple((S, spanned_lines_by_pairs(S)) for S in sources)
+
+
+def arrangement_pool(source, lines, picks, on_lines):
+    """Points of ``source`` with their pair-spanned lines (those of the
+    source's ``lines`` through two of them): the points on two of the
+    picked lines if ``on_lines``, so that a witness is common, else the
+    picked points."""
+    keep = ([k for k in range(len(source)) if sum(k in lines[i][1] for i in picks) >= 2]
+            if on_lines else sorted(set(picks)))
+    index = {k: i for i, k in enumerate(keep)}
+    pool = [(L, frozenset(index[k] for k in inc if k in index))
+            for L, inc in lines if len(inc & index.keys()) >= 2]
+    return tuple(source[k] for k in keep), pool
+
+
+def small_arrangement_pool(rng):
+    """An ``arrangement_pool`` of a random source with a random half of the
+    picks on lines, 2 to 7 lines or 2 to 9 points, redrawn until its pool
+    has 2 to 12 lines."""
+    while True:
+        source, lines = rng.choice(arrangement_sources())
+        on_lines = rng.random() < 0.5
+        n = len(lines) if on_lines else len(source)
+        picks = rng.sample(range(n), rng.randint(2, min(7 if on_lines else 9, n)))
+        points, pool = arrangement_pool(source, lines, picks, on_lines)
+        if 2 <= len(pool) <= 12:
+            return points, pool

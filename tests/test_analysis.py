@@ -16,7 +16,6 @@ from fatpoints.analysis import (
     IMPLICATIONS,
     INCONSISTENT,
     Implication,
-    UNDECIDED,
     VACUOUS,
     check_double_unit_step_collinear,
     check_minimal_gap_collinear,
@@ -225,12 +224,12 @@ def test_step_two_off_a_conic_is_inconsistent_outside_the_exception(monkeypatch,
     assert json.loads(capsys.readouterr().out)["status"] == INCONSISTENT
 
 
-def test_non_exhaustive_arrangement_search_is_undecided(monkeypatch):
-    # six general points span 15 lines, past the exhaustive-search limit
+def test_failed_arrangement_search_past_twelve_candidates_is_inconsistent(monkeypatch):
+    # six general points span 15 lines; the search over them is complete
     monkeypatch.setattr(analysis, "alpha_sequence", _fake_engine((2, 3)))
     v = check_unit_step_arrangement(general(6, seed=42), 2, alphas=(2, 3))
-    assert v.status == UNDECIDED
-    assert v.witness["search_exhaustive"] is False
+    assert v.status == INCONSISTENT
+    assert v.witness["search_exhaustive"] is True
 
 
 def test_implication_table_drives_the_checkers():

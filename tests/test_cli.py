@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from fatpoints import geometry
 from fatpoints.algebra import QQ, evaluate, point, poly
 from fatpoints.geometry import Line, spanned_lines
 from fatpoints.cli import main
@@ -149,6 +150,27 @@ def test_check_honours_strategy(capsys):
                        "--family", "collinear", "--r", "4", "--strategy", "exact")
     assert code == 0
     assert json.loads(out)["certification"] == "EXACT_RATIONAL"
+
+
+STAR5_UNIT_STEP = ("check", "--family", "star", "--p", "5", "--seed", "1",
+                   "--theorem", "unit-step", "--k", "2")
+
+
+def test_check_unit_step_searches_past_twelve_candidates(capsys):
+    # ten points spanning 20 lines: the five star lines, searched completely
+    code, out, _ = run(capsys, *STAR5_UNIT_STEP)
+    verdict = json.loads(out)
+    assert code == 0 and verdict["status"] == "CONSISTENT"
+    arrangement = verdict["witness"]["arrangement"]
+    assert len(arrangement["lines"]) == 5 and arrangement["exhaustive"] is True
+
+
+def test_check_unit_step_past_the_node_limit_is_an_error(monkeypatch, capsys):
+    monkeypatch.setattr(geometry, "ARRANGEMENT_NODE_LIMIT", 3)
+    code, out, err = run(capsys, *STAR5_UNIT_STEP)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "3-node limit" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def refused(capsys, *argv):

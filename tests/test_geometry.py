@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    arrangement_by_subsets,
     coeff,
     enumerate_projective_plane,
     line_form,
     line_through,
     nullspace_in_field,
+    small_arrangement_pool,
     spanned_lines_by_pairs,
 )
+from fatpoints import geometry
 from fatpoints.algebra import (
     QQ,
     FieldMismatchError,
@@ -244,7 +247,7 @@ def test_spanned_lines_refuse_repeated_points_and_mixed_fields():
 def test_arrangement_star4_round_trip():
     pts, lines = star(4, seed=5)
     witness = detect_line_arrangement(pts)
-    assert witness is not None and witness.exhaustive
+    assert witness is not None and witness.to_json_dict()["exhaustive"]
     assert len(witness.lines) == 4
     assert set(witness.lines) == set(lines)
     assert all(len(ix) == 2 for ix in witness.incidence)
@@ -263,10 +266,11 @@ def test_arrangement_absent_for_four_general_points():
         detect_line_arrangement(pts[:1])
 
 
-def test_arrangement_star5_greedy_succeeds():
+def test_arrangement_star5_past_twelve_candidates():
+    # 20 candidate lines, searched completely
     pts, lines = star(5, seed=3)
     witness = detect_line_arrangement(pts)
-    assert witness is not None and not witness.exhaustive
+    assert witness is not None and witness.to_json_dict()["exhaustive"]
     assert set(witness.lines) == set(lines)
 
 
@@ -306,11 +310,47 @@ def test_type9_is_not_an_arrangement_intersection_set():
 
 
 def test_dual_hesse_is_an_arrangement_intersection_set():
-    # twelve points, each on three of the nine lines, whose pairwise
-    # intersections are exactly the configuration; found by the greedy pass
+    # twelve points, each on three of the nine lines; any eight of them
+    # already meet exactly at the configuration, and the search stops at
+    # the first eight, which leave the four points of the ninth on two
     w = detect_line_arrangement(dual_hesse(31))
-    assert w is not None and len(w.lines) == 9 and not w.exhaustive
-    assert all(len(ix) == 3 for ix in w.incidence)
+    assert w is not None and len(w.lines) == 8
+    assert sorted(len(ix) for ix in w.incidence) == [2] * 4 + [3] * 8
+
+
+def test_arrangement_search_matches_the_subset_oracle_on_small_pools():
+    # the depth-first search returns the witness that the smallest-first
+    # subset enumeration returns, on point sets spanning at most 12 lines
+    rng = random.Random(37)
+    found = 0
+    for _ in range(2000):
+        pts, pool = small_arrangement_pool(rng)
+        want = arrangement_by_subsets(pts, pool)
+        got = detect_line_arrangement(pts)
+        assert (got and (got.lines, got.incidence)) == want
+        found += want is not None
+    assert found > 800
+
+
+def affine_plane(p):
+    F = prime_field(p)
+    return tuple(point(F, a, b, 1) for a in range(p) for b in range(p))
+
+
+def test_affine_plane_has_no_arrangement_within_the_node_limit():
+    # the 49 points of AG(2, 7) span its 56 lines; no set of lines meets
+    # pairwise at affine points and puts every point on two
+    pts = affine_plane(7)
+    assert len(spanned_lines(pts)) == 56
+    assert detect_line_arrangement(pts) is None
+
+
+def test_arrangement_search_past_its_node_limit_raises(monkeypatch):
+    monkeypatch.setattr(geometry, "ARRANGEMENT_NODE_LIMIT", 5)
+    with pytest.raises(ValueError, match="passed its 5-node limit"):
+        detect_line_arrangement(affine_plane(7))
+    with pytest.raises(ValueError, match="passed its 5-node limit"):
+        detect_line_arrangement(star(5, seed=1)[0])
 
 
 def test_detectors_absent_on_random_general_configurations():

@@ -13,6 +13,9 @@
   ``rational_nullspace`` of the unframed condition matrix;
 * ``order_of_vanishing`` agrees with the recentering oracle of ``helpers``
   over Q and over F_p for p = 2, 3, 5, 31 and 2^31 - 1;
+* ``detect_line_arrangement`` finds a witness exactly when the subset
+  enumeration of ``helpers`` does, on pools of at most 12 candidate lines
+  and on random parts of them, and every witness it returns is one;
 * the condition-matrix plane scan ``plane_points_where`` agrees with the
   per-point ``evaluate`` scan of ``helpers``, and so do ``dual_hesse``,
   built from its lines' meets, and ``two_nodal_union``, which checks the
@@ -26,7 +29,7 @@ from math import comb
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from fatpoints import configs, linsys  # noqa: E402
 from fatpoints.algebra import (  # noqa: E402
@@ -50,7 +53,7 @@ from fatpoints.configs import (  # noqa: E402
     rational_nodal_nodes,
     two_nodal_union,
 )
-from fatpoints.geometry import plane_points_where  # noqa: E402
+from fatpoints.geometry import detect_line_arrangement, plane_points_where  # noqa: E402
 from fatpoints.linsys import (  # noqa: E402
     ExactRational,
     FatPointScheme,
@@ -69,6 +72,9 @@ from fatpoints.linsys import (  # noqa: E402
 )
 from fatpoints.serialize import dump_json  # noqa: E402
 from helpers import (  # noqa: E402
+    arrangement_by_subsets,
+    arrangement_pool,
+    arrangement_sources,
     coeff,
     common_zeros_by_evaluation,
     power,
@@ -361,6 +367,38 @@ def test_recentered_moves_point_to_origin_chart(case):
     g = recentered_at(f, P)
     # value of f at P appears as the coefficient of the pure u0 power
     assert (coeff(g, (f.degree, 0, 0)) == 0) == (evaluate(f, P) == 0)
+
+
+# ---------------------------------------------------------------------------
+# line arrangements against the subset enumeration
+
+@st.composite
+def arrangement_pools(draw):
+    """Points spanning 2 to 12 lines, with those lines or a random part of them."""
+    source, lines = draw(st.sampled_from(arrangement_sources()))
+    on_lines = draw(st.booleans())
+    n = len(lines) if on_lines else len(source)
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                          max_size=5 if on_lines else 7, unique=True))
+    points, pool = arrangement_pool(source, lines, picks, on_lines)
+    assume(2 <= len(pool) <= 12)
+    if draw(st.booleans()):
+        pool = [pool[i] for i in sorted(draw(st.sets(st.integers(0, len(pool) - 1))))]
+    return points, pool
+
+
+@SETTINGS
+@given(case=arrangement_pools())
+def test_arrangement_search_is_complete_and_sound(case):
+    points, pool = case
+    got = detect_line_arrangement(points, pool)
+    assert (got is None) == (arrangement_by_subsets(points, pool) is None)
+    if got is not None:
+        assert all(L.intersect(M) in points for i, L in enumerate(got.lines)
+                   for M in got.lines[i + 1:])
+        assert got.incidence == tuple(
+            tuple(a for a, L in enumerate(got.lines) if L.contains(P)) for P in points)
+        assert all(len(ix) >= 2 for ix in got.incidence)
 
 
 # ---------------------------------------------------------------------------
